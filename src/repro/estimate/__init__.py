@@ -32,6 +32,7 @@ from repro.estimate.exectime import (
 from repro.estimate.incremental import (
     IncrementalEstimator,
     IncrementalStats,
+    MoveIndex,
     MoveRecord,
 )
 from repro.estimate.kernel import BatchKernel, kernel_backend
@@ -64,6 +65,7 @@ __all__ = [
     "IncrementalEstimator",
     "IncrementalStats",
     "KernelUnavailable",
+    "MoveIndex",
     "MoveRecord",
     "Violation",
     "all_bus_loads",

@@ -12,6 +12,12 @@ is invalidated on each move and only re-run when a caller asks for a
 time.  Cost functions that only need size/IO (the common inner loop)
 never pay for it.
 
+A search that only asks what a move *would* do need not make it:
+:meth:`IncrementalEstimator.preview_sizes` and
+:meth:`IncrementalEstimator.cut_delta` answer from the tallies plus the
+moved object's entry in a :class:`MoveIndex` (its size weight per
+component and its incident channels), leaving the partition alone.
+
 Usage::
 
     inc = IncrementalEstimator(slif, partition)
@@ -23,7 +29,8 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.channels import FreqMode
 from repro.core.graph import Slif
@@ -32,6 +39,59 @@ from repro.errors import PartitionError
 from repro.estimate.exectime import ExecTimeEstimator
 from repro.estimate.size import object_size
 from repro.obs import OBS
+
+
+class MoveIndex:
+    """Per-graph incidence index for single-object moves.
+
+    For every behavior and variable it holds the object's size weight on
+    each component whose technology it is annotated for (the Eq. 4/5
+    summand) and its incident channels as ``(other endpoint, channel
+    name)`` pairs.  Self-loops are left out: moving both endpoints at
+    once never changes a cut.
+
+    Building it is one pass over the objects and channels.  Whoever owns
+    the graph builds it once and hands it to every estimator of that
+    graph; an explore worker shares one across all of its descents.  The
+    graph's nodes, channels, weights and technologies must not change
+    while the index is in use (component constraints may).
+    """
+
+    def __init__(self, slif: Slif) -> None:
+        self.slif = slif
+        self.components: Tuple[str, ...] = tuple(slif.processors) + tuple(
+            slif.memories
+        )
+        techs = [
+            (name, slif.get_component(name).technology.name)
+            for name in self.components
+        ]
+        self.weights: Dict[str, Dict[str, float]] = {}
+        self.incident: Dict[str, List[Tuple[str, str]]] = {}
+        for node in chain(slif.behaviors.values(), slif.variables.values()):
+            known = dict(node.size.items())
+            self.weights[node.name] = {
+                comp: known[tech] for comp, tech in techs if tech in known
+            }
+            self.incident[node.name] = []
+        for ch in slif.channels.values():
+            if ch.src == ch.dst:
+                continue
+            self.incident[ch.src].append((ch.dst, ch.name))
+            if ch.dst in self.incident:  # ports never move
+                self.incident[ch.dst].append((ch.src, ch.name))
+
+    def weight(self, obj: str, component: str) -> float:
+        """``GetBvSize(obj, component)`` in O(1).
+
+        A weight the index lacks is looked up the reference way, so a
+        missing annotation raises exactly what
+        :func:`~repro.estimate.size.object_size` raises for it.
+        """
+        try:
+            return self.weights[obj][component]
+        except KeyError:
+            return object_size(self.slif, obj, component)
 
 
 @dataclass(frozen=True)
@@ -67,6 +127,13 @@ class IncrementalEstimator:
     and :meth:`undo` rather than mutating the partition directly, or the
     tallies will drift (a drift check is available via
     :meth:`verify_consistency`, used by the property tests).
+
+    ``index`` is the graph's :class:`MoveIndex`; one is built when none
+    is given.  Moves never remap channels, so each channel's bus is read
+    from the partition once, when the estimator is built.  The cut
+    counts are built on the first I/O query and kept up to date from
+    then on, so a search whose cost has no pin budget never pays for
+    them.
     """
 
     def __init__(
@@ -74,35 +141,50 @@ class IncrementalEstimator:
         slif: Slif,
         partition: Partition,
         mode: FreqMode = FreqMode.AVG,
+        index: Optional[MoveIndex] = None,
     ) -> None:
         partition.require_complete()
+        if index is not None and index.slif is not slif:
+            raise PartitionError("move index was built for a different graph")
         self.slif = slif
         self.partition = partition
+        self.index = index if index is not None else MoveIndex(slif)
+        self._chan_bus = partition.channel_mapping()
         self._exec = ExecTimeEstimator(slif, partition, mode)
         self._exec_dirty = False
         self.stats = IncrementalStats()
         self._sizes: Dict[str, float] = {}
         # cut channel counts: (component, bus) -> number of cut channels
-        self._cut_counts: Dict[Tuple[str, str], int] = {}
+        self._cut_counts: Optional[Dict[Tuple[str, str], int]] = None
         self._rebuild()
 
     # ------------------------------------------------------------------
     # construction of the tallies
 
     def _rebuild(self) -> None:
-        slif, part = self.slif, self.partition
-        self._sizes = {
-            name: 0.0 for name in list(slif.processors) + list(slif.memories)
-        }
-        for obj, comp in part.object_mapping().items():
-            self._sizes[comp] += object_size(slif, obj, comp)
-        self._cut_counts = {}
-        for ch in slif.channels.values():
-            bus = part.get_chan_bus(ch.name)
-            for comp in self._sizes:
-                if part.channel_is_cut(ch, comp):
-                    key = (comp, bus)
-                    self._cut_counts[key] = self._cut_counts.get(key, 0) + 1
+        weight = self.index.weight
+        sizes = self._sizes = {name: 0.0 for name in self.index.components}
+        for obj, comp in self.partition.object_mapping().items():
+            sizes[comp] += weight(obj, comp)
+        self._cut_counts = None
+
+    def _counts(self) -> Dict[Tuple[str, str], int]:
+        """The cut counts, counted from the partition on first use."""
+        if self._cut_counts is None:
+            counts: Dict[Tuple[str, str], int] = {}
+            comp_of = self.partition.object_mapping().get  # ports: None
+            for ch in self.slif.channels.values():
+                src_comp = comp_of(ch.src)
+                dst_comp = comp_of(ch.dst)
+                if src_comp == dst_comp:
+                    continue  # internal (or a self-loop): cut for no component
+                bus = self._chan_bus[ch.name]
+                for comp in (src_comp, dst_comp):
+                    if comp is not None:
+                        key = (comp, bus)
+                        counts[key] = counts.get(key, 0) + 1
+            self._cut_counts = counts
+        return self._cut_counts
 
     # ------------------------------------------------------------------
     # queries
@@ -117,11 +199,24 @@ class IncrementalEstimator:
     def component_sizes(self) -> Dict[str, float]:
         return dict(self._sizes)
 
-    def component_io(self, component: str) -> int:
-        """Current Eq. 6 I/O of ``component`` (O(buses))."""
+    def component_io(
+        self,
+        component: str,
+        delta: Optional[Mapping[Tuple[str, str], int]] = None,
+    ) -> int:
+        """Current Eq. 6 I/O of ``component`` (O(buses)).
+
+        With ``delta`` from :meth:`cut_delta`, the I/O it would have
+        after that move.
+        """
+        counts = self._counts()
         total = 0
         for bus_name, bus in self.slif.buses.items():
-            if self._cut_counts.get((component, bus_name), 0) > 0:
+            key = (component, bus_name)
+            count = counts.get(key, 0)
+            if delta:
+                count += delta.get(key, 0)
+            if count > 0:
                 total += bus.bitwidth
         return total
 
@@ -149,6 +244,55 @@ class IncrementalEstimator:
     def system_time(self) -> float:
         self._refresh_exec()
         return self._exec.system_time()
+
+    # ------------------------------------------------------------------
+    # move previews (the partition is left alone)
+
+    def preview_sizes(
+        self, obj: str, component: str
+    ) -> Tuple[str, Dict[str, float]]:
+        """``(current component, sizes after the move)`` of moving ``obj``.
+
+        Neither the partition nor the cut counts change.  The two
+        touched size tallies are left as :meth:`apply_move` followed by
+        :meth:`undo` would leave them: with non-integral weights
+        ``(a - w) + w`` is not always ``a``, and a search scored this way
+        must see the same floats as one that applied and undid each
+        trial move.
+        """
+        src = self.partition.get_bv_comp(obj)
+        sizes = self._sizes
+        if src == component:
+            return src, dict(sizes)
+        w_src = self.index.weight(obj, src)
+        w_dst = self.index.weight(obj, component)
+        after = dict(sizes)
+        after[src] = sizes[src] - w_src
+        after[component] = sizes[component] + w_dst
+        sizes[src] = after[src] + w_src
+        sizes[component] = after[component] - w_dst
+        return src, after
+
+    def cut_delta(self, obj: str, src: str, dst: str) -> Dict[Tuple[str, str], int]:
+        """Cut-count changes, per ``(component, bus)``, of moving ``obj``
+        from ``src`` to ``dst``.
+
+        Only channels incident to ``obj`` can change, and only with
+        respect to ``src`` and ``dst``.
+        """
+        comp_of = self.partition.maybe_bv_comp
+        chan_bus = self._chan_bus
+        delta: Dict[Tuple[str, str], int] = {}
+        for other, channel in self.index.incident[obj]:
+            bus = chan_bus[channel]
+            other_comp = comp_of(other)
+            # leaving src cuts a channel internal to src and un-cuts the rest
+            key = (src, bus)
+            delta[key] = delta.get(key, 0) + (1 if other_comp == src else -1)
+            # arriving at dst makes a channel to dst internal and cuts the rest
+            key = (dst, bus)
+            delta[key] = delta.get(key, 0) + (-1 if other_comp == dst else 1)
+        return delta
 
     # ------------------------------------------------------------------
     # moves
@@ -219,39 +363,18 @@ class IncrementalEstimator:
         """Update tallies for moving ``obj`` from ``src`` to ``dst``.
 
         Only the two involved components' tallies can change: sizes move
-        the object's weight; cut counts change only for channels incident
-        to ``obj`` and only with respect to ``src`` and ``dst``.
+        the object's weight; cut counts change as :meth:`cut_delta` says.
+        Both weights are looked up before anything changes, so a missing
+        annotation leaves the tallies intact.
         """
-        slif, part = self.slif, self.partition
-        self._sizes[src] -= object_size(slif, obj, src)
-        self._sizes[dst] = self._sizes.get(dst, 0.0) + object_size(slif, obj, dst)
-
-        incident = list(slif.in_channels(obj))
-        if obj in slif.behaviors:
-            incident += slif.out_channels(obj)
-        for ch in incident:
-            if ch.src == ch.dst:
-                # a self-loop moves both endpoints at once: it is never
-                # cut before or after, so no tally changes (it would also
-                # appear twice in `incident`)
-                continue
-            bus = part.get_chan_bus(ch.name)
-            other = ch.dst if ch.src == obj else ch.src
-            other_comp = part.maybe_bv_comp(other)
-            # before the move obj is on src; after, on dst
-            for comp, obj_side_before, obj_side_after in (
-                (src, True, False),
-                (dst, False, True),
-            ):
-                other_in = other_comp == comp
-                was_cut = obj_side_before != other_in
-                now_cut = obj_side_after != other_in
-                if was_cut == now_cut:
-                    continue
-                key = (comp, bus)
-                self._cut_counts[key] = self._cut_counts.get(key, 0) + (
-                    1 if now_cut else -1
-                )
+        w_src = self.index.weight(obj, src)
+        w_dst = self.index.weight(obj, dst)
+        self._sizes[src] -= w_src
+        self._sizes[dst] += w_dst
+        counts = self._cut_counts
+        if counts is not None:
+            for key, change in self.cut_delta(obj, src, dst).items():
+                counts[key] = counts.get(key, 0) + change
 
     # ------------------------------------------------------------------
     # verification (used by property tests)
@@ -276,6 +399,6 @@ class IncrementalEstimator:
                 raise AssertionError(
                     f"io tally drift on {comp!r}: incremental {got}, fresh {io}"
                 )
-        for key, count in self._cut_counts.items():
+        for key, count in self._counts().items():
             if count < 0:
                 raise AssertionError(f"negative cut count for {key}: {count}")

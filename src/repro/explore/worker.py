@@ -3,7 +3,9 @@
 A :class:`ChunkRunner` is what one worker process holds: its own copy of
 the annotated graph (rebuilt from the plain-dict serialization, so
 nothing is shared across process boundaries), its own base partition,
-and its own estimator instances — the memoized
+the graph's :class:`~repro.estimate.incremental.MoveIndex` (built once,
+shared by every descent the runner makes, freed with the runner), and
+its own estimator instances — the memoized
 :class:`~repro.estimate.exectime.ExecTimeEstimator` and
 :class:`~repro.estimate.incremental.IncrementalEstimator` each descent
 constructs live and die inside the worker.  The same class *is* the
@@ -141,6 +143,15 @@ class ChunkRunner:
         self.base = partition_from_dict(payload.partition_data, self.slif)
         self.candidates_evaluated = 0
         self._kernel: Any = None   # lazy: BatchKernel | False (unavailable)
+        self._index: Any = None    # lazy: MoveIndex
+
+    def _move_index(self):
+        """The graph's move index, built on first use and then shared."""
+        if self._index is None:
+            from repro.estimate.incremental import MoveIndex
+
+            self._index = MoveIndex(self.slif)
+        return self._index
 
     def _get_kernel(self):
         """The runner's batch kernel, compiled once, or None.
@@ -191,6 +202,7 @@ class ChunkRunner:
         kwargs = dict(
             weights=self.payload.weights,
             time_constraint=self.payload.time_constraint,
+            index=self._move_index(),
         )
         kwargs.update(spec.params)
         if spec.algorithm == "greedy":
@@ -222,12 +234,15 @@ class ChunkRunner:
 
         if spec.algorithm == "none":
             partition = self._start_partition(spec)
-            cost = PartitionCost(
+            evaluator = PartitionCost(
                 self.slif,
                 partition,
                 self.payload.weights,
                 self.payload.time_constraint,
-            ).cost()
+                self._move_index(),
+            )
+            cost = evaluator.cost()
+            evaluator.publish()
             return (
                 RestartOutcome(spec.index, cost, 0, 1, spec.label),
                 partition,

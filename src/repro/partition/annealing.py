@@ -16,6 +16,7 @@ from typing import Optional
 
 from repro.core.graph import Slif
 from repro.core.partition import Partition
+from repro.estimate.incremental import MoveIndex
 from repro.obs import OBS, add_event
 from repro.partition.cost import CostWeights, PartitionCost
 from repro.partition.result import PartitionResult
@@ -36,6 +37,7 @@ def simulated_annealing(
     policy=None,
     checkpoint: Optional[str] = None,
     resume: bool = False,
+    index: Optional[MoveIndex] = None,
     **_ignored,
 ) -> PartitionResult:
     """Anneal from ``partition`` (copied, not mutated).
@@ -90,7 +92,7 @@ def simulated_annealing(
 
     rng = random.Random(seed)
     working = partition.copy(name="annealing")
-    evaluator = PartitionCost(slif, working, weights, time_constraint)
+    evaluator = PartitionCost(slif, working, weights, time_constraint, index)
     current = evaluator.cost()
     best_snapshot = working.copy(name="annealing-best")
     best_cost = current
@@ -98,13 +100,11 @@ def simulated_annealing(
 
     objects = evaluator.movable_objects()
     temperature = initial_temperature
-    iterations = 0
+    iterations = accepted = rejected = improvements = 0
 
     while temperature > min_temperature:
         for _ in range(moves_per_temperature):
             iterations += 1
-            if OBS.enabled:
-                OBS.inc("partition.annealing.iterations")
             obj = rng.choice(objects)
             candidates = evaluator.candidate_components(obj)
             if not candidates:
@@ -115,18 +115,15 @@ def simulated_annealing(
             delta = cost - current
             if delta <= 0 or rng.random() < math.exp(-delta / temperature):
                 current = cost
-                if OBS.enabled:
-                    OBS.inc("partition.annealing.accepted")
+                accepted += 1
                 if current < best_cost - 1e-12:
                     best_cost = current
                     best_snapshot = working.copy(name="annealing-best")
                     history.append(best_cost)
-                    if OBS.enabled:
-                        OBS.inc("partition.annealing.improvements")
+                    improvements += 1
             else:
                 evaluator.undo(record)
-                if OBS.enabled:
-                    OBS.inc("partition.annealing.rejected")
+                rejected += 1
         if OBS.enabled:
             # temperature + best-cost trajectory, one event per cooling step
             OBS.set_gauge("partition.annealing.temperature", temperature)
@@ -139,6 +136,16 @@ def simulated_annealing(
             )
         temperature *= cooling
 
+    evaluator.publish()
+    if OBS.enabled:
+        for name, count in (
+            ("iterations", iterations),
+            ("accepted", accepted),
+            ("rejected", rejected),
+            ("improvements", improvements),
+        ):
+            if count:
+                OBS.inc(f"partition.annealing.{name}", count)
     return PartitionResult(
         partition=best_snapshot,
         cost=best_cost,

@@ -136,7 +136,9 @@ def cluster_partition(
 
     from repro.partition.cost import PartitionCost
 
-    cost = PartitionCost(slif, working, weights, time_constraint).cost()
+    evaluator = PartitionCost(slif, working, weights, time_constraint)
+    cost = evaluator.cost()
+    evaluator.publish()
     return PartitionResult(
         partition=working,
         cost=cost,

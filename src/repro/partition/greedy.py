@@ -16,6 +16,7 @@ from typing import Optional
 
 from repro.core.graph import Slif
 from repro.core.partition import Partition
+from repro.estimate.incremental import MoveIndex
 from repro.obs import OBS
 from repro.partition.cost import CostWeights, PartitionCost
 from repro.partition.result import PartitionResult
@@ -27,11 +28,16 @@ def greedy_improve(
     weights: Optional[CostWeights] = None,
     time_constraint: Optional[float] = None,
     max_passes: int = 50,
+    index: Optional[MoveIndex] = None,
     **_ignored,
 ) -> PartitionResult:
-    """Hill-climb from ``partition`` (which is copied, not mutated)."""
+    """Hill-climb from ``partition`` (which is copied, not mutated).
+
+    ``index`` is the graph's move index, when the caller shares one
+    across descents.
+    """
     working = partition.copy(name="greedy")
-    evaluator = PartitionCost(slif, working, weights, time_constraint)
+    evaluator = PartitionCost(slif, working, weights, time_constraint, index)
     current = evaluator.cost()
     history = [current]
     passes = 0
@@ -58,6 +64,7 @@ def greedy_improve(
                 if OBS.enabled:
                     OBS.inc("partition.greedy.improving_moves")
 
+    evaluator.publish()
     return PartitionResult(
         partition=working,
         cost=current,

@@ -12,6 +12,7 @@ from typing import Optional
 from repro.core.graph import Slif
 from repro.core.partition import Partition
 from repro.errors import PartitionError
+from repro.estimate.incremental import MoveIndex
 from repro.obs import OBS
 from repro.partition.cost import CostWeights, PartitionCost
 from repro.partition.result import PartitionResult
@@ -104,15 +105,23 @@ def random_restart(
             OBS.inc("partition.random.restarts", restarts)
         return result
 
+    index = MoveIndex(slif)
+
+    def score(candidate: Partition) -> float:
+        evaluator = PartitionCost(slif, candidate, weights, time_constraint, index)
+        value = evaluator.cost()
+        evaluator.publish()
+        return value
+
     best = partition.copy(name="random-best")
-    best_cost = PartitionCost(slif, best, weights, time_constraint).cost()
+    best_cost = score(best)
     evaluations = 1
     history = [best_cost]
     for i in range(restarts):
         if OBS.enabled:
             OBS.inc("partition.random.restarts")
         candidate = random_partition(slif, seed=seed + i, name=f"random-{i}")
-        cost = PartitionCost(slif, candidate, weights, time_constraint).cost()
+        cost = score(candidate)
         evaluations += 1
         if cost < best_cost:
             best, best_cost = candidate, cost

@@ -161,3 +161,45 @@ class TestDispatcher:
             result = run_algorithm(name, g, p, seed=0)
             assert result.cost <= start + 1e-9, name
             assert result.partition.validate() == [], name
+
+
+class TestTelemetry:
+    """Searches count evaluations locally and publish them once."""
+
+    @staticmethod
+    def _counters(run):
+        from repro import obs
+
+        obs.reset()
+        obs.enable()
+        try:
+            result = run()
+            return result, obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
+
+    @pytest.mark.parametrize("algorithm", [greedy_improve, group_migration])
+    def test_published_evaluations_match_result(self, g, p, algorithm):
+        result, counters = self._counters(lambda: algorithm(g, p))
+        assert result.evaluations > 1
+        assert counters["partition.cost.evaluations"] == result.evaluations
+
+    def test_greedy_applies_only_committed_moves(self, g, p):
+        result, counters = self._counters(lambda: greedy_improve(g, p))
+        committed = len(result.history) - 1
+        assert committed > 0
+        assert counters["estimate.incremental.moves_applied"] == committed
+        assert "estimate.incremental.moves_undone" not in counters
+
+    def test_annealing_counters_add_up(self, g, p):
+        result, counters = self._counters(
+            lambda: simulated_annealing(g, p, seed=3)
+        )
+        assert counters["partition.cost.evaluations"] == result.evaluations
+        assert counters["partition.annealing.iterations"] == result.iterations
+        assert (
+            counters["partition.annealing.accepted"]
+            + counters["partition.annealing.rejected"]
+            == result.iterations
+        )

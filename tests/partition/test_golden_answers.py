@@ -1,0 +1,58 @@
+"""Search answers stay byte-identical to the checked-in golden file.
+
+Jobs-parity tests only show that every configuration agrees with every
+other one; a change that moved all of their answers the same way would
+pass them.  These tests pin the answers themselves: partition results
+(cost, iterations, evaluations, history, mapping and the API payload)
+for five algorithms, and the default explore front at ``jobs=1``,
+``jobs=2`` and ``SLIF_KERNEL=off``, on the four bundled specs and two
+generated ones; on the bundled specs also the partition results under
+binding size and pin budgets.  ``tests/_golden.py`` says how to
+regenerate the file.
+"""
+
+import json
+
+import pytest
+
+import _golden
+
+SPECS = _golden.BUNDLED + tuple(_golden.GENERATED)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(_golden.GOLDEN_PATH) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def sessions():
+    from repro import api
+
+    return {name: api.load(_golden.spec_text(name)) for name in SPECS}
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_partition_answers(spec, sessions, golden):
+    session = sessions[spec]
+    for algorithm in _golden.ALGORITHMS:
+        got = _golden.partition_answer(session, algorithm)
+        assert got == golden[spec]["partition"][algorithm], algorithm
+
+
+@pytest.mark.parametrize("spec", _golden.BUNDLED)
+def test_constrained_partition_answers(spec, sessions, golden):
+    with _golden.constrained(sessions[spec]):
+        for algorithm in _golden.ALGORITHMS:
+            got = _golden.partition_answer(sessions[spec], algorithm)
+            assert got == golden[spec]["partition_constrained"][algorithm], algorithm
+
+
+@pytest.mark.parametrize("config", ["jobs1", "jobs2", "kernel-off"])
+@pytest.mark.parametrize("spec", SPECS)
+def test_explore_front(spec, config, sessions, golden, monkeypatch):
+    if config == "kernel-off":
+        monkeypatch.setenv("SLIF_KERNEL", "off")
+    jobs = 2 if config == "jobs2" else 1
+    assert _golden.explore_answer(sessions[spec], jobs) == golden[spec]["explore"]

@@ -3,14 +3,18 @@
 For arbitrary graphs and starting points: every algorithm returns a
 proper partition, never worse than its start, with an honest cost
 value (re-evaluating the returned partition reproduces the reported
-cost).
+cost), and the read-only move scorer agrees bit for bit with applying,
+evaluating and undoing the move.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.annotations import WeightMap
+from repro.errors import EstimationError
+from repro.estimate.size import object_size
 from repro.partition import ALGORITHMS, run_algorithm
-from repro.partition.cost import PartitionCost
+from repro.partition.cost import CostWeights, PartitionCost
 from repro.partition.random_part import random_partition
 
 from test_prop_graph import slif_graphs
@@ -55,3 +59,101 @@ def test_greedy_reaches_local_minimum(g, seed):
     for obj in evaluator.movable_objects():
         for comp in evaluator.candidate_components(obj):
             assert evaluator.try_move(obj, comp) >= base - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# read-only move scoring vs apply -> cost -> undo
+
+
+@st.composite
+def cost_scenarios(draw):
+    """A graph with non-integral weights, random budgets and cost weights.
+
+    Sometimes one object lacks its ASIC weight, so scoring a move of it
+    onto ``HW`` must fail the way the reference size estimator fails.
+    """
+    g = draw(slif_graphs())
+    weight = st.floats(0.0, 400.0).map(lambda x: round(x, 3))
+    for node in list(g.behaviors.values()) + list(g.variables.values()):
+        for tech in ("proc", "asic", "mem"):
+            node.size.set(tech, draw(weight))
+    for comp in ("CPU", "HW", "RAM"):
+        g.get_component(comp).size_constraint = draw(
+            st.none() | st.floats(1.0, 1500.0).map(lambda x: round(x, 2))
+        )
+    for proc in g.processors.values():
+        proc.io_constraint = draw(st.none() | st.integers(1, 40))
+    missing = draw(st.none() | st.sampled_from(g.bv_names()))
+    if missing is not None:
+        node = g.get_node(missing)
+        node.size = WeightMap({t: v for t, v in node.size.items() if t != "asic"})
+    term = st.sampled_from([0.0, 0.5, 1.0, 3.0])
+    weights = CostWeights(
+        size=draw(term), io=draw(term), time=draw(term), balance=draw(term)
+    )
+    time_constraint = draw(st.none() | st.floats(1.0, 1e4))
+    return g, weights, time_constraint, draw(st.integers(0, 1000))
+
+
+def _outcome(fn):
+    try:
+        return ("value", repr(fn()))
+    except EstimationError as exc:
+        return ("error", str(exc))
+
+
+def _reference_try(evaluator, obj, comp):
+    record = evaluator.apply_move(obj, comp)
+    value = evaluator.cost()
+    evaluator.undo(record)
+    return value
+
+
+def _tallies(evaluator):
+    inc = evaluator.inc
+    return (
+        {c: repr(v) for c, v in inc.component_sizes().items()},
+        inc.component_ios(),
+        evaluator.partition.object_mapping(),
+        evaluator.evaluations,
+    )
+
+
+@given(cost_scenarios(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_try_move_matches_apply_cost_undo(scenario, rng):
+    """Every read-only score equals, by repr, the cost of applying the
+    move, evaluating and undoing it on a twin; afterwards both twins hold
+    the same tallies.  Committed moves between rounds let the tallies
+    accumulate the round-trip rounding of non-integral weights."""
+    g, weights, time_constraint, seed = scenario
+    start = random_partition(g, seed=seed)
+
+    def twin():
+        return PartitionCost(g, start.copy(), weights, time_constraint)
+
+    built = _outcome(lambda: twin().cost())
+    if built[0] == "error":
+        # the start mapping itself uses the missing weight
+        assert built == _outcome(
+            lambda: [object_size(g, o, c) for o, c in start.object_mapping().items()]
+        )
+        return
+    scored, reference = twin(), twin()
+    for obj in scored.movable_objects():
+        pool = list(g.processors) + (
+            [] if obj in g.behaviors else list(g.memories)
+        )
+        for comp in pool:
+            got = _outcome(lambda: scored.try_move(obj, comp))
+            want = _outcome(lambda: _reference_try(reference, obj, comp))
+            assert got == want, (obj, comp)
+            if got[0] == "error":
+                assert got == _outcome(lambda: object_size(g, obj, comp))
+            assert _tallies(scored) == _tallies(reference)
+        commit = rng.choice(pool)
+        if _outcome(lambda: object_size(g, obj, commit))[0] == "value":
+            scored.apply_move(obj, commit)
+            reference.apply_move(obj, commit)
+    assert _tallies(scored) == _tallies(reference)
+    scored.inc.verify_consistency()
