@@ -42,8 +42,16 @@ class Partition:
     def assign(self, obj: str, component: str) -> None:
         """Map the behavior or variable ``obj`` onto ``component``.
 
-        Enforces the kind rules: behaviors go only to processors;
-        variables to processors or memories.
+        Enforces the kind rules (see :meth:`require_assignable`).
+        """
+        self.require_assignable(obj, component)
+        self._bv_comp[obj] = component
+
+    def require_assignable(self, obj: str, component: str) -> None:
+        """Raise unless ``obj`` may be mapped onto ``component``.
+
+        The kind rules: behaviors go only to processors; variables to
+        processors or memories.
         """
         slif = self.slif
         if obj in slif.behaviors:
@@ -60,7 +68,6 @@ class Partition:
                 )
         else:
             raise SlifNameError(f"no behavior or variable named {obj!r}")
-        self._bv_comp[obj] = component
 
     def assign_channel(self, channel: str, bus: str) -> None:
         """Map ``channel`` onto ``bus``."""

@@ -71,6 +71,7 @@ def test_incremental_never_drifts(g, seed, data):
     correctness requirement behind the fast partitioning loop)."""
     p = random_partition(g, seed=seed)
     inc = IncrementalEstimator(g, p)
+    inc.component_ios()  # build the cut counts now, so every move updates them
     objects = g.bv_names()
     comps = list(g.processors)
     var_comps = comps + list(g.memories)
