@@ -1,7 +1,7 @@
 """repro.api — the one public facade over the SLIF toolkit.
 
-Historically the entry points were scattered: the CLI imported
-``repro.system``, scripts imported ``repro.estimate.engine`` or
+Historically the entry points were scattered: the CLI imported a
+separate system module, scripts imported ``repro.estimate.engine`` or
 ``repro.partition.pareto`` directly, and there was no stable contract
 a network service could expose.  This package is the redesign: typed
 request/response dataclasses (:mod:`repro.api.types`) plus five
@@ -28,9 +28,9 @@ so a result is identical however it was requested::
     result.system_time
     result.to_dict()                 # JSON-ready plain data
 
-``DesignSystem`` and ``build_system`` live here too (moved from
-``repro.system``, which now re-exports them with a
-``DeprecationWarning``).
+``DesignSystem`` and ``build_system`` live here too, and are
+re-exported at the package top level (``from repro import
+build_system``).
 """
 
 from repro.api.frontends import (

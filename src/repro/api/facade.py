@@ -170,7 +170,7 @@ def partition(
     itself is never mutated, so cached sessions can serve concurrent
     partitioning requests.  ``policy``/``checkpoint``/``resume`` pass
     through to the fault-tolerant exploration engine for the
-    pool-backed algorithms.
+    multi-start algorithms.
     """
     from repro.estimate.engine import Estimator
     from repro.partition import run_algorithm

@@ -1,9 +1,8 @@
 """High-level system construction and reusable estimation sessions.
 
 This module is the canonical home of :class:`DesignSystem` and
-:func:`build_system` (moved here from ``repro.system``, which remains
-as a deprecation shim), plus the pieces the facade and the serving
-layer add on top:
+:func:`build_system` (also re-exported as ``repro.build_system``),
+plus the pieces the facade and the serving layer add on top:
 
 * :func:`resolve_spec` — one resolution rule for every entry point,
   delegated to the pluggable front-end registry

@@ -58,12 +58,12 @@ a library call and an HTTP response always agree.
 Exit codes are normalized (table in ``docs/cli.md``): 0 success, 2 for
 any expected failure (bad input, validation, estimation or partition
 errors), 3 when the fault-tolerant runtime exhausted its recovery
-budget (chunk timeouts, pool crashes, injected faults), 130 on SIGINT.
+budget (chunk timeouts, worker crashes, injected faults), 130 on SIGINT.
 
 Parallelism: ``partition`` and ``explore`` accept ``--jobs N`` to fan
 candidate evaluation across worker processes (0 = all cores) via
 ``repro.explore``; output is byte-identical to ``--jobs 1`` for the
-same seed.  The pool path is fault-tolerant: ``--timeout`` /
+same seed.  Multi-worker sweeps are fault-tolerant: ``--timeout`` /
 ``--retries`` tune the per-chunk recovery loop, ``--checkpoint PATH``
 journals completed chunks as JSONL, and ``--resume PATH`` replays such
 a journal so an interrupted sweep only re-evaluates missing chunks.
@@ -1307,8 +1307,8 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except KeyboardInterrupt:
-        # run_plan has already terminated its pool and flushed any
-        # checkpoint journal by the time the interrupt reaches here
+        # run_plan has already terminated its local workers and flushed
+        # any checkpoint journal by the time the interrupt reaches here
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     finally:

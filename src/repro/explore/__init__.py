@@ -4,16 +4,16 @@ The paper's argument is that O(graph) estimation makes evaluating
 *thousands* of candidate partitions feasible (Sections 3 and 5); this
 package makes that workload scale across cores.  A
 :class:`~repro.explore.plan.WorkPlan` shards candidate evaluations into
-deterministic chunks, :func:`~repro.explore.engine.run_plan` fans the
-chunks across a ``multiprocessing`` pool (each worker holding its own
-graph copy and memoized estimators) or runs them through one in-process
-runner (``jobs=1``, the batched sequential fallback), and the merge
+deterministic chunks, :func:`~repro.explore.engine.run_plan` runs them
+through one in-process runner (``jobs=1``) or fans them across worker
+processes (each holding its own graph copy and memoized estimators)
+scheduled by an embedded :mod:`repro.fleet` coordinator, and the merge
 step unions chunk-local Pareto fronts / multi-start outcomes in
 candidate order — so the same seed produces byte-identical results at
 any ``--jobs`` value.
 
-The pool path is fault-tolerant: per-chunk timeouts, seeded
-exponential-backoff retries, pool respawn after worker crashes, and
+Multi-worker sweeps are fault-tolerant: per-chunk timeouts, seeded
+exponential-backoff retries, replacement of crashed workers, and
 graceful in-process degradation are governed by
 :class:`~repro.explore.engine.RetryPolicy`, while
 :mod:`repro.explore.checkpoint` journals completed chunks to a JSONL
@@ -63,9 +63,7 @@ from repro.explore.worker import (
     ChunkRunner,
     PlanPayload,
     RestartOutcome,
-    init_worker,
     prune_local_front,
-    run_worker_chunk,
 )
 
 __all__ = [
@@ -86,7 +84,6 @@ __all__ = [
     "improvement_history",
     "load_journal",
     "plan_fingerprint",
-    "init_worker",
     "merge_fronts",
     "merge_restarts",
     "pareto_plan",
@@ -95,5 +92,4 @@ __all__ = [
     "restart_plan",
     "run_multistart",
     "run_plan",
-    "run_worker_chunk",
 ]

@@ -1,7 +1,7 @@
 """repro.faults — deterministic fault injection for recovery testing.
 
 Every recovery path in the fault-tolerant exploration runtime (chunk
-timeout, retry with backoff, pool respawn after a worker crash,
+timeout, retry with backoff, worker replacement after a crash,
 graceful in-process fallback) is exercised by *injecting* the failures
 it guards against, rather than trusted on faith.  Set ``SLIF_FAULTS``
 to a plan like ``crash:2,hang:0,transient:3`` and the named chunks will

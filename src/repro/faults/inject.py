@@ -14,7 +14,8 @@ Supported kinds (see :data:`FAULT_KINDS`):
 
 ``crash``
     ``os._exit(CRASH_EXIT_CODE)`` — the worker process dies mid-chunk,
-    exercising pool-death detection, respawn and re-queueing.
+    exercising death detection (its pipe closes), replacement and
+    re-queueing.
 ``hang``
     Sleep for ``SLIF_FAULT_HANG_SECONDS`` (default 3600) — the chunk
     never returns, exercising the per-chunk timeout path.
@@ -29,8 +30,8 @@ Supported kinds (see :data:`FAULT_KINDS`):
     ``os._exit(CRASH_EXIT_CODE)``, like ``crash`` — but named for the
     fleet: set in a ``slif work`` daemon's environment it kills the
     *whole daemon* mid-lease, exercising heartbeat-timeout reaping and
-    cross-worker requeue rather than same-pool respawn.  In a local
-    pool worker it behaves exactly like ``crash``.
+    cross-worker requeue rather than pipe-close detection.  In a local
+    ``--jobs N`` worker it behaves exactly like ``crash``.
 ``journal-io``
     Raise :class:`OSError` from the checkpoint journal's append path —
     the *coordinator-side* durability fault.  Unlike every other kind,
@@ -40,8 +41,10 @@ Supported kinds (see :data:`FAULT_KINDS`):
     the error and keeps the sweep running — the chunk simply is not
     durable, so a later resume re-evaluates it.
 
-Worker faults only ever fire inside workers — pool worker processes
-and fleet worker daemons (the engine's in-process ``jobs=1`` path and
+Worker faults only ever fire inside workers — the local worker
+processes of ``--jobs N`` and fleet worker daemons, both running
+:class:`~repro.fleet.worker.FleetWorker` (the engine's in-process
+``jobs=1`` path and
 the graceful-degradation fallback call the chunk runner directly,
 bypassing injection) — a ``crash`` or ``worker-down`` fault can
 therefore never take down the coordinating process.  ``journal-io`` is

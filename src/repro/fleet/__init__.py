@@ -26,11 +26,16 @@ scheduling — no evaluation semantics change.  The moving parts:
     the fleet could not finish — so a sweep completes (byte-identical
     to ``--jobs 1``) even when workers die mid-flight.
 
-Failure model: a worker that misses heartbeats is declared dead and
-its leased chunks are requeued with the policy's seeded backoff;
-results are deduplicated by chunk index (first wins), exactly like the
-in-process pool path, so requeues and late duplicates cannot change
-the merged front.  Routing prefers the worker that consistent hashing
+:func:`~repro.fleet.local.local_fleet` / ``--jobs N``
+    The same coordinator, embedded and private to one sweep, with
+    ``N`` local worker processes that talk to it over pipes: local and
+    distributed sweeps share one scheduler.
+
+Failure model: a worker that misses heartbeats (or, locally, whose
+pipe closes) is declared dead and its leased chunks are requeued with
+the policy's seeded backoff; results are deduplicated by chunk index
+(first wins), so requeues and late duplicates cannot change the merged
+front.  Routing prefers the worker that consistent hashing
 (:class:`~repro.fleet.hashring.HashRing`) assigns to the sweep's
 ``session_key`` — keeping one spec's chunks on one worker's warm
 runner cache — but spills to any idle worker rather than queueing.

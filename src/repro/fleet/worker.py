@@ -1,17 +1,17 @@
 """The fleet worker: ``slif work`` — register, pull, evaluate, submit.
 
-A :class:`FleetWorker` is the daemon-side counterpart of the pool
-worker in :mod:`repro.explore.worker`: it leases one chunk at a time
-from a coordinator, evaluates it on a
-:class:`~repro.explore.worker.ChunkRunner`, and submits the result.
-Runners are cached (LRU, by payload fingerprint) so every chunk of one
-sweep after the first reuses the worker's already-built graph and warm
-memoized estimators — the cache the coordinator's consistent-hash
-routing is keeping hot.
+A :class:`FleetWorker` leases one chunk at a time from a coordinator,
+evaluates it on a :class:`~repro.explore.worker.ChunkRunner`, and
+submits the result.  The same loop serves a ``slif work`` daemon over
+HTTP and each local worker process of ``--jobs N`` over a pipe (see
+:mod:`repro.fleet.local`).  Runners are cached (LRU, by payload
+fingerprint) so every chunk of one sweep after the first reuses the
+worker's already-built graph and warm memoized estimators — the cache
+the coordinator's consistent-hash routing is keeping hot.
 
-Telemetry mirrors the pool path chunk for chunk: when the sweep asked
-for collection, the worker records an ``explore.chunk`` span (chunk,
-attempt, candidates, pid, worker id) under the submitting command's
+Telemetry mirrors the in-process path chunk for chunk: when the sweep
+asked for collection, the worker records an ``explore.chunk`` span
+(chunk, attempt, candidates, pid, worker id) under the submitting command's
 trace id and ships a :func:`repro.obs.capture` snapshot on the result,
 which the sweep side absorbs — so ``--stats`` after a distributed run
 reflects every box in the fleet.  In-process workers (threads in
@@ -20,9 +20,10 @@ process-global one out from under the host.
 
 Fault injection: the worker calls
 :func:`repro.faults.maybe_inject` with the leased ``(chunk, attempt)``
-before evaluating, exactly like a pool worker — which is how the
-``worker-down`` fault kind kills a whole daemon mid-sweep.  The
-coordinator's heartbeat reaping then requeues the lease elsewhere.
+before evaluating — which is how the ``worker-down`` fault kind kills
+a whole daemon mid-sweep, and ``crash`` a local worker.  The
+coordinator's heartbeat reaping (or, locally, the closed pipe) then
+requeues the lease elsewhere.
 
 ``run_worker`` wraps the loop as the ``slif work`` process: a
 heartbeat thread, SIGTERM/SIGINT handling (exit 0/130), and a tiny
@@ -48,7 +49,11 @@ from typing import Any, Dict, Optional
 from repro import obs
 from repro.errors import FleetError, SlifError, WorkerError
 from repro.explore.worker import ChunkResult, ChunkRunner
-from repro.fleet.protocol import chunk_from_wire, payload_from_wire
+from repro.fleet.protocol import (
+    chunk_from_wire,
+    payload_from_wire,
+    result_to_wire,
+)
 from repro.obs import Registry, Tracer
 
 
@@ -68,6 +73,9 @@ class WorkerConfig:
 class FleetWorker:
     """One worker's pull-evaluate-submit loop against a transport."""
 
+    #: How a result travels to the coordinator: the JSON-safe wire form.
+    encode = staticmethod(result_to_wire)
+
     def __init__(
         self,
         transport,
@@ -82,7 +90,7 @@ class FleetWorker:
         self.host = host or socket.gethostname()
         self.cache_size = max(1, cache_size)
         #: True for the daemon (own process: the global obs registry is
-        #: ours to reset around each chunk, like a pool worker); False
+        #: ours to reset around each chunk); False
         #: for in-process workers, which must not clobber the host
         #: process's telemetry and use a private registry/tracer.
         self.isolate_obs = isolate_obs
@@ -195,11 +203,9 @@ class FleetWorker:
                 "worker_error": False,
             }
         else:
-            from repro.fleet.protocol import result_to_wire
-
             self._bump("chunks_done")
             self._bump("candidates", result.candidates)
-            submission["result"] = result_to_wire(result)
+            submission["result"] = self.encode(result)
         self.transport.call("result", submission)
 
     def _evaluate(
@@ -209,7 +215,7 @@ class FleetWorker:
         attempt: int,
         lease: Dict[str, Any],
     ) -> ChunkResult:
-        """Run one chunk with the same telemetry dance as a pool worker."""
+        """Run one chunk, capturing its telemetry when the sweep asked."""
         if not lease.get("collect"):
             return runner.run_chunk(chunk)
         attributes = dict(

@@ -121,7 +121,7 @@ def set_trace_id(tid) -> None:
 def capture() -> dict:
     """Serialize this process's collected telemetry for another process.
 
-    Pool workers call this after evaluating a chunk; the coordinator
+    Worker processes call this after evaluating a chunk; the coordinator
     feeds the result to :func:`absorb`.  The payload is plain JSON-able
     data: a raw registry dump (exact histogram buckets, not quantile
     summaries) plus every finished span as a dict.

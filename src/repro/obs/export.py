@@ -10,8 +10,8 @@ One JSON document per line, each tagged with a ``type`` field:
   "attributes": {...}, "events": [...]}``
     One per finished span, in completion order.  ``parent_id`` is null
     for roots; ``trace_id`` groups spans belonging to one logical
-    operation across threads and processes (spans merged back from pool
-    workers carry a ``worker_pid`` attribute); ``start`` is a Unix
+    operation across threads and processes (spans merged back from
+    worker processes carry a ``worker_pid`` attribute); ``start`` is a Unix
     wall-clock timestamp and ``duration`` is in seconds.
 ``{"type": "counter"|"gauge", "name": ..., "value": ...}``
 ``{"type": "histogram", "name": ..., "count": ..., "sum": ...,

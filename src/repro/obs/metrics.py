@@ -12,7 +12,7 @@ very hot paths whose speed is the paper's claim.  Hence:
   instrumentation point in the codebase is written as
   ``if OBS.enabled: OBS.inc(...)`` so disabled instrumentation costs
   one attribute load and one branch;
-* every metric is *mergeable* across process boundaries: pool workers
+* every metric is *mergeable* across process boundaries: worker processes
   :meth:`Registry.dump` their registries into plain data and the
   coordinator :meth:`Registry.merge`\\ s them back (counters sum, gauges
   last-write-wins, histograms add bucket counts), so a ``--jobs 8``

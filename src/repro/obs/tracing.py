@@ -10,7 +10,7 @@ Every span also carries a **trace id** — the identifier of the logical
 operation it belongs to, even when that operation crosses thread and
 process boundaries.  The serving layer accepts (or mints) one per HTTP
 request via the ``X-Slif-Trace-Id`` header and installs it with
-:meth:`Tracer.set_trace_id`; the exploration engine forwards it to pool
+:meth:`Tracer.set_trace_id`; the exploration engine forwards it to its
 workers so a worker-side chunk span can be joined back to the request
 that caused it.  Threads without an explicit trace id share the
 tracer's per-process default (one id per CLI command).

@@ -114,12 +114,14 @@ def constrained(session):
             proc.io_constraint = io
 
 
-def explore_answer(session, jobs: int = 1) -> Dict[str, Any]:
+def explore_answer(session, jobs: int = 1, fleet=None) -> Dict[str, Any]:
     """The default sweep's front: canonical points plus rendered text."""
     from repro import api
 
     result = api.explore(
-        api.ExploreRequest(spec=session.spec_name, jobs=jobs), session=session
+        api.ExploreRequest(spec=session.spec_name, jobs=jobs),
+        session=session,
+        fleet=fleet,
     )
     return {
         "evaluated": result.evaluated,

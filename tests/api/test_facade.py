@@ -178,3 +178,11 @@ class TestExplore:
             spec="vol", constraint_steps=2, random_starts=1, seed=0
         )
         assert api.explore(request) == api.explore(request, session=api.load("vol"))
+
+
+def test_top_level_reexport_does_not_warn():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        from repro import DesignSystem, build_system  # noqa: F401

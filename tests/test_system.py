@@ -1,8 +1,8 @@
 """Integration tests for the high-level build_system pipeline.
 
 ``build_system`` lives in :mod:`repro.api` since the facade redesign;
-the old ``repro.system`` import path is covered by
-``tests/api/test_deprecations.py``.
+the ``from repro import build_system`` re-export is covered by
+``tests/api/test_facade.py``.
 """
 
 import pytest
