@@ -28,9 +28,8 @@ WORKERS = 4
 GEN_BEHAVIORS = 10_000
 
 
-def start_server(**overrides):
-    config = ServerConfig(port=0, cache_size=32, **overrides)
-    server = SlifServer(config)
+def start_server():
+    server = SlifServer(ServerConfig(port=0, cache_size=32))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread
@@ -83,7 +82,7 @@ def test_replay_generated_spec_scale(benchmark):
     text = generate_text(GenConfig(behaviors=GEN_BEHAVIORS, seed=1))
     gen_seconds = time.perf_counter() - t0
 
-    server, thread = start_server(batch_window=0.0)
+    server, thread = start_server()
     try:
         conn = http.client.HTTPConnection(server.host, server.port, timeout=300)
         try:

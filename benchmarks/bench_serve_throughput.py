@@ -11,15 +11,15 @@ throughput against a warm-cache server vs a cold server
 would get from a naive stateless wrapper) and asserts the cache buys
 at least the acceptance criterion's 10x.
 
-Batching is disabled on both servers (``batch_window=0``) so the
-sequential measurement isolates the cache effect — the 2 ms default
-coalescing window would otherwise dominate warm-request latency.
+The requests are sequential, so the server's estimate batcher never
+has two in flight: each request computes at once, and the measurement
+isolates the cache effect.
 
-A second bench measures the kernel-backed micro-batching path: a burst
-of concurrent estimate requests with *different* frequency modes lands
-inside one batch window, and the server's grouped batcher hands the
-whole window to a single ``estimate_many`` kernel sweep instead of one
-estimator pass per request.
+A second bench sends a burst of concurrent estimate requests, one per
+(frequency mode, concurrent) combination, and checks that each client
+gets exactly its own combination's answer.  Distinct combinations
+never share an evaluation; each one that computes is one kernel-backed
+``estimate_many`` call on the cached session.
 """
 
 import http.client
@@ -40,9 +40,7 @@ BODY = b'{"spec": "%s"}' % SPEC.encode()
 
 
 def start_server(cache_size):
-    server = SlifServer(
-        ServerConfig(port=0, cache_size=cache_size, batch_window=0.0)
-    )
+    server = SlifServer(ServerConfig(port=0, cache_size=cache_size))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread
@@ -116,19 +114,17 @@ def test_warm_cache_at_least_10x_cold_throughput(benchmark):
 
 
 def test_grouped_batching_one_kernel_sweep(benchmark):
-    """A window of mixed-mode requests is scored by one kernel sweep.
+    """A burst of mixed-mode requests, each answered for its own mode.
 
     Six concurrent clients ask for the same spec under every
-    (mode, concurrent) combination.  With a generous batch window they
-    all land in one grouped batch: a single leader calls
-    ``estimate_many`` — one ``BatchKernel.reports`` array sweep — and
-    the other five coalesce onto its results.  The bench reports the
-    burst latency and the leader/coalesced counters from ``/v1/stats``,
-    and checks each client got exactly its own mode's answer.
+    (mode, concurrent) combination.  Each distinct combination is its
+    own flight in the server's batcher: it computes at once with one
+    ``estimate_many`` kernel call and never waits for the others.  The
+    bench reports the burst latency and the leader/coalesced counters
+    from ``/v1/stats``, and checks each client got exactly its own
+    mode's answer.
     """
-    server = SlifServer(
-        ServerConfig(port=0, cache_size=32, batch_window=0.05)
-    )
+    server = SlifServer(ServerConfig(port=0, cache_size=32))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     combos = [
@@ -203,13 +199,8 @@ def test_grouped_batching_one_kernel_sweep(benchmark):
         assert payload == expected, (mode, concurrent)
     leaders = after["leaders"] - before["leaders"]
     coalesced = after["coalesced"] - before["coalesced"]
+    # every request either led its own evaluation or shared one
     assert leaders + coalesced == len(combos)
-    # The burst must coalesce: strictly fewer evaluation passes than
-    # requests (one pass when the whole burst lands in a single window).
-    assert leaders < len(combos), (
-        f"expected coalescing across the burst, got {leaders} leaders "
-        f"for {len(combos)} requests"
-    )
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     benchmark.extra_info["burst_seconds"] = burst_seconds
@@ -219,6 +210,6 @@ def test_grouped_batching_one_kernel_sweep(benchmark):
         [
             f"grouped batching / {SPEC}: {len(combos)} concurrent "
             f"mixed-mode requests in {burst_seconds * 1e3:.1f} ms, "
-            f"{leaders} kernel sweep(s) + {coalesced} coalesced",
+            f"{leaders} evaluation(s) + {coalesced} coalesced",
         ]
     )

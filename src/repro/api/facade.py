@@ -100,12 +100,13 @@ def estimate_many(
     ``requests`` is a sequence of anything :func:`estimate` accepts.
     Requests sharing one graph (same ``session``, or specs resolving to
     the same build) are evaluated together through a single
-    :meth:`~repro.estimate.kernel.BatchKernel.reports` array sweep —
-    this is what the server's micro-batcher hands a whole window of
-    queued estimate requests to.  Any request the kernel abstains from
-    (and every request when the kernel is unavailable) falls back to a
-    plain :func:`estimate` call, so results are always exactly what N
-    individual calls would have produced, in order.
+    :meth:`~repro.estimate.kernel.BatchKernel.reports` array sweep; the
+    server calls it with one request on its cached session.  Any
+    request the kernel abstains from (and every request when the kernel
+    is unavailable) falls back to a plain :func:`estimate` call, so
+    results are always exactly what N individual calls would have
+    produced, in order, and a failing request raises what
+    :func:`estimate` raises for it.
 
     >>> from repro import api
     >>> single = api.estimate("vol")

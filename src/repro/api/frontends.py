@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import SlifError
@@ -67,12 +67,17 @@ class ResolvedSpec:
     structured formats it is the canonical JSON encoding of the
     payload, which makes generated specs content-addressed regardless
     of whitespace, key order, or which process serialized them.
+
+    ``payload`` is the decoded document of a structured format, kept so
+    :meth:`FrontEnd.parse` does not decode ``source`` again; it is left
+    out of comparison and ``repr``.
     """
 
     frontend: str
     source: str
     name: str
     profile: Optional[object] = None
+    payload: Optional[dict] = field(default=None, compare=False, repr=False)
 
 
 class FrontEnd:
@@ -223,24 +228,25 @@ class SynthFrontEnd(FrontEnd):
         return data
 
     def resolve(self, spec: str) -> ResolvedSpec:
+        return self._resolved(self._payload(spec), "synth")
+
+    def resolve_source(self, source: str, name: str) -> ResolvedSpec:
+        data = self._payload(source)
+        # a document without a "name" key is named after its file
+        return self._resolved(data, "synth" if "name" in data else name)
+
+    def _resolved(self, data: dict, default_name: str) -> ResolvedSpec:
         from repro.api.types import canonical_json
 
-        data = self._payload(spec)
-        name = data.get("name") or "synth"
         # canonical JSON, not the raw text: two serializations of the
         # same payload (pretty-printed file, compact inline body) get
         # the same content-addressed session key
         return ResolvedSpec(
-            frontend=self.name, source=canonical_json(data), name=str(name)
+            frontend=self.name,
+            source=canonical_json(data),
+            name=str(data.get("name") or default_name),
+            payload=data,
         )
-
-    def resolve_source(self, source: str, name: str) -> ResolvedSpec:
-        resolved = self.resolve(source)
-        if "name" not in self._payload(source):
-            resolved = ResolvedSpec(
-                frontend=self.name, source=resolved.source, name=name
-            )
-        return resolved
 
     def parse(self, resolved: ResolvedSpec, library):
         from repro.core.channels import AccessKind, Channel
@@ -248,7 +254,7 @@ class SynthFrontEnd(FrontEnd):
         from repro.core.nodes import Behavior, Port, PortDirection, Variable
         from repro.obs import span
 
-        data = self._payload(resolved.source)
+        data = resolved.payload or self._payload(resolved.source)
         with span("synth.parse", spec=resolved.name):
             slif = Slif(resolved.name)
             try:

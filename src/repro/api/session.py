@@ -12,7 +12,7 @@ plus the pieces the facade and the serving layer add on top:
 * :func:`session_key` — a stable content hash over the resolved source
   and architecture parameters; two calls that would build the same
   annotated graph get the same key.  This is what the server's graph
-  cache and the micro-batcher key on.
+  cache and the estimate batcher key on.
 * :class:`Session` — one built system plus memoized estimators and a
   lock, safe to share across threads and requests.  Building a session
   is the expensive part (parse + annotate, ~100 ms); everything the
@@ -272,9 +272,9 @@ class Session:
         Compiled lazily, once, under the session lock; ``None`` when the
         kernel is unavailable (disabled via ``SLIF_KERNEL=off``, or the
         graph has a call cycle), in which case callers stay on the
-        memoized estimators.  This is what lets the serving layer score
-        a whole micro-batch window of estimate requests in one flat-array
-        sweep.
+        memoized estimators.  :func:`~repro.api.facade.estimate_many`,
+        which the serving layer calls for every estimate, scores its
+        requests with it in one flat-array sweep.
         """
         from repro.estimate.kernel import BatchKernel, KernelUnavailable
 

@@ -27,9 +27,10 @@ Subcommands mirror the system-design workflow:
 ``slif serve [--port N]``
     Run the long-running HTTP estimation service (``repro.serve``):
     JSON endpoints for estimate/partition/simulate/explore backed by
-    an LRU graph cache and request micro-batching, plus a Prometheus
-    ``/metrics`` scrape target — and the fleet coordinator
-    (``/v1/fleet/*``) that ``slif work`` daemons register with.
+    an LRU graph cache and shared evaluation of identical concurrent
+    estimates, plus a Prometheus ``/metrics`` scrape target — and the
+    fleet coordinator (``/v1/fleet/*``) that ``slif work`` daemons
+    register with.
 ``slif work --coordinator host:port``
     Run a fleet worker daemon: pulls exploration chunks from a
     ``slif serve`` coordinator, evaluates them on a warm cached
@@ -94,26 +95,25 @@ from repro import obs
 from repro.errors import SlifError
 
 
-def _load_source(spec: str, profile_path: Optional[str] = None):
-    """Resolve a CLI spec argument to (source text, name, profile)."""
-    from repro.specs import SPEC_NAMES, spec_profile, spec_source
-    from repro.vhdl.profiler import BranchProfile
+#: front ends whose specs are VHDL source (the paper's §5 front end)
+VHDL_FRONTENDS = ("benchmark", "vhdl")
 
-    explicit_profile = None
-    if profile_path:
-        explicit_profile = BranchProfile.parse(Path(profile_path).read_text())
-    if spec in SPEC_NAMES:
-        return (
-            spec_source(spec),
-            spec,
-            explicit_profile or spec_profile(spec),
-        )
-    path = Path(spec)
-    if not path.exists():
+
+def _resolve(spec: str, vhdl_option: str = ""):
+    """Resolve a CLI spec argument through the front-end registry.
+
+    A non-empty ``vhdl_option`` names an option that only VHDL specs
+    support; any other front end's spec is then a :class:`SlifError`.
+    """
+    from repro.api.frontends import FRONTENDS
+
+    resolved = FRONTENDS.resolve(spec)
+    if vhdl_option and resolved.frontend not in VHDL_FRONTENDS:
         raise SlifError(
-            f"{spec!r} is neither a bundled benchmark ({SPEC_NAMES}) nor a file"
+            f"{vhdl_option} needs a VHDL spec (a bundled benchmark, VHDL "
+            f"source or a .vhd file); {spec!r} is a {resolved.frontend} spec"
         )
-    return path.read_text(), path.stem, explicit_profile
+    return resolved
 
 
 def _build_graph(
@@ -122,14 +122,34 @@ def _build_graph(
     granularity: str = "behavior",
     profile_path: Optional[str] = None,
 ):
+    """The functional graph of a spec, without components.
+
+    VHDL specs honour ``granularity``, ``profile_path`` and
+    ``annotate``; any other front end's spec builds through
+    :meth:`~repro.api.frontends.FrontEndRegistry.parse`.
+    """
+    from repro.api.frontends import FRONTENDS
     from repro.synth.annotate import annotate_slif
+    from repro.synth.techlib import default_library
     from repro.vhdl.granularity import Granularity
+    from repro.vhdl.profiler import BranchProfile
     from repro.vhdl.slif_builder import build_slif_from_source
 
-    source, name, profile = _load_source(spec, profile_path)
+    if profile_path:
+        vhdl_option = "--profile"
+    elif granularity != "behavior":
+        vhdl_option = f"--granularity {granularity}"
+    else:
+        vhdl_option = ""
+    resolved = _resolve(spec, vhdl_option)
+    if resolved.frontend not in VHDL_FRONTENDS:
+        return FRONTENDS.parse(resolved, default_library())
+    profile = resolved.profile
+    if profile_path:
+        profile = BranchProfile.parse(Path(profile_path).read_text())
     slif = build_slif_from_source(
-        source,
-        name=name,
+        resolved.source,
+        name=resolved.name,
         profile=profile,
         granularity=Granularity(granularity),
     )
@@ -374,7 +394,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_size=args.cache_size,
         max_inflight=args.max_inflight,
-        batch_window=args.batch_window,
         drain_timeout=args.drain_timeout,
         quiet=not args.verbose,
         fleet_heartbeat=args.fleet_heartbeat,
@@ -489,19 +508,20 @@ def cmd_work(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     from repro.cdfg.stats import compare_formats_from_source, render_comparison
+    from repro.vhdl.lexer import count_source_lines
 
-    source, name, profile = _load_source(args.spec)
+    # line counts and the CDFG comparison are over VHDL source
+    resolved = _resolve(args.spec, "slif stats")
     slif = _build_graph(
         args.spec, annotate=False, granularity=args.granularity
     )
-    stats = slif.stats()
-    from repro.vhdl.lexer import count_source_lines
-
-    print(f"{name}: {count_source_lines(source)} lines")
-    for key, value in stats.items():
+    print(f"{resolved.name}: {count_source_lines(resolved.source)} lines")
+    for key, value in slif.stats().items():
         print(f"  {key}: {value}")
     print()
-    print(render_comparison(compare_formats_from_source(source, name)))
+    print(render_comparison(
+        compare_formats_from_source(resolved.source, resolved.name)
+    ))
     return 0
 
 
@@ -974,14 +994,6 @@ def make_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="concurrent heavy requests (partition/simulate/explore) "
         "before the server answers 429 with Retry-After",
-    )
-    p.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.002,
-        metavar="S",
-        help="seconds identical estimate requests are coalesced into "
-        "one evaluation (0 disables micro-batching)",
     )
     p.add_argument(
         "--drain-timeout",

@@ -3,10 +3,11 @@
 A stdlib-only threaded JSON daemon (``slif serve``) that turns the
 estimation toolkit into a long-running service: an LRU graph/session
 cache makes warm estimates two orders of magnitude cheaper than cold
-parses, a micro-batcher coalesces identical concurrent estimate
-requests into one evaluation, and heavy partition/simulate/explore
-requests run on the fault-tolerant exploration engine behind a bounded
-in-flight limit with 429 backpressure.  With ``--state-dir``, heavy
+parses, identical concurrent estimate requests share one evaluation
+(the first computes at once; no request waits for a batch window), and
+heavy partition/simulate/explore requests run on the fault-tolerant
+exploration engine behind a bounded in-flight limit with 429
+backpressure.  With ``--state-dir``, heavy
 requests can also be submitted as *durable jobs*: persisted before
 evaluation, chunk-journaled while running, and recovered + resumed
 after a daemon crash, with per-tenant token-bucket admission and

@@ -28,10 +28,13 @@ plus a Prometheus scrape target:
 
 Design:
 
-* **Hot path.**  ``/v1/estimate`` goes through the LRU
-  :class:`~repro.serve.cache.GraphCache` (parse + annotate once per
-  content hash) and the :class:`~repro.serve.batching.MicroBatcher`
-  (identical concurrent requests evaluate once).
+* **Hot path.**  ``/v1/estimate`` resolves its spec once, in the LRU
+  :class:`~repro.serve.cache.GraphCache` lookup (parse + annotate once
+  per content hash), then evaluates through the
+  :class:`~repro.serve.batching.MicroBatcher`: the first request for a
+  (session key, mode, concurrent) computes at once, and identical
+  requests arriving while it runs share its result.  Nothing waits for
+  a batch to fill.
 * **Heavy path.**  ``/v1/partition``, ``/v1/simulate`` and
   ``/v1/explore`` dispatch onto the fault-tolerant exploration engine
   under a bounded in-flight counter; when ``--max-inflight`` requests
@@ -112,7 +115,6 @@ class ServerConfig:
     jobs: int = 1                 # default --jobs for heavy requests
     cache_size: int = 32          # LRU sessions kept (0 = no caching)
     max_inflight: int = 4         # concurrent heavy requests before 429
-    batch_window: float = 0.002   # estimate coalescing window (0 = off)
     drain_timeout: float = 10.0   # seconds to wait for in-flight on drain
     quiet: bool = True            # suppress per-request access log lines
     fleet_heartbeat: float = 1.0  # worker heartbeat interval (timeout 4x)
@@ -157,7 +159,7 @@ class SlifServer:
 
         self.config = config
         self.cache = GraphCache(config.cache_size)
-        self.batcher = MicroBatcher(config.batch_window)
+        self.batcher = MicroBatcher()
         self.fleet = FleetCoordinator(
             FleetConfig(
                 heartbeat_interval=config.fleet_heartbeat,
@@ -493,41 +495,13 @@ class SlifServer:
         try:
             request = self._parse(body, api.EstimateRequest)
             request.validate()
-            graph_key = self.cache.key_for(request.spec)
-            batch_key = (request.mode, request.concurrent)
-
-            def batch_compute(keys) -> Dict[Any, Any]:
-                # One kernel sweep scores the whole window of distinct
-                # (mode, concurrent) requests against the shared cached
-                # graph; identical requests coalesced on top of that.
-                session, _ = self.cache.get(request.spec)
-                requests = [
-                    api.EstimateRequest(
-                        spec=request.spec, mode=mode, concurrent=concurrent
-                    )
-                    for mode, concurrent in keys
-                ]
-                try:
-                    results = api.estimate_many(requests, session=session)
-                except SlifError:
-                    results = None
-                if results is not None:
-                    return {
-                        key: result.to_dict()
-                        for key, result in zip(keys, results)
-                    }
-                # Per-key fallback: surface each request's own error
-                # instead of poisoning the whole window with one.
-                out: Dict[Any, Any] = {}
-                for key, req in zip(keys, requests):
-                    try:
-                        out[key] = api.estimate(req, session=session).to_dict()
-                    except SlifError as exc:
-                        out[key] = exc
-                return out
-
+            session, _ = self.cache.get(request.spec)
             return 200, self.batcher.run_grouped(
-                graph_key, batch_key, batch_compute
+                session.key,
+                (request.mode, request.concurrent),
+                lambda: api.estimate_many(
+                    [request], session=session
+                )[0].to_dict(),
             ), {}
         except SlifError as exc:
             return 400, {"error": str(exc)}, {}
@@ -786,44 +760,48 @@ def run_server(config: ServerConfig) -> int:
     """Run the daemon until SIGTERM/SIGINT, then drain and exit.
 
     Returns 0 after a clean SIGTERM drain, 130 for SIGINT — matching
-    the CLI's exit-code contract.
+    the CLI's exit-code contract.  Nothing in the daemon reads finished
+    spans (``/v1/stats`` and ``/metrics`` read registries), so it keeps
+    none while it runs: spans still time requests and carry trace ids,
+    and the previous bound comes back on exit.
     """
-    server = SlifServer(config)
     received = {"signum": signal.SIGTERM}
+    previous: Dict[int, Any] = {}
+    kept_spans = obs.TRACER.max_spans
+    obs.TRACER.max_spans = 0
+    try:
+        server = SlifServer(config)
 
-    def _on_signal(signum, frame) -> None:
-        received["signum"] = signum
-        server.initiate_drain()
+        def _on_signal(signum, frame) -> None:
+            received["signum"] = signum
+            server.initiate_drain()
 
-    previous = {
-        signal.SIGTERM: signal.signal(signal.SIGTERM, _on_signal),
-        signal.SIGINT: signal.signal(signal.SIGINT, _on_signal),
-    }
-    # the bound address goes to *stdout* (and is flushed) so callers
-    # that started us with --port 0 can read the ephemeral port back;
-    # the human-facing banner stays on stderr with the other logs
-    print(
-        f"slif serve: listening on http://{server.host}:{server.port}",
-        flush=True,
-    )
-    print(
-        f"slif serve: listening on http://{server.host}:{server.port} "
-        f"(jobs={config.jobs} cache-size={config.cache_size} "
-        f"max-inflight={config.max_inflight} "
-        f"batch-window={config.batch_window:g}s)",
-        file=sys.stderr,
-    )
-    if server.jobs is not None:
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            previous[signum] = signal.signal(signum, _on_signal)
+        # the bound address goes to *stdout* (and is flushed) so callers
+        # that started us with --port 0 can read the ephemeral port back;
+        # the human-facing banner stays on stderr with the other logs
         print(
-            f"slif serve: durable jobs in {config.state_dir} "
-            f"(recovered {server.jobs.recovered} unfinished)",
+            f"slif serve: listening on http://{server.host}:{server.port}",
+            flush=True,
+        )
+        print(
+            f"slif serve: listening on http://{server.host}:{server.port} "
+            f"(jobs={config.jobs} cache-size={config.cache_size} "
+            f"max-inflight={config.max_inflight})",
             file=sys.stderr,
         )
-    try:
+        if server.jobs is not None:
+            print(
+                f"slif serve: durable jobs in {config.state_dir} "
+                f"(recovered {server.jobs.recovered} unfinished)",
+                file=sys.stderr,
+            )
         server.serve_forever()
         drained = server.wait_drained(config.drain_timeout)
         server.close()
     finally:
+        obs.TRACER.max_spans = kept_spans
         for signum, handler in previous.items():
             signal.signal(signum, handler)
     if drained:

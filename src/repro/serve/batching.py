@@ -1,211 +1,101 @@
-"""Micro-batching of estimate requests that share a cached graph.
+"""Singleflight for estimate requests that share a cached graph.
 
 Estimation is deterministic: two requests with the same session key,
 frequency mode and concurrency flag produce byte-identical results.
-The :class:`MicroBatcher` exploits that — the first request for a key
-becomes the *leader*, waits a small window for lookalikes to pile up,
-evaluates once, and every *follower* that arrived inside the window
-gets the same result object without touching the estimators at all.
-Under concurrent load this turns N identical evaluations into one pass
-per window; with no concurrency it costs exactly one window of added
-latency per request (the window defaults to 2 ms against a ~100 ms
-cold build, and ``window=0`` disables batching entirely).
+The :class:`MicroBatcher` exploits that without ever waiting: the first
+request for a key becomes the *leader* and computes at once; every
+identical request that arrives while it runs is a *follower* and gets
+the leader's result object (or exception) without touching the
+estimators at all.  A lone request pays nothing extra, and N identical
+concurrent requests cost one evaluation.  Requests that differ in any
+part of the key never coalesce: each computes on its own.
 
 Counters (local, mirrored to :mod:`repro.obs` when enabled):
 
 * ``serve.batch.leaders`` — evaluations actually performed;
 * ``serve.batch.coalesced`` — requests served by someone else's
   evaluation;
-* ``serve.batch.size`` histogram — requests per evaluated batch.
+* ``serve.batch.size`` histogram — requests per evaluation.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable, Dict, Hashable, TypeVar
+from typing import Callable, Dict, Hashable, Optional, TypeVar
 
 from repro.obs import OBS
 
 T = TypeVar("T")
 
-#: Upper bound on how long a follower waits for its leader before
-#: falling back to computing on its own (a leader stuck this long means
-#: something is deeply wrong; followers must not hang with it).
-FOLLOWER_TIMEOUT = 60.0
 
+class _Flight:
+    """One in-flight evaluation and the followers waiting on it."""
 
-class _Group:
-    """One in-flight batch: the leader's pending evaluation."""
-
-    __slots__ = ("event", "result", "error", "followers")
+    __slots__ = ("done", "result", "error", "followers")
 
     def __init__(self) -> None:
-        self.event = threading.Event()
+        self.done = threading.Event()
         self.result = None
-        self.error: BaseException = None
+        self.error: Optional[BaseException] = None
         self.followers = 0
 
 
-class _GroupedBatch:
-    """One in-flight *grouped* batch: distinct keys, one evaluation."""
-
-    __slots__ = ("event", "results", "error", "keys", "waiters")
+class MicroBatcher:
+    """Share one evaluation among identical concurrent requests."""
 
     def __init__(self) -> None:
-        self.event = threading.Event()
-        self.results = None
-        self.error: BaseException = None
-        self.keys = []          # distinct keys, arrival order
-        self.waiters = 0
-
-
-_MISSING = object()
-
-
-class MicroBatcher:
-    """Coalesce identical computations submitted within a time window."""
-
-    def __init__(self, window: float = 0.002) -> None:
-        if window < 0:
-            raise ValueError(f"batch window must be >= 0, got {window}")
-        self.window = window
-        self._groups: Dict[Hashable, _Group] = {}
-        self._grouped: Dict[Hashable, _GroupedBatch] = {}
+        self._flights: Dict[Hashable, _Flight] = {}
         self._lock = threading.Lock()
         self.leaders = 0
         self.coalesced = 0
 
-    def run(self, key: Hashable, compute: Callable[[], T]) -> T:
-        """Return ``compute()``, shared with everyone batched on ``key``.
+    def run_grouped(
+        self, group: Hashable, key: Hashable, compute: Callable[[], T]
+    ) -> T:
+        """Return ``compute()``, shared with identical requests in flight.
 
-        ``compute`` must be deterministic in ``key``: every caller
-        passing the same key must be content with any other caller's
-        result (and any other caller's exception).
+        ``group`` names the cached graph and ``key`` the request against
+        it (frequency mode, concurrency flag); one ``(group, key)`` pair
+        is one flight.  ``compute`` must be deterministic in that pair:
+        every caller must be content with any other caller's result and
+        any other caller's exception.
         """
-        if self.window <= 0:
-            return compute()
+        pair = (group, key)
         with self._lock:
-            group = self._groups.get(key)
-            if group is not None:
-                group.followers += 1
-                follower = True
+            flight = self._flights.get(pair)
+            leader = flight is None
+            if leader:
+                flight = self._flights[pair] = _Flight()
+                self.leaders += 1
             else:
-                group = _Group()
-                self._groups[key] = group
-                follower = False
-        if follower:
-            if not group.event.wait(FOLLOWER_TIMEOUT):
-                return compute()  # leader wedged; save ourselves
-            with self._lock:
+                flight.followers += 1
                 self.coalesced += 1
+        if not leader:
             if OBS.enabled:
                 OBS.inc("serve.batch.coalesced")
-            if group.error is not None:
-                raise group.error
-            return group.result
-        # Leader: let lookalikes accumulate, close the window, evaluate.
-        time.sleep(self.window)
-        with self._lock:
-            self._groups.pop(key, None)
-            self.leaders += 1
+            flight.done.wait()  # the leader sets it in its finally
+            if flight.error is not None:
+                raise flight.error
+            return flight.result
         try:
-            group.result = compute()
+            flight.result = compute()
         except BaseException as exc:
-            group.error = exc
+            flight.error = exc
             raise
         finally:
+            with self._lock:
+                del self._flights[pair]
+            flight.done.set()
             if OBS.enabled:
                 OBS.inc("serve.batch.leaders")
-                OBS.observe("serve.batch.size", 1 + group.followers)
-            group.event.set()
-        return group.result
+                OBS.observe("serve.batch.size", 1 + flight.followers)
+        return flight.result
 
-    def run_grouped(
-        self,
-        group: Hashable,
-        key: Hashable,
-        batch_compute: Callable[[list], Dict[Hashable, T]],
-    ) -> T:
-        """Batch *distinct* keys of one ``group`` into a single evaluation.
-
-        Where :meth:`run` only coalesces identical requests, this lets a
-        whole window of different-but-related requests (same ``group``,
-        e.g. the same cached graph; different ``key``, e.g. frequency
-        mode) be computed together: the group's leader waits the window,
-        snapshots every distinct key that queued up, and calls
-        ``batch_compute(keys)`` once — the hook the estimation kernel's
-        batched sweep plugs into.  ``batch_compute`` returns a dict with
-        one result per key; a value that is an exception instance is
-        raised to that key's waiters only, so one bad request cannot
-        poison the rest of its window.
-
-        Identical keys still coalesce exactly like :meth:`run`; results
-        for the same key must therefore be deterministic.
-        """
-        if self.window <= 0:
-            value = batch_compute([key])[key]
-            if isinstance(value, BaseException):
-                raise value
-            return value
-        with self._lock:
-            batch = self._grouped.get(group)
-            if batch is not None:
-                batch.waiters += 1
-                if key not in batch.keys:
-                    batch.keys.append(key)
-                follower = True
-            else:
-                batch = _GroupedBatch()
-                batch.keys.append(key)
-                self._grouped[group] = batch
-                follower = False
-        if follower:
-            if not batch.event.wait(FOLLOWER_TIMEOUT):
-                value = batch_compute([key])[key]  # leader wedged
-                if isinstance(value, BaseException):
-                    raise value
-                return value
-            with self._lock:
-                self.coalesced += 1
-            if OBS.enabled:
-                OBS.inc("serve.batch.coalesced")
-            if batch.error is not None:
-                raise batch.error
-            value = batch.results.get(key, _MISSING)
-        else:
-            # Leader: close the window, snapshot the queued keys, compute
-            # them all in one call.  Followers register their key under
-            # the lock before we pop the group, so the snapshot is
-            # complete for everyone who will read it.
-            time.sleep(self.window)
-            with self._lock:
-                self._grouped.pop(group, None)
-                self.leaders += 1
-                keys = list(batch.keys)
-            try:
-                batch.results = batch_compute(keys)
-            except BaseException as exc:
-                batch.error = exc
-                raise
-            finally:
-                if OBS.enabled:
-                    OBS.inc("serve.batch.leaders")
-                    OBS.observe("serve.batch.size", 1 + batch.waiters)
-                batch.event.set()
-            value = batch.results.get(key, _MISSING)
-        if value is _MISSING:  # pragma: no cover - defensive
-            value = batch_compute([key])[key]
-        if isinstance(value, BaseException):
-            raise value
-        return value
-
-    def stats(self) -> Dict[str, object]:
+    def stats(self) -> Dict[str, int]:
         """Plain-data snapshot for ``GET /v1/stats``."""
         with self._lock:
             return {
-                "window_seconds": self.window,
                 "leaders": self.leaders,
                 "coalesced": self.coalesced,
-                "pending": len(self._groups) + len(self._grouped),
+                "pending": len(self._flights),
             }

@@ -1,121 +1,140 @@
-"""Unit tests for the estimate micro-batcher."""
+"""Unit tests for the estimate batcher: zero-wait singleflight."""
 
 import threading
+import time
 
 import pytest
 
 from repro.serve.batching import MicroBatcher
 
 
-def fan_out(batcher, key, compute, n):
-    """Submit ``compute`` for ``key`` from ``n`` threads at once."""
-    results = [None] * n
-    errors = [None] * n
-    barrier = threading.Barrier(n)
+class Gate:
+    """A compute that blocks until released, counting its calls."""
 
-    def worker(i):
-        barrier.wait()
+    def __init__(self, value=None, error=None):
+        self.value = value
+        self.error = error
+        self.calls = 0
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self):
+        self.calls += 1
+        self.entered.set()
+        assert self.release.wait(10), "gate never released"
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+def submit(batcher, group, key, compute):
+    """Run ``run_grouped`` on a new thread; returns (thread, outcome)."""
+    outcome = {}
+
+    def target():
         try:
-            results[i] = batcher.run(key, compute)
+            outcome["result"] = batcher.run_grouped(group, key, compute)
         except BaseException as exc:  # noqa: BLE001 - recorded for asserts
-            errors[i] = exc
+            outcome["error"] = exc
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return results, errors
+    thread = threading.Thread(target=target)
+    thread.start()
+    return thread, outcome
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def lead_and_follow(batcher, leader_gate, followers):
+    """Start a leader on ``leader_gate``, then ``followers`` identical
+    requests while it runs; release it once every follower has joined.
+    Returns each caller's outcome (leader first) and the followers'
+    own computes, which must never run."""
+    leader, first = submit(batcher, "graph", ("avg", False), leader_gate)
+    assert leader_gate.entered.wait(10)
+    computes = [Gate() for _ in range(followers)]
+    started = [
+        submit(batcher, "graph", ("avg", False), compute)
+        for compute in computes
+    ]
+    wait_until(lambda: batcher.coalesced == followers)
+    leader_gate.release.set()
+    for thread, _ in [(leader, first)] + started:
+        thread.join(10)
+    return [first] + [outcome for _, outcome in started], computes
 
 
 class TestCoalescing:
     def test_identical_requests_evaluate_once(self):
-        batcher = MicroBatcher(window=0.05)
-        calls = []
-
-        def compute():
-            calls.append(threading.get_ident())
-            return {"value": 42}
-
-        results, errors = fan_out(batcher, key=("k",), compute=compute, n=8)
-        assert errors == [None] * 8
-        assert len(calls) == 1  # one leader evaluated for everyone
-        assert all(r is results[0] for r in results)  # same object shared
+        batcher = MicroBatcher()
+        gate = Gate(value={"value": 42})
+        outcomes, computes = lead_and_follow(batcher, gate, followers=7)
+        assert gate.calls == 1  # one leader evaluated for everyone
+        assert [c.calls for c in computes] == [0] * 7
+        assert all("error" not in o for o in outcomes)
+        # every caller holds the very object the leader computed
+        assert all(o["result"] is outcomes[0]["result"] for o in outcomes)
         assert batcher.leaders == 1
         assert batcher.coalesced == 7
         assert batcher.stats()["pending"] == 0
 
     def test_different_keys_do_not_coalesce(self):
-        batcher = MicroBatcher(window=0.05)
-        calls = []
-
-        def make(key):
-            def compute():
-                calls.append(key)
-                return key
-            return compute
-
-        barrier = threading.Barrier(2)
-        out = []
-
-        def worker(key):
-            barrier.wait()
-            out.append(batcher.run(key, make(key)))
-
-        threads = [
-            threading.Thread(target=worker, args=(k,)) for k in ("a", "b")
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sorted(calls) == ["a", "b"]
-        assert batcher.coalesced == 0
+        batcher = MicroBatcher()
+        gate = Gate(value="avg")
+        thread, outcome = submit(batcher, "graph", ("avg", False), gate)
+        assert gate.entered.wait(10)
+        # while that flight runs, another key on the same graph and the
+        # same key on another graph each compute at once on their own
+        assert batcher.run_grouped(
+            "graph", ("max", False), lambda: "max"
+        ) == "max"
+        assert batcher.run_grouped(
+            "graph", ("avg", True), lambda: "avg-concurrent"
+        ) == "avg-concurrent"
+        assert batcher.run_grouped(
+            "other-graph", ("avg", False), lambda: "other"
+        ) == "other"
+        assert batcher.stats()["pending"] == 1
+        gate.release.set()
+        thread.join(10)
+        assert outcome == {"result": "avg"}
+        assert gate.calls == 1
+        assert batcher.stats() == {"leaders": 4, "coalesced": 0, "pending": 0}
 
     def test_sequential_requests_each_lead(self):
-        batcher = MicroBatcher(window=0.001)
-        assert batcher.run("k", lambda: 1) == 1
-        assert batcher.run("k", lambda: 2) == 2  # window closed; fresh eval
-        assert batcher.leaders == 2
-        assert batcher.coalesced == 0
-
-
-class TestWindowZero:
-    def test_zero_window_disables_batching(self):
-        batcher = MicroBatcher(window=0)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return len(calls)
-
-        results, errors = fan_out(batcher, key="k", compute=compute, n=4)
-        assert errors == [None] * 4
-        assert len(calls) == 4  # every caller computed on its own
-        assert batcher.leaders == 0 and batcher.coalesced == 0
-
-    def test_negative_window_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            MicroBatcher(window=-0.1)
+        batcher = MicroBatcher()
+        assert batcher.run_grouped("graph", "k", lambda: 1) == 1
+        assert batcher.run_grouped("graph", "k", lambda: 2) == 2
+        assert batcher.stats() == {"leaders": 2, "coalesced": 0, "pending": 0}
 
 
 class TestErrors:
     def test_leader_error_propagates_to_followers(self):
-        batcher = MicroBatcher(window=0.05)
-
-        def compute():
-            raise RuntimeError("estimation blew up")
-
-        results, errors = fan_out(batcher, key="k", compute=compute, n=4)
-        assert results == [None] * 4
-        assert len(errors) == 4
-        assert all(isinstance(e, RuntimeError) for e in errors)
+        batcher = MicroBatcher()
+        error = RuntimeError("estimation blew up")
+        gate = Gate(error=error)
+        outcomes, computes = lead_and_follow(batcher, gate, followers=3)
+        assert gate.calls == 1
+        assert [c.calls for c in computes] == [0] * 3
         # every follower got the leader's exception, not a hang
-        assert all("estimation blew up" in str(e) for e in errors)
+        assert all(o == {"error": error} for o in outcomes)
+        assert batcher.leaders == 1 and batcher.coalesced == 3
         assert batcher.stats()["pending"] == 0
 
     def test_group_cleared_after_error(self):
-        batcher = MicroBatcher(window=0.001)
+        batcher = MicroBatcher()
+
+        def fail():
+            raise RuntimeError("x")
+
         with pytest.raises(RuntimeError):
-            batcher.run("k", lambda: (_ for _ in ()).throw(RuntimeError("x")))
-        assert batcher.run("k", lambda: "recovered") == "recovered"
+            batcher.run_grouped("graph", "k", fail)
+        # the failed flight is gone: the next request computes afresh
+        assert batcher.run_grouped("graph", "k", lambda: "recovered") == (
+            "recovered"
+        )
+        assert batcher.stats() == {"leaders": 2, "coalesced": 0, "pending": 0}

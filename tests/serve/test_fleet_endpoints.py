@@ -15,7 +15,7 @@ from repro.serve.app import ServerConfig, SlifServer
 
 @pytest.fixture()
 def server():
-    srv = SlifServer(ServerConfig(port=0, cache_size=4, batch_window=0.0))
+    srv = SlifServer(ServerConfig(port=0, cache_size=4))
     yield srv
     srv.close()
 

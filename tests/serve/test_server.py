@@ -57,7 +57,7 @@ def start_server(config):
 @pytest.fixture(scope="module")
 def server():
     srv, thread = start_server(
-        ServerConfig(port=0, cache_size=8, max_inflight=4, batch_window=0.002)
+        ServerConfig(port=0, cache_size=8, max_inflight=4)
     )
     yield srv
     srv.shutdown()

@@ -46,7 +46,7 @@ def http_request(server, method, path, body=None, headers=None, attempts=3):
 @pytest.fixture()
 def server():
     srv = SlifServer(
-        ServerConfig(port=0, cache_size=8, max_inflight=4, batch_window=0.0)
+        ServerConfig(port=0, cache_size=8, max_inflight=4)
     )
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
@@ -226,3 +226,39 @@ class TestConcurrentSpans:
         # every request span is a root in its own handler thread
         assert all(s.parent_id is None for s in spans)
         assert obs.TRACER.dropped == 0
+
+
+class TestDaemonSpans:
+    def test_daemon_keeps_no_finished_spans(self, monkeypatch, capsys):
+        """``slif serve`` runs with obs on for its whole life; nothing
+        reads its finished spans, so it must not keep them.  Counters
+        and span timing still work, and the bound comes back on exit."""
+        from repro.cli import main
+
+        answered = []
+
+        def serve_a_few(self):
+            for i in range(3):
+                self._enter_request()
+                status, _, _, tid = self.handle_timed(
+                    "POST", "/v1/estimate", b'{"spec": "vol"}',
+                    trace_id=f"daemon-{i}",
+                )
+                self._exit_request(status)
+                answered.append((status, tid))
+
+        monkeypatch.setattr(SlifServer, "serve_forever", serve_a_few)
+        kept = obs.TRACER.max_spans
+        try:
+            assert main(["serve", "--port", "0"]) == 0
+            retained = [s.name for s in obs.TRACER.spans()]
+            counters = obs.snapshot()["counters"]
+            dropped = obs.TRACER.dropped
+        finally:
+            obs.reset()
+        assert answered == [(200, f"daemon-{i}") for i in range(3)]
+        assert retained == []
+        assert dropped >= 6  # serve.request + api.estimate_many, each
+        assert counters["serve.requests"] == 3
+        assert obs.TRACER.max_spans == kept
+        assert "listening on" in capsys.readouterr().out

@@ -305,3 +305,50 @@ class TestObsSubcommand:
         bad.write_text("{not json\n")
         assert main(["obs", "slow", str(bad)]) == 2
         assert "not a JSONL trace export" in capsys.readouterr().err
+
+
+class TestGeneratedSpecs:
+    """Graph subcommands resolve specs through the front-end registry."""
+
+    @pytest.fixture()
+    def gen_file(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        assert main(
+            ["gen", "--behaviors", "20", "--seed", "1", "-o", str(path)]
+        ) == 0
+        capsys.readouterr()
+        return str(path)
+
+    def test_build(self, gen_file, capsys):
+        assert main(["build", gen_file]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["name"] == "synth-1-20"
+        assert len(doc["behaviors"]) == 20
+
+    def test_check(self, gen_file, capsys):
+        assert main(["check", gen_file]) == 0
+        assert "synth-1-20: no issues" in capsys.readouterr().out
+
+    def test_dot(self, gen_file, capsys):
+        assert main(["dot", gen_file]) == 0
+        assert capsys.readouterr().out.startswith("digraph")
+
+    def test_transform(self, gen_file, capsys):
+        assert main(["transform", gen_file]) == 0
+        assert "single-caller procedures" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["stats"], "slif stats"),
+            (["build", "--granularity", "basic_block"], "--granularity"),
+        ],
+    )
+    def test_vhdl_only_options_are_clean_errors(
+        self, gen_file, capsys, argv, option
+    ):
+        assert main(argv + [gen_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert option in err and "VHDL" in err
+        assert "Traceback" not in err
