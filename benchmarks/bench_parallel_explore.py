@@ -20,6 +20,7 @@ import time
 import pytest
 
 from conftest import report
+from _helpers import kernel_disabled
 from repro.partition.pareto import explore_pareto
 from repro.api import build_system
 
@@ -99,24 +100,16 @@ def test_explore_kernel_path(benchmark, example):
     """Same sweep with the batch kernel on vs off: identical front, less time.
 
     The engine scores each chunk's candidates through one
-    ``BatchKernel.evaluate`` sweep when ``SLIF_KERNEL`` permits; with
-    the kernel disabled every candidate pays the memoized reference
-    walk.  The front must be byte-identical either way — the kernel can
-    only agree or abstain.
+    ``BatchKernel.evaluate`` sweep; with the kernel disabled (as on a
+    graph with a call cycle) every candidate pays the memoized
+    reference walk.  The front must be byte-identical either way — the
+    kernel can only agree or abstain.
     """
     system = build_system(example)
 
-    previous = os.environ.get("SLIF_KERNEL")
-    try:
-        os.environ["SLIF_KERNEL"] = "off"
+    with kernel_disabled():
         reference, ref_seconds = timed_explore(system, jobs=1)
-        os.environ.pop("SLIF_KERNEL")
-        kernel_front, kernel_seconds = timed_explore(system, jobs=1)
-    finally:
-        if previous is None:
-            os.environ.pop("SLIF_KERNEL", None)
-        else:
-            os.environ["SLIF_KERNEL"] = previous
+    kernel_front, kernel_seconds = timed_explore(system, jobs=1)
 
     assert front_signature(kernel_front) == front_signature(reference)
     assert kernel_front.render() == reference.render()
@@ -137,7 +130,7 @@ def test_explore_kernel_path(benchmark, example):
     report(
         [
             f"explore kernel path / {example}: {reference.evaluated} "
-            f"candidates, SLIF_KERNEL=off {ref_seconds:.3f}s vs kernel "
+            f"candidates, kernel off {ref_seconds:.3f}s vs kernel on "
             f"{kernel_seconds:.3f}s -> {speedup:.2f}x, fronts identical",
         ]
     )

@@ -20,8 +20,12 @@ stay representative of production (uninstrumented) runs.
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
+
+# the benches share the test suite's helpers (tests/_helpers.py)
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
 
 
 def paper_row(example: str) -> dict:

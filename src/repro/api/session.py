@@ -270,8 +270,7 @@ class Session:
         """The session's :class:`~repro.estimate.kernel.BatchKernel`, or None.
 
         Compiled lazily, once, under the session lock; ``None`` when the
-        kernel is unavailable (disabled via ``SLIF_KERNEL=off``, or the
-        graph has a call cycle), in which case callers stay on the
+        graph has a call cycle, in which case callers stay on the
         memoized estimators.  :func:`~repro.api.facade.estimate_many`,
         which the serving layer calls for every estimate, scores its
         requests with it in one flat-array sweep.
@@ -311,14 +310,18 @@ def load(
     from repro.api.frontends import FRONTENDS
     from repro.obs import OBS, span
 
-    resolved = FRONTENDS.resolve(spec)
-    key = _key_from_resolved(
-        resolved,
-        processor_name=processor_name,
-        asic_name=asic_name,
-        bus_bitwidth=bus_bitwidth,
-    )
-    with span("api.load", spec=resolved.name, session_key=key) as sp:
+    # the span covers resolution and keying too, so a load's whole cost
+    # is attributed to it
+    with span("api.load") as sp:
+        resolved = FRONTENDS.resolve(spec)
+        key = _key_from_resolved(
+            resolved,
+            processor_name=processor_name,
+            asic_name=asic_name,
+            bus_bitwidth=bus_bitwidth,
+        )
+        sp.set_attribute("spec", resolved.name)
+        sp.set_attribute("session_key", key)
         system = _build_from_resolved(
             resolved,
             processor_name=processor_name,

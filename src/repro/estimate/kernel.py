@@ -22,19 +22,9 @@ The division of labour with :mod:`repro.estimate.exectime` and friends:
   error.  The reference path therefore remains the oracle — the kernel
   can only ever agree with it or abstain.
 
-Backends
---------
-
-The default backend is pure stdlib (lists + int indexing).  Setting the
-environment variable ``SLIF_KERNEL=numpy`` switches the design-point
-sweep to a numpy backend that vectorises *across the batch* (one array
-op per channel slot instead of one Python iteration per candidate)
-while keeping the per-candidate operation order — elementwise IEEE-754
-double ops match scalar Python floats exactly, so results stay
-bit-identical.  ``SLIF_KERNEL=off`` disables the kernel entirely (every
-caller keeps the reference path); ``SLIF_KERNEL=stdlib`` forces the
-stdlib backend.  Asking for numpy without numpy installed degrades to
-stdlib.
+The sweep is plain Python over lists and int indices, one candidate at
+a time: the batches real callers form (an explore chunk, one served
+request) are too small for anything vectorised to pay off.
 
 Example — compile once, evaluate a batch, cross-check the oracle:
 
@@ -54,9 +44,6 @@ Counters (when :mod:`repro.obs` is enabled): ``kernel.compiles``,
 
 from __future__ import annotations
 
-import math
-import os
-from itertools import chain
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -73,24 +60,9 @@ __all__ = [
     "kernel_backend",
 ]
 
-_ENV_FLAG = "SLIF_KERNEL"
 
-
-def kernel_backend() -> Optional[str]:
-    """The configured kernel backend: ``"stdlib"``, ``"numpy"`` or ``None``.
-
-    ``None`` means the kernel is disabled (``SLIF_KERNEL=off``) and
-    every caller should stay on the reference estimators.
-    """
-    value = os.environ.get(_ENV_FLAG, "").strip().lower()
-    if value in ("off", "0", "none", "reference"):
-        return None
-    if value == "numpy":
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            return "stdlib"
-        return "numpy"
+def kernel_backend() -> str:
+    """The kernel's backend, as result metadata records it: ``"stdlib"``."""
     return "stdlib"
 
 
@@ -101,10 +73,10 @@ class _Unsupported(Exception):
 class BatchKernel:
     """Evaluate batches of candidate partitions against one compiled graph.
 
-    Construct through :meth:`for_graph` (which compiles and honours
-    ``SLIF_KERNEL``); instances are cheap to keep and safe to reuse for
-    any number of batches, but hold no partition state — every candidate
-    is converted fresh from its :class:`~repro.core.partition.Partition`.
+    Construct through :meth:`for_graph`; instances are cheap to keep and
+    safe to reuse for any number of batches, but hold no partition state
+    — every candidate is converted fresh from its
+    :class:`~repro.core.partition.Partition`.
 
     Thread safety: evaluation only reads the compiled arrays, so one
     kernel may serve concurrent callers as long as the underlying graph
@@ -112,15 +84,14 @@ class BatchKernel:
     too).
     """
 
-    def __init__(self, compiled: CompiledGraph, backend: str = "stdlib") -> None:
+    def __init__(self, compiled: CompiledGraph) -> None:
         self.cg = compiled
-        self.backend = backend
         # Exploration candidates share almost all their structure: the
         # object-mapping keys are the node names in graph order, the
         # channel mapping is one of very few distinct vectors, and the
         # sorted mapping tuple always uses the same key permutation.
         # Precompute what is candidate-invariant so the per-candidate
-        # work is a handful of C-level passes (see _fast_convert).
+        # work is a handful of C-level passes (see _design_point).
         names = compiled.node_names
         self._n_nodes = compiled.n_nodes
         self._node_names = names
@@ -132,75 +103,31 @@ class BatchKernel:
             self._perm_values = lambda vals: (vals[0],)
         else:
             self._perm_values = lambda vals: ()
-        flat_sizes = [w for row in compiled.size for w in row]
         #: every (node, comp) size annotated — no per-pair None checks
         #: needed, the kernel can never abstain on a size lookup
-        self._size_complete = all(w is not None for w in flat_sizes)
+        self._size_complete = all(
+            w is not None for row in compiled.size for w in row
+        )
         self._size_cols = [
             [row[c] for row in compiled.size]
             for c in range(compiled.n_comps)
         ]
-        #: every size weight is a float and none is -0.0, so a sweep
-        #: that adds +0.0 for non-matching nodes and the weight for
-        #: matching ones — in node order — produces bit-identical
-        #: partial sums (x + 0.0 == x for every float except -0.0);
-        #: int weights are excluded because the reference sum stays int
-        self._size_vec_ok = self._size_complete and all(
-            type(w) is float and not (w == 0.0 and math.copysign(1.0, w) < 0)
-            for w in flat_sizes
-        )
-        #: any missing ict weight at all? when False the batched sweep
-        #: skips its per-node NaN abstention mask entirely
-        self._ict_has_none = any(
-            w is None for row in compiled.ict for w in row
-        )
-        self._bus_cache: Dict[Any, Any] = {}
+        self._bus_cache: Dict[Tuple[tuple, tuple], Any] = {}
         self._bus_memo: Optional[Tuple[Dict[str, str], Any]] = None
         self._hw_cache: Dict[Tuple[str, ...], List[Optional[int]]] = {}
-        #: component vectors pack into ``bytes`` (C-level batch joins,
-        #: zero-copy numpy views) whenever indices fit a byte
-        self._bytes_comp = compiled.n_comps < 256
-        if backend == "numpy":
-            import numpy
-
-            self._np = numpy
-            nan = float("nan")
-            width = max(compiled.n_comps, 1)
-            self._ict_np = numpy.array(
-                [
-                    [nan if w is None else w for w in row] + [nan] * (width - len(row))
-                    for row in compiled.ict
-                ],
-                dtype=numpy.float64,
-            ).reshape(max(compiled.n_nodes, 1), width)
-            self._tt_np = [
-                numpy.array(matrix, dtype=numpy.float64)
-                for matrix in compiled.tt
-            ]
-            if self._size_vec_ok and compiled.n_nodes and compiled.n_comps:
-                self._size_np = numpy.array(
-                    compiled.size, dtype=numpy.float64
-                )
-            else:
-                self._size_np = None
 
     # ------------------------------------------------------------------
     # construction
 
     @classmethod
-    def for_graph(cls, slif: Slif, backend: Optional[str] = None) -> "BatchKernel":
+    def for_graph(cls, slif: Slif) -> "BatchKernel":
         """Compile ``slif`` and wrap it in a kernel.
 
         Raises :class:`KernelUnavailable` when the graph cannot be
-        compiled (call cycle) or the kernel is disabled via
-        ``SLIF_KERNEL=off`` — in both cases the caller keeps the
-        reference estimators.
+        compiled (a call cycle); the caller then keeps the reference
+        estimators.
         """
-        if backend is None:
-            backend = kernel_backend()
-        if backend is None:
-            raise KernelUnavailable(f"kernel disabled via {_ENV_FLAG}")
-        kernel = cls(compile_graph(slif), backend)
+        kernel = cls(compile_graph(slif))
         if OBS.enabled:
             OBS.inc("kernel.compiles")
         return kernel
@@ -209,7 +136,7 @@ class BatchKernel:
     # candidate conversion
 
     def _convert(
-        self, partition: Partition, channels: bool = False
+        self, partition: Partition
     ) -> Tuple[
         List[Tuple[int, int]],
         List[int],
@@ -219,9 +146,8 @@ class BatchKernel:
         """Partition → (assignment pairs, comp-of-node, bus-of-slot, chan pairs).
 
         ``pairs`` preserves the partition's assignment insertion order —
-        the order Eqs. 4–5 sum sizes in.  ``chan_pairs`` (only built
-        when ``channels`` is set) preserves the channel-mapping
-        insertion order Eq. 3 sums bitrates in.
+        the order Eqs. 4–5 sum sizes in.  ``chan_pairs`` preserves the
+        channel-mapping insertion order Eq. 3 sums bitrates in.
         """
         cg = self.cg
         node_index = cg.node_index
@@ -245,84 +171,41 @@ class BatchKernel:
             if slot is None or bi is None:
                 raise _Unsupported
             bus_of[slot] = bi
-            if channels:
-                chan_pairs.append((slot, bi))
+            chan_pairs.append((slot, bi))
         return pairs, comp_of, bus_of, chan_pairs
 
-    def _fast_convert(self, partition: Partition):
-        """Identity-order conversion: ``(values, comp-of-node, bus entry)``.
-
-        Exploration candidates assign objects in graph insertion order,
-        so their mapping keys *are* ``node_names`` — the component
-        vector is then a single C-level ``map`` over the mapping values
-        and doubles as both the assignment pairs (Eqs. 4–5 order) and
-        ``comp_of``.  Returns ``False`` when the candidate does not have
-        that shape (the generic :meth:`_convert` path handles it) and
-        ``None`` when it is unsupported (unknown component or bus — the
-        reference path owns the error).
-
-        Reads the partition's internal dicts directly (no
-        ``object_mapping()`` copies): this is a read-only peek under the
-        same no-mutation-mid-call contract the estimators already have.
-        """
-        bv = partition._bv_comp
-        if len(bv) != self._n_nodes or list(bv) != self._node_names:
-            return False
-        values = list(bv.values())
-        try:
-            if self._bytes_comp:
-                # bytes index like a list of ints but batch-concatenate
-                # at C speed for the numpy component matrix
-                comp_of: Any = bytes(map(self.cg.comp_index.__getitem__, values))
-            else:
-                comp_of = list(map(self.cg.comp_index.__getitem__, values))
-        except KeyError:
-            return None
-        bus_entry = self._bus_vector(partition._chan_bus)
-        if bus_entry is None:
-            return None
-        return values, comp_of, bus_entry
-
-    def _bus_vector(self, chan_bus: Dict[str, str]):
+    def _bus_vector(self, chan_bus: Dict[str, str]) -> List[int]:
         """Channel→bus dict to a per-slot bus vector, cached.
 
         Exploration sweeps reuse a handful of channel mappings across
         thousands of candidates, so the converted vector is cached by
-        the mapping's (keys, values) tuples.  Returns ``(bus_of,
-        bus_key)`` — the list the sweep indexes and a hashable form the
-        numpy backend groups batches by — or ``None`` when a channel or
-        bus is unknown (unsupported; cached too).
+        the mapping's (keys, values) tuples.  Raises
+        :class:`_Unsupported` when a channel or bus is unknown (an
+        outcome that is cached too).
         """
         memo = self._bus_memo
         if memo is not None and memo[0] == chan_bus:
-            return memo[1]
-        cache_key = (tuple(chan_bus), tuple(chan_bus.values()))
-        hit = self._bus_cache.get(cache_key)
-        if hit is not None:
-            if hit is False:
-                return None
-            self._bus_memo = (dict(chan_bus), hit)
-            return hit
-        cg = self.cg
-        slot_of = cg.slot_of_channel
-        bus_index = cg.bus_index
-        bus_of = [-1] * cg.n_slots
-        entry: Any = False
-        for chan, bus in chan_bus.items():
-            slot = slot_of.get(chan)
-            bi = bus_index.get(bus)
-            if slot is None or bi is None:
-                break
-            bus_of[slot] = bi
+            bus_of = memo[1]
         else:
-            entry = (bus_of, tuple(bus_of))
-        if len(self._bus_cache) >= 256:
-            self._bus_cache.clear()
-        self._bus_cache[cache_key] = entry
-        if entry is False:
-            return None
-        self._bus_memo = (dict(chan_bus), entry)
-        return entry
+            cache_key = (tuple(chan_bus), tuple(chan_bus.values()))
+            bus_of = self._bus_cache.get(cache_key)
+            if bus_of is None:
+                cg = self.cg
+                bus_of = [-1] * cg.n_slots
+                for chan, bus in chan_bus.items():
+                    slot = cg.slot_of_channel.get(chan)
+                    bi = cg.bus_index.get(bus)
+                    if slot is None or bi is None:
+                        bus_of = False
+                        break
+                    bus_of[slot] = bi
+                if len(self._bus_cache) >= 256:
+                    self._bus_cache.clear()
+                self._bus_cache[cache_key] = bus_of
+            self._bus_memo = (dict(chan_bus), bus_of)
+        if bus_of is False:
+            raise _Unsupported
+        return bus_of
 
     def _hw_components(self, hardware: Sequence[str]) -> List[Optional[int]]:
         """Component indices of the ``hardware`` names (None = unknown)."""
@@ -335,7 +218,7 @@ class BatchKernel:
         return cis
 
     # ------------------------------------------------------------------
-    # the stdlib sweep (the reference arithmetic, flattened)
+    # the sweep (the reference arithmetic, flattened)
 
     def _sweep(
         self,
@@ -490,237 +373,73 @@ class BatchKernel:
         from repro.partition.pareto import DesignPoint
 
         hw_cis = self._hw_components(hardware)
-        n = len(candidates)
-        points: List[Optional[Any]] = [None] * n
-        fast: List[Tuple[int, List[str], List[int], Tuple, str]] = []
-        fast_convert = self._fast_convert
-        for i, (partition, label) in enumerate(candidates):
-            conv = fast_convert(partition)
-            if conv is None:
-                continue  # unsupported: stays None
-            if conv is False:
-                # generic shape (incomplete or reordered mapping): the
-                # original per-candidate conversion and sweep
-                try:
-                    pairs, comp_of, bus_of, _ = self._convert(partition)
-                    acc = self._sizes(pairs)
-                    times = self._sweep(
-                        comp_of, bus_of, "avg", False, self.cg.order_design
-                    )
-                except _Unsupported:
-                    continue
-                pt = [times[p] for p in self.cg.processes]
-                points[i] = DesignPoint(
-                    system_time=max(pt) if pt else 0.0,
-                    hardware_size=self._hardware_size(acc, hw_cis),
-                    mapping=tuple(sorted(partition.object_mapping().items())),
-                    label=label,
-                )
-                continue
-            values, comp_of, bus_entry = conv
-            fast.append((i, values, comp_of, bus_entry, label))
-        if self.backend == "numpy":
-            self._fast_values_numpy(fast, hw_cis, points, DesignPoint)
-        else:
-            self._fast_values_stdlib(fast, hw_cis, points, DesignPoint)
+        points: List[Optional[Any]] = []
+        for partition, label in candidates:
+            try:
+                point = self._design_point(partition, label, hw_cis, DesignPoint)
+            except _Unsupported:
+                point = None
+            points.append(point)
         if OBS.enabled:
             OBS.inc("kernel.batches")
-            OBS.inc("kernel.candidates", n)
+            OBS.inc("kernel.candidates", len(points))
             unsupported = points.count(None)
             if unsupported:
                 OBS.inc("kernel.unsupported", unsupported)
         return points
 
-    def design_point(
-        self, partition: Partition, label: str, hardware: Sequence[str]
-    ) -> Optional[Any]:
-        """Single-candidate convenience over :meth:`evaluate`."""
-        return self.evaluate([(partition, label)], hardware)[0]
+    def _design_point(self, partition, label, hw_cis, point_cls):
+        """One candidate's design point; raises :class:`_Unsupported`.
 
-    def _fast_values_stdlib(self, fast, hw_cis, points, point_cls):
-        cg = self.cg
-        order = cg.order_design
-        sorted_keys = self._sorted_keys
-        perm_values = self._perm_values
-        for i, values, comp_of, (bus_of, _bus_key), label in fast:
-            try:
-                times = self._sweep(comp_of, bus_of, "avg", False, order)
-                hardware_size = self._fast_hw_size(comp_of, hw_cis)
-            except _Unsupported:
-                continue
-            pt = [times[p] for p in cg.processes]
-            points[i] = point_cls(
-                system_time=max(pt) if pt else 0.0,
-                hardware_size=hardware_size,
-                # the same tuple sorted(mapping.items()) builds, via
-                # the precomputed key permutation
-                mapping=tuple(zip(sorted_keys, perm_values(values))),
-                label=label,
-            )
-
-    def _fast_values_numpy(self, fast, hw_cis, points, point_cls):
-        """Across-the-batch vectorised design-point sweep.
-
-        Candidates are grouped by their channel→bus vector (uniform
-        within an exploration payload); within a group every Eq. 1 step
-        is one elementwise array op across the candidates, in the same
-        per-candidate order as the scalar sweep — elementwise IEEE-754
-        double ops are order-free, so identical doubles come out.  Sizes
-        vectorise too when provably exact (``_sizes_integral``) and
-        otherwise keep the order-sensitive stdlib accumulation.
+        Exploration candidates assign objects in graph insertion order,
+        so their mapping keys *are* ``node_names``: the component vector
+        is then a single C-level ``map`` over the mapping values and
+        doubles as both the assignment pairs (Eqs. 4–5 order) and
+        ``comp_of``.  That shape reads the partition's internal dicts
+        directly (no ``object_mapping()`` copies), a read-only peek
+        under the same no-mutation-mid-call contract the estimators
+        already have.  Any other shape (an incomplete or reordered
+        mapping) takes the generic per-candidate conversion.
         """
-        if not fast:
-            return
-        np = self._np
         cg = self.cg
-        n_nodes = cg.n_nodes
-        span = cg.n_comps + 1
-        groups: Dict[Tuple[int, ...], List[Tuple]] = {}
-        for item in fast:
-            groups.setdefault(item[3][1], []).append(item)
-        for bus_key, members in groups.items():
-            bus_of = members[0][3][0]
-            n = len(members)
-            if n < 8:
-                # array sweeps only pay off across a batch; tiny groups
-                # (e.g. hand-built candidates with unique channel maps)
-                # run the scalar path
-                self._fast_values_stdlib(members, hw_cis, points, point_cls)
-                continue
-            # one (nodes × candidates) component matrix per group —
-            # transposed so the per-node sweep reads contiguous rows;
-            # every fast candidate is complete, so no unmapped entries
-            if self._bytes_comp:
-                blob = b"".join(m[2] for m in members)
-                compT = (
-                    np.frombuffer(blob, dtype=np.uint8)
-                    .reshape(n, n_nodes)
-                    .T.astype(np.int64)
-                )
-            else:
-                compT = np.ascontiguousarray(
-                    np.fromiter(
-                        chain.from_iterable(m[2] for m in members),
-                        dtype=np.int64,
-                        count=n * n_nodes,
-                    )
-                    .reshape(n, n_nodes)
-                    .T
-                )
-            bad = np.zeros(n, dtype=bool)
-            times = np.zeros((n_nodes or 1, n), dtype=np.float64)
-            compT1 = compT + 1  # tt-matrix row/column indices
-            ict_np, tt_np = self._ict_np, self._tt_np
-            ict_has_none = self._ict_has_none
-            n_behaviors = cg.n_behaviors
-            chan_lo, chan_hi = cg.chan_lo, cg.chan_hi
-            slot_dst, slot_bits = cg.slot_dst, cg.slot_bits
-            transfers, freq_avg = cg.transfers, cg.freq["avg"]
+        bv = partition._bv_comp
+        if len(bv) == self._n_nodes and list(bv) == self._node_names:
+            values = list(bv.values())
             try:
-                for ni in cg.order_design:
-                    ci = compT[ni]
-                    w = ict_np[ni, ci]
-                    if ict_has_none:
-                        bad |= np.isnan(w)  # missing weight: row abstains
-                    if ni >= n_behaviors:
-                        times[ni] = w
-                        continue
-                    total = None
-                    base = None
-                    for s in range(chan_lo[ni], chan_hi[ni]):
-                        f = freq_avg[s]
-                        if f == 0.0:
-                            continue  # adds exactly 0.0 in the reference
-                        di = slot_dst[s]
-                        dst_time = times[di] if di >= 0 else 0.0
-                        if slot_bits[s] == 0:
-                            cost = f * dst_time if di >= 0 else np.zeros(n)
-                        else:
-                            bi = bus_of[s]
-                            if bi < 0:
-                                raise _Unsupported  # whole group: unmapped channel
-                            if base is None:
-                                base = compT1[ni] * span
-                            idx = base + compT1[di] if di >= 0 else base
-                            per_access = tt_np[bi][idx] * transfers[s][bi]
-                            cost = f * (per_access + dst_time)
-                        total = cost if total is None else total + cost
-                    times[ni] = w if total is None else w + total
-            except _Unsupported:
-                continue  # every member falls back to the reference path
-            hw_totals = None
-            if self._size_np is not None and n >= 16:
-                hw_totals = []
-                for ci in hw_cis:
-                    if ci is None:
-                        hw_totals.append(None)
-                        continue
-                    # sequential accumulation in node order, vectorised
-                    # across the batch: non-matching nodes add +0.0,
-                    # which leaves every partial sum bit-identical to
-                    # the reference's filtered accumulation
-                    mask = compT == ci
-                    contrib = np.where(mask, self._size_np[:, ci, None], 0.0)
-                    total = np.zeros(n, dtype=np.float64)
-                    for ni in range(n_nodes):
-                        total += contrib[ni]
-                    counts = mask.sum(axis=0)
-                    hw_totals.append((total.tolist(), counts.tolist()))
-            # tolist() turns the arrays back into exact Python floats,
-            # and per-row scalars hoist into C-level listcomps so the
-            # assembly loop only builds the mapping tuple + the point
-            if cg.processes:
-                st_rows = [
-                    max(pt) for pt in times[cg.processes].T.tolist()
-                ]
-            else:
-                st_rows = [0.0] * n
-            hs_rows: Optional[List[Any]] = None
-            if hw_totals is not None:
-                hs_rows = [0] * n  # sum() starts from int 0
-                for entry in hw_totals:
-                    if entry is None:
-                        hs_rows = [h + 0.0 for h in hs_rows]
-                    else:
-                        totals, counts = entry
-                        # int 0 where a component has no objects (sum()
-                        # over nothing), the reference float otherwise
-                        hs_rows = [
-                            h + (0 if c == 0 else t)
-                            for h, t, c in zip(hs_rows, totals, counts)
-                        ]
-            bad_rows = bad.tolist()
-            sorted_keys = self._sorted_keys
-            perm_values = self._perm_values
-            for row, item in enumerate(members):
-                if bad_rows[row]:
-                    continue
-                if hs_rows is None:
-                    try:
-                        hardware_size = self._fast_hw_size(item[2], hw_cis)
-                    except _Unsupported:
-                        continue
-                else:
-                    hardware_size = hs_rows[row]
-                points[item[0]] = point_cls(
-                    system_time=st_rows[row],
-                    hardware_size=hardware_size,
-                    mapping=tuple(zip(sorted_keys, perm_values(item[1]))),
-                    label=item[4],
-                )
+                comp_of = list(map(cg.comp_index.__getitem__, values))
+            except KeyError:
+                raise _Unsupported from None
+            bus_of = self._bus_vector(partition._chan_bus)
+            times = self._sweep(comp_of, bus_of, "avg", False, cg.order_design)
+            hardware_size = self._fast_hw_size(comp_of, hw_cis)
+            # the same tuple sorted(mapping.items()) builds, via the
+            # precomputed key permutation
+            mapping = tuple(zip(self._sorted_keys, self._perm_values(values)))
+        else:
+            pairs, comp_of, bus_of, _ = self._convert(partition)
+            acc = self._sizes(pairs)
+            times = self._sweep(comp_of, bus_of, "avg", False, cg.order_design)
+            hardware_size = self._hardware_size(acc, hw_cis)
+            mapping = tuple(sorted(partition.object_mapping().items()))
+        pt = [times[p] for p in cg.processes]
+        return point_cls(
+            system_time=max(pt) if pt else 0.0,
+            hardware_size=hardware_size,
+            mapping=mapping,
+            label=label,
+        )
 
     # ------------------------------------------------------------------
     # full reports (the serving path)
 
     def reports(
-        self,
-        items: Sequence[Tuple[Partition, FreqMode, bool]],
-        time_constraint: Optional[float] = None,
+        self, items: Sequence[Tuple[Partition, FreqMode, bool]]
     ) -> List[Optional[Any]]:
         """Full :class:`~repro.estimate.engine.EstimateReport` per item.
 
-        ``items`` are ``(partition, mode, concurrent)`` triples — one
-        window of queued estimate requests becomes one kernel call.
+        ``items`` are ``(partition, mode, concurrent)`` triples, each
+        scored on its own into what ``Estimator(slif, partition, mode,
+        concurrent).report()`` returns (no time constraint).
         Unsupported items come back ``None`` (incomplete partition,
         missing weight, zero-time bitrate source, call cycle reached)
         and the caller re-runs them through the reference
@@ -734,9 +453,7 @@ class BatchKernel:
         unsupported = 0
         for partition, mode, concurrent in items:
             try:
-                pairs, comp_of, bus_of, chan_pairs = self._convert(
-                    partition, channels=True
-                )
+                pairs, comp_of, bus_of, chan_pairs = self._convert(partition)
                 if len(pairs) != cg.n_nodes or len(chan_pairs) != cg.n_slots:
                     raise _Unsupported  # incomplete: reference raises
                 acc = self._sizes(pairs)
@@ -766,10 +483,6 @@ class BatchKernel:
                         used_io = ios[name]
                         if used_io > limit:
                             violations.append(Violation(name, "io", used_io, limit))
-                if time_constraint is not None and system_time > time_constraint:
-                    violations.append(
-                        Violation("<system>", "time", system_time, time_constraint)
-                    )
                 moved = cg.moved[mode.value]
                 bus_loads = {}
                 for k, bus_name in enumerate(cg.bus_names):
@@ -805,16 +518,6 @@ class BatchKernel:
             if unsupported:
                 OBS.inc("kernel.unsupported", unsupported)
         return out
-
-    def report(
-        self,
-        partition: Partition,
-        mode: FreqMode = FreqMode.AVG,
-        concurrent: bool = False,
-        time_constraint: Optional[float] = None,
-    ) -> Optional[Any]:
-        """Single-item convenience over :meth:`reports`."""
-        return self.reports([(partition, mode, concurrent)], time_constraint)[0]
 
     def _component_ios(
         self, comp_of: List[int], chan_pairs: List[Tuple[int, int]]

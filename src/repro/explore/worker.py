@@ -158,9 +158,9 @@ class ChunkRunner:
     def _get_kernel(self):
         """The runner's batch kernel, compiled once, or None.
 
-        ``None`` (kernel disabled via ``SLIF_KERNEL=off``, or the graph
-        has a call cycle) keeps every candidate on the reference
-        estimators — same values, same diagnostics, just slower.
+        ``None`` (the graph has a call cycle) keeps every candidate on
+        the reference estimators — same values, same diagnostics, just
+        slower.
         """
         if self._kernel is None:
             from repro.estimate.kernel import BatchKernel, KernelUnavailable

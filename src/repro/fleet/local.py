@@ -25,7 +25,10 @@ how many there can be.  The parent stays single-threaded: worker
 requests are answered inside the sweep client's ``collect`` calls,
 which return as soon as a result lands.  Cancelling the sweep stops
 the workers, so an in-process fallback never shares the cores with
-them.
+them.  A worker whose parent dies (SIGKILL skips every cleanup) exits
+within :data:`ORPHAN_CHECK_SECONDS`: its pipe cannot tell it, since
+the worker holds copies of the parent's pipe ends, so it watches its
+parent pid.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ from __future__ import annotations
 import contextlib
 import math
 import multiprocessing
+import os
 import signal
+import threading
 import time
 from multiprocessing.connection import wait
 from typing import Any, Dict, Iterator
@@ -48,6 +53,8 @@ from repro.fleet.worker import FleetWorker
 POLL_SECONDS = 0.005
 #: The longest a ``collect`` call waits for worker traffic, in seconds.
 TICK_SECONDS = 0.05
+#: How often a worker checks that its parent is alive, in seconds.
+ORPHAN_CHECK_SECONDS = 0.25
 
 
 class PipeTransport:
@@ -82,9 +89,18 @@ class PipeWorker(FleetWorker):
         return self.runner
 
 
-def _work(conn, worker_id: str, payload: PlanPayload) -> None:
+def _exit_with(parent: int) -> None:
+    """End this process once ``parent`` is gone (it is then reparented)."""
+    while os.getppid() == parent:
+        time.sleep(ORPHAN_CHECK_SECONDS)
+    os._exit(1)
+
+
+def _work(conn, worker_id: str, payload: PlanPayload, parent: int) -> None:
     """A local worker process: pull, evaluate, submit, until terminated."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # Ctrl-C is the parent's
+    # a hung chunk or a blocked recv must not outlive the parent either
+    threading.Thread(target=_exit_with, args=(parent,), daemon=True).start()
     worker = PipeWorker(PipeTransport(conn), worker_id, payload)
     while True:
         if not worker.run_one():
@@ -118,7 +134,9 @@ class LocalFleet:
         worker_id = reply["worker_id"]
         conn, child = multiprocessing.Pipe()
         process = multiprocessing.Process(
-            target=_work, args=(child, worker_id, self.payload), daemon=True
+            target=_work,
+            args=(child, worker_id, self.payload, os.getpid()),
+            daemon=True,
         )
         process.start()
         child.close()

@@ -98,7 +98,6 @@ def evaluate_design_point(
     partition: Partition,
     hardware: List[str],
     label: str = "",
-    kernel=None,
 ) -> DesignPoint:
     """Measure one candidate partition on the time/area plane.
 
@@ -106,21 +105,12 @@ def evaluate_design_point(
     sizes (Eqs. 4–5) plus the memoized execution-time pass (Eq. 1) —
     exactly the two metrics a :class:`DesignPoint` carries, skipping the
     I/O and bitrate work a full :meth:`Estimator.report` would also do.
-
-    ``kernel`` (a :class:`~repro.estimate.kernel.BatchKernel` compiled
-    from ``slif``) routes the evaluation through one flat-array sweep
-    instead of the memoized walk — bit-identical results, an order of
-    magnitude cheaper per candidate.  A candidate the kernel cannot
-    score (missing weight, unmapped object) falls back to this
-    reference path, which raises the precise error if there is one.
+    :meth:`~repro.estimate.kernel.BatchKernel.evaluate` scores a batch
+    of candidates to the same points; this is the reference it falls
+    back to, which raises the precise error if there is one.
     """
     from repro.estimate.exectime import ExecTimeEstimator
     from repro.estimate.size import all_component_sizes
-
-    if kernel is not None:
-        point = kernel.design_point(partition, label, hardware)
-        if point is not None:
-            return point
 
     sizes = all_component_sizes(slif, partition)
     times = ExecTimeEstimator(slif, partition).process_times()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
 from repro.core import Slif, SlifBuilder
 from repro.core.partition import Partition, single_bus_partition
@@ -58,6 +59,31 @@ def build_demo_partition(slif: Slif, sub_on: str = "CPU") -> Partition:
         {"Main": "CPU", "Sub": sub_on, "buf": "RAM", "flag": "CPU"},
         name="demo",
     )
+
+
+@contextmanager
+def kernel_disabled():
+    """Keep every estimate inside the block on the reference estimators.
+
+    ``repro.estimate.kernel.compile_graph`` raises
+    :class:`~repro.estimate.compile.KernelUnavailable` there, as it does
+    for a graph with a call cycle, so every ``BatchKernel.for_graph``
+    caller falls back; ``--jobs`` workers forked inside the block
+    inherit that.  A kernel compiled before the block (a warm
+    ``Session``'s) stays in use.
+    """
+    import repro.estimate.kernel as kernel
+    from repro.estimate.compile import KernelUnavailable
+
+    def unavailable(slif):
+        raise KernelUnavailable("the batch kernel is disabled")
+
+    compile_graph = kernel.compile_graph
+    kernel.compile_graph = unavailable
+    try:
+        yield
+    finally:
+        kernel.compile_graph = compile_graph
 
 
 class WorkerThreads:

@@ -42,6 +42,35 @@ class TestLoad:
         # same content hash across separately-built sessions
         assert api.load("vol").key == vol_session.key
 
+    def test_load_span_covers_spec_resolution(self, monkeypatch):
+        import time
+
+        from repro import obs
+        from repro.api.frontends import FRONTENDS
+        from repro.synth.gen import GenConfig, generate_text
+
+        spec = generate_text(GenConfig(behaviors=2, seed=0))   # builds in ~1 ms
+        resolve = FRONTENDS.resolve
+
+        def slow_resolve(spec):
+            time.sleep(0.02)
+            return resolve(spec)
+
+        monkeypatch.setattr(FRONTENDS, "resolve", slow_resolve)
+        obs.reset()
+        obs.enable()
+        try:
+            session = api.load(spec)
+            [load] = [s for s in obs.TRACER.spans() if s.name == "api.load"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert load.duration >= 0.02
+        assert load.attributes == {
+            "spec": session.spec_name,
+            "session_key": session.key,
+        }
+
     def test_estimators_are_memoized_per_mode(self, vol_session):
         from repro.core.channels import FreqMode
 

@@ -234,13 +234,12 @@ class TestMoveIndex:
         assert inc.component_ios() == predicted
         inc.verify_consistency()
 
-    def test_works_without_the_kernel_on_a_call_cycle(self, monkeypatch):
+    def test_works_without_the_kernel_on_a_call_cycle(self):
         from repro.core import SlifBuilder
         from repro.core.partition import single_bus_partition
         from repro.estimate.compile import KernelUnavailable, compile_graph
         from repro.partition.greedy import greedy_improve
 
-        monkeypatch.setenv("SLIF_KERNEL", "off")
         slif = (
             SlifBuilder("cycle")
             .process("A", ict={"proc": 1.0, "asic": 1.0}, size={"proc": 7, "asic": 9})

@@ -5,8 +5,9 @@ are **byte-identical** to the memoized reference estimators — same
 floats, same int-vs-float zeroes, same dict orders; for any candidate
 it cannot score exactly, it abstains (``None``) and the caller reruns
 the reference path.  These tests pin both halves across all bundled
-specs, every frequency mode, concurrency on/off, and both backends
-(stdlib always; numpy when installed).
+specs, every frequency mode and concurrency on and off;
+``tests/properties/test_prop_kernel.py`` does the same on generated
+specs.
 """
 
 import pytest
@@ -17,21 +18,16 @@ from repro.core.partition import Partition
 from repro.errors import EstimationError, PartitionError
 from repro.estimate.compile import KernelUnavailable, compile_graph
 from repro.estimate.engine import Estimator
-from repro.estimate.kernel import BatchKernel, kernel_backend
+from repro.estimate.kernel import BatchKernel
 from repro.partition.pareto import evaluate_design_point
 from repro.partition.random_part import random_partition
 
-from _helpers import build_demo_graph, build_demo_partition
+from _helpers import build_demo_graph, build_demo_partition, kernel_disabled
 
 SPECS = ("ans", "ether", "fuzzy", "vol")
 
+#: the kernel's one backend, which the case ids name
 BACKENDS = ["stdlib"]
-try:
-    import numpy  # noqa: F401
-
-    BACKENDS.append("numpy")
-except ImportError:
-    pass
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +46,7 @@ class TestDesignPointEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_initial_partition(self, systems, spec, backend):
         system = systems[spec]
-        kernel = BatchKernel.for_graph(system.slif, backend=backend)
+        kernel = BatchKernel.for_graph(system.slif)
         ref = evaluate_design_point(
             system.slif, system.partition, ["HW"], "all-sw"
         )
@@ -66,23 +62,12 @@ class TestDesignPointEquivalence:
             (random_partition(slif, seed=i, name=f"r{i}"), f"r{i}")
             for i in range(50)
         ]
-        kernel = BatchKernel.for_graph(slif, backend=backend)
+        kernel = BatchKernel.for_graph(slif)
         got = kernel.evaluate(candidates, ["HW"])
         for point, (part, label) in zip(got, candidates):
             ref = evaluate_design_point(slif, part, ["HW"], label)
             assert point is not None
             assert repr(point) == repr(ref)
-
-    def test_evaluate_design_point_accepts_kernel(self, systems):
-        system = systems["fuzzy"]
-        kernel = BatchKernel.for_graph(system.slif, backend="stdlib")
-        with_kernel = evaluate_design_point(
-            system.slif, system.partition, ["HW"], "x", kernel=kernel
-        )
-        without = evaluate_design_point(
-            system.slif, system.partition, ["HW"], "x"
-        )
-        assert repr(with_kernel) == repr(without)
 
 
 class TestReportEquivalence:
@@ -93,8 +78,8 @@ class TestReportEquivalence:
     def test_full_report(self, systems, spec, backend, mode, concurrent):
         system = systems[spec]
         ref = Estimator(system.slif, system.partition, mode, concurrent).report()
-        kernel = BatchKernel.for_graph(system.slif, backend=backend)
-        got = kernel.report(system.partition, mode=mode, concurrent=concurrent)
+        kernel = BatchKernel.for_graph(system.slif)
+        got = kernel.reports([(system.partition, mode, concurrent)])[0]
         assert_reports_identical(got, ref)
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -107,7 +92,7 @@ class TestReportEquivalence:
             for mode in FreqMode
             for concurrent in (False, True)
         ]
-        kernel = BatchKernel.for_graph(slif, backend=backend)
+        kernel = BatchKernel.for_graph(slif)
         got = kernel.reports(items)
         assert len(got) == len(items)
         for report, (part, mode, concurrent) in zip(got, items):
@@ -116,22 +101,14 @@ class TestReportEquivalence:
 
     def test_demo_graph_all_placements(self):
         slif = build_demo_graph()
-        kernel = BatchKernel.for_graph(slif, backend="stdlib")
+        kernel = BatchKernel.for_graph(slif)
         for sub_on in ("CPU", "HW"):
             part = build_demo_partition(slif, sub_on=sub_on)
             for mode in FreqMode:
                 for concurrent in (False, True):
                     ref = Estimator(slif, part, mode, concurrent).report()
-                    got = kernel.report(part, mode=mode, concurrent=concurrent)
+                    got = kernel.reports([(part, mode, concurrent)])[0]
                     assert_reports_identical(got, ref)
-
-    def test_time_constraint_violation_matches(self):
-        slif = build_demo_graph()
-        part = build_demo_partition(slif)
-        ref = Estimator(slif, part, time_constraint=1.0).report()
-        got = BatchKernel.for_graph(slif).report(part, time_constraint=1.0)
-        assert_reports_identical(got, ref)
-        assert any(v.metric == "time" for v in got.violations)
 
 
 class TestAbstention:
@@ -142,7 +119,7 @@ class TestAbstention:
         kernel = BatchKernel.for_graph(slif)
         incomplete = Partition(slif, "incomplete")
         incomplete.assign("Main", "CPU")
-        assert kernel.report(incomplete) is None
+        assert kernel.reports([(incomplete, FreqMode.AVG, False)])[0] is None
         # ... and the reference path raises, as it always did
         with pytest.raises(PartitionError):
             Estimator(slif, incomplete).report()
@@ -194,38 +171,12 @@ class TestAbstention:
         with pytest.raises(KernelUnavailable):
             BatchKernel.for_graph(slif)
 
-
-class TestBackendSelection:
-    def test_flag_parsing(self, monkeypatch):
-        cases = {
-            "": "stdlib",
-            "stdlib": "stdlib",
-            "off": None,
-            "0": None,
-            "none": None,
-            "reference": None,
-            "OFF": None,
-        }
-        for value, expected in cases.items():
-            monkeypatch.setenv("SLIF_KERNEL", value)
-            assert kernel_backend() == expected
-        monkeypatch.setenv("SLIF_KERNEL", "numpy")
-        assert kernel_backend() in ("numpy", "stdlib")
-
-    def test_disabled_raises_kernel_unavailable(self, monkeypatch, systems):
-        monkeypatch.setenv("SLIF_KERNEL", "off")
-        with pytest.raises(KernelUnavailable):
-            BatchKernel.for_graph(systems["fuzzy"].slif)
-
-    @pytest.mark.skipif("numpy" not in BACKENDS, reason="numpy not installed")
-    def test_numpy_env_flag_end_to_end(self, monkeypatch, systems):
-        monkeypatch.setenv("SLIF_KERNEL", "numpy")
-        system = systems["vol"]
-        kernel = BatchKernel.for_graph(system.slif)
-        assert kernel.backend == "numpy"
-        ref = evaluate_design_point(system.slif, system.partition, ["HW"], "")
-        [got] = kernel.evaluate([(system.partition, "")], ["HW"])
-        assert repr(got) == repr(ref)
+    def test_kernel_disabled_helper(self, systems):
+        slif = systems["fuzzy"].slif
+        with kernel_disabled():
+            with pytest.raises(KernelUnavailable):
+                BatchKernel.for_graph(slif)
+        assert BatchKernel.for_graph(slif) is not None
 
 
 class TestObsCounters:

@@ -5,7 +5,7 @@ other one; a change that moved all of their answers the same way would
 pass them.  These tests pin the answers themselves: partition results
 (cost, iterations, evaluations, history, mapping and the API payload)
 for five algorithms, and the default explore front at ``jobs=1``,
-``jobs=2``, ``SLIF_KERNEL=off`` and on a two-worker fleet (the
+``jobs=2``, without the batch kernel and on a two-worker fleet (the
 ``--workers`` wire path, in-process), on the four bundled specs and two
 generated ones; on the bundled specs also the partition results under
 binding size and pin budgets.  ``tests/_golden.py`` says how to
@@ -17,7 +17,7 @@ import json
 import pytest
 
 import _golden
-from _helpers import WorkerThreads
+from _helpers import WorkerThreads, kernel_disabled
 
 SPECS = _golden.BUNDLED + tuple(_golden.GENERATED)
 
@@ -53,14 +53,15 @@ def test_constrained_partition_answers(spec, sessions, golden):
 
 @pytest.mark.parametrize("config", ["jobs1", "jobs2", "kernel-off", "fleet"])
 @pytest.mark.parametrize("spec", SPECS)
-def test_explore_front(spec, config, sessions, golden, monkeypatch):
-    if config == "kernel-off":
-        monkeypatch.setenv("SLIF_KERNEL", "off")
+def test_explore_front(spec, config, sessions, golden):
     if config == "fleet":
         from repro.fleet import FleetCoordinator
 
         with WorkerThreads(FleetCoordinator(), count=2) as workers:
             answer = _golden.explore_answer(sessions[spec], fleet=workers.spec)
+    elif config == "kernel-off":
+        with kernel_disabled():
+            answer = _golden.explore_answer(sessions[spec])
     else:
         jobs = 2 if config == "jobs2" else 1
         answer = _golden.explore_answer(sessions[spec], jobs)
