@@ -1,0 +1,136 @@
+"""Greedy on a gen-10k spec: the floor exit and read-only move scoring
+against the plain loop.
+
+``tests/properties/test_prop_partition.py`` checks both on small graphs.
+This runs them once at the scale the explore and open workloads see: a
+``slif gen`` spec with 10,000 behaviors and 2,500 variables whose CPU
+budget binds, so greedy moves objects to the ASIC until the cost
+reaches 0 part-way through a pass.
+
+- Greedy that ends at the floor must be ``repr``-equal to greedy run to
+  its confirming pass, with the same mapping and published counters.
+- ``PartitionCost.try_move`` must equal, by ``repr``, applying the move,
+  evaluating and undoing it on a twin, for a seeded sample of objects
+  and every target in each one's pool, with and without a pin budget;
+  a random move is committed after each object, so the tallies carry
+  the round-trip rounding, and both twins must end with equal tallies.
+
+Both descent times are printed; no timing is asserted.  Run with::
+
+    PYTHONPATH=src python -m pytest -q --benchmark-only -s \\
+        benchmarks/bench_descent_equivalence.py
+"""
+
+import random
+import time
+
+import pytest
+
+from _helpers import floor_exit_disabled, greedy_outcome
+from conftest import report
+from repro.api import build_system
+from repro.partition.cost import PartitionCost
+from repro.partition.greedy import greedy_improve
+from repro.synth.gen import GenConfig, generate_text
+
+SEED = 1
+SAMPLE = 500
+#: the CPU budget, as a share of the CPU weight of every object
+CPU_SHARE = 0.6
+#: below one bus width, so any cut channel violates it
+PIN_BUDGET = 8
+
+
+@pytest.fixture(scope="module")
+def gen10k():
+    system = build_system(generate_text(GenConfig(behaviors=10_000, seed=SEED)))
+    slif = system.slif
+    total = sum(
+        node.size.get("proc")
+        for node in list(slif.behaviors.values()) + list(slif.variables.values())
+    )
+    slif.processors["CPU"].size_constraint = total * CPU_SHARE
+    return slif, system.partition
+
+
+def timed(run):
+    started = time.perf_counter()
+    value = run()
+    return value, time.perf_counter() - started
+
+
+def test_floor_exit_matches_full_passes(benchmark, gen10k):
+    slif, start = gen10k
+    with floor_exit_disabled():
+        full, full_s = timed(lambda: greedy_outcome(slif, start))
+    exited, exit_s = timed(lambda: greedy_outcome(slif, start))
+    assert full[0] == "value", full
+    assert exited == full
+
+    result = benchmark.pedantic(
+        lambda: greedy_improve(slif, start), rounds=1, iterations=1
+    )
+    assert result.cost == 0.0
+    benchmark.extra_info["full_seconds"] = full_s
+    benchmark.extra_info["exit_seconds"] = exit_s
+    report(
+        [
+            f"greedy / gen-10k: {result.iterations} passes, "
+            f"{result.evaluations} evaluations; full passes "
+            f"{full_s:.2f} s, ending at the floor {exit_s:.2f} s",
+        ]
+    )
+
+
+def _tallies(evaluator):
+    inc = evaluator.inc
+    return (
+        {c: repr(v) for c, v in inc.component_sizes().items()},
+        inc.component_ios(),
+        evaluator.partition.object_mapping(),
+        evaluator.evaluations,
+    )
+
+
+@pytest.mark.parametrize("pins", [None, PIN_BUDGET])
+def test_try_move_matches_apply_cost_undo(benchmark, gen10k, pins):
+    slif, start = gen10k
+    budgets = {name: proc.io_constraint for name, proc in slif.processors.items()}
+    for proc in slif.processors.values():
+        proc.io_constraint = pins
+    try:
+        scored = PartitionCost(slif, start.copy())
+        reference = PartitionCost(slif, start.copy())
+        rng = random.Random(SEED)
+        sample = rng.sample(scored.movable_objects(), SAMPLE)
+
+        def check():
+            trials = 0
+            for obj in sample:
+                pool = list(slif.processors) + (
+                    [] if obj in slif.behaviors else list(slif.memories)
+                )
+                for comp in pool:
+                    got = scored.try_move(obj, comp)
+                    record = reference.apply_move(obj, comp)
+                    want = reference.cost()
+                    reference.undo(record)
+                    assert repr(got) == repr(want), (obj, comp)
+                    trials += 1
+                commit = rng.choice(pool)
+                scored.apply_move(obj, commit)
+                reference.apply_move(obj, commit)
+            return trials
+
+        trials = benchmark.pedantic(check, rounds=1, iterations=1)
+        assert _tallies(scored) == _tallies(reference)
+        scored.inc.verify_consistency()
+    finally:
+        for name, budget in budgets.items():
+            slif.processors[name].io_constraint = budget
+    report(
+        [
+            f"try_move / gen-10k, pin budget {pins}: {trials} trials over "
+            f"{SAMPLE} objects equal apply/cost/undo",
+        ]
+    )

@@ -28,7 +28,7 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -48,7 +48,10 @@ class MoveIndex:
     each component whose technology it is annotated for (the Eq. 4/5
     summand) and its incident channels as ``(other endpoint, channel
     name)`` pairs.  Self-loops are left out: moving both endpoints at
-    once never changes a cut.
+    once never changes a cut.  :attr:`covers_pools` is true when every
+    object has a weight on every component it may be mapped to (a
+    behavior on every processor, a variable on every processor and
+    memory), so that no legal move can miss one.
 
     Building it is one pass over the objects and channels.  Whoever owns
     the graph builds it once and hands it to every estimator of that
@@ -74,6 +77,13 @@ class MoveIndex:
                 comp: known[tech] for comp, tech in techs if tech in known
             }
             self.incident[node.name] = []
+        processors = set(slif.processors)
+        everything = set(self.components)
+        self.covers_pools = all(
+            processors <= self.weights[name].keys() for name in slif.behaviors
+        ) and all(
+            everything <= self.weights[name].keys() for name in slif.variables
+        )
         for ch in slif.channels.values():
             if ch.src == ch.dst:
                 continue
@@ -110,8 +120,8 @@ class IncrementalStats:
     ``recomputes`` counts the times the lazy execution-time memo was
     actually rebuilt; ``recomputes_avoided`` counts moves whose
     invalidation piggybacked on one already pending — the savings the
-    laziness exists for.  Mirrored to the global
-    ``estimate.incremental.*`` counters when collection is enabled.
+    laziness exists for.  :meth:`IncrementalEstimator.publish` adds
+    them to the global ``estimate.incremental.*`` counters.
     """
 
     moves_applied: int = 0
@@ -233,8 +243,6 @@ class IncrementalEstimator:
             self._exec.invalidate()
             self._exec_dirty = False
             self.stats.recomputes += 1
-            if OBS.enabled:
-                OBS.inc("estimate.incremental.recomputes")
 
     def execution_time(self, behavior: str) -> float:
         """Eq. 1, recomputed lazily after moves."""
@@ -326,8 +334,6 @@ class IncrementalEstimator:
         part.move(obj, component)
         self._mark_dirty()
         self.stats.moves_applied += 1
-        if OBS.enabled:
-            OBS.inc("estimate.incremental.moves_applied")
         return record
 
     def undo(self, record: MoveRecord) -> None:
@@ -347,17 +353,21 @@ class IncrementalEstimator:
         self.partition.move(record.obj, record.src)
         self._mark_dirty()
         self.stats.moves_undone += 1
-        if OBS.enabled:
-            OBS.inc("estimate.incremental.moves_undone")
 
     def _mark_dirty(self) -> None:
         if self._exec_dirty:
             # an invalidation is already pending; this move rides along
             self.stats.recomputes_avoided += 1
-            if OBS.enabled:
-                OBS.inc("estimate.incremental.recomputes_avoided")
         else:
             self._exec_dirty = True
+
+    def publish(self) -> None:
+        """Add :attr:`stats` to the ``estimate.incremental.*`` counters;
+        call once, when the search is done."""
+        if OBS.enabled:
+            for name, count in asdict(self.stats).items():
+                if count:
+                    OBS.inc(f"estimate.incremental.{name}", count)
 
     def _shift(self, obj: str, src: str, dst: str) -> None:
         """Update tallies for moving ``obj`` from ``src`` to ``dst``.

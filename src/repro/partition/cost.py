@@ -151,11 +151,44 @@ class PartitionCost:
                 total += (used - budget) / budget
         return total
 
+    def floor(self) -> Optional[float]:
+        """``0.0`` when no move from a partition costing 0.0 can score
+        below it or raise; otherwise ``None``.
+
+        Every size and I/O term is a violation and the balance term a
+        spread, so none is negative while the cost weights and size
+        budgets are not.  The floor is unknown (``None``) when a time
+        term is on (a trial then applies and undoes its move), a cost
+        weight or size budget is negative, a pin budget is at most 0
+        while ``weights.io`` counts (a trial that cuts a channel raises),
+        or some object lacks a size weight for a component it may move to.
+        """
+        w = self.weights
+        if w.time and self.time_constraint is not None:
+            return None
+        if min(w.size, w.io, w.time, w.balance) < 0:
+            return None
+        if not self.inc.index.covers_pools:
+            return None
+        if any(
+            comp.size_constraint is not None and comp.size_constraint < 0
+            for _, comp in self._components
+        ):
+            return None
+        if w.io and any(
+            proc.io_constraint is not None and proc.io_constraint <= 0
+            for proc in self.slif.processors.values()
+        ):
+            return None
+        return 0.0
+
     def publish(self) -> None:
         """Add :attr:`evaluations` to the ``partition.cost.evaluations``
-        counter; call once, when the search is done."""
+        counter and the estimator's move counts to
+        ``estimate.incremental.*``; call once, when the search is done."""
         if OBS.enabled and self.evaluations:
             OBS.inc("partition.cost.evaluations", self.evaluations)
+        self.inc.publish()
 
     # ------------------------------------------------------------------
     # move plumbing
@@ -202,3 +235,14 @@ class PartitionCost:
         else:
             pool = self._variable_pool
         return [c for c in pool if c != current]
+
+    def pass_trials(self, start: int = 0) -> int:
+        """How many trial moves a pass over ``movable_objects()[start:]``
+        scores, in O(1): ``movable_objects()`` lists the behaviors first,
+        and each object has one candidate per component of its pool but
+        its own."""
+        behaviors = len(self.slif.behaviors)
+        objects = behaviors + len(self.slif.variables)
+        return max(behaviors - start, 0) * (len(self._behavior_pool) - 1) + (
+            objects - max(behaviors, start)
+        ) * (len(self._variable_pool) - 1)

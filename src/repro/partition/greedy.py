@@ -3,7 +3,13 @@
 Repeated passes over every functional object; each object is offered
 every legal alternative component and takes the best strictly-improving
 move.  Terminates when a full pass improves nothing — a local minimum
-under the single-move neighbourhood.
+under the single-move neighbourhood — or after ``max_passes`` passes.
+
+Once the cost reaches :meth:`PartitionCost.floor`, no trial move can
+improve it, so the descent ends there: the trials left in the pass and
+the confirming pass that the full loop would still make are added to
+``evaluations`` and ``iterations`` without being scored, and the answer
+and every counter stay what running them would give.
 
 Simple, fast, and the workhorse inner refinement of the other
 algorithms; also the algorithm whose inner loop the incremental
@@ -40,6 +46,7 @@ def greedy_improve(
     evaluator = PartitionCost(slif, working, weights, time_constraint, index)
     current = evaluator.cost()
     history = [current]
+    floor = evaluator.floor()
     passes = 0
 
     improved = True
@@ -48,7 +55,11 @@ def greedy_improve(
         passes += 1
         if OBS.enabled:
             OBS.inc("partition.greedy.passes")
-        for obj in evaluator.movable_objects():
+        if current == floor:
+            # the confirming pass: no trial can score below the floor
+            evaluator.evaluations += evaluator.pass_trials()
+            break
+        for position, obj in enumerate(evaluator.movable_objects()):
             best_cost = current
             best_comp = None
             for comp in evaluator.candidate_components(obj):
@@ -61,9 +72,13 @@ def greedy_improve(
                 current = best_cost
                 history.append(current)
                 improved = True
-                if OBS.enabled:
-                    OBS.inc("partition.greedy.improving_moves")
+                if current == floor:
+                    # nor can any trial left in this pass
+                    evaluator.evaluations += evaluator.pass_trials(position + 1)
+                    break
 
+    if OBS.enabled and len(history) > 1:
+        OBS.inc("partition.greedy.improving_moves", len(history) - 1)
     evaluator.publish()
     return PartitionResult(
         partition=working,

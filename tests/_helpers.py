@@ -86,6 +86,54 @@ def kernel_disabled():
         kernel.compile_graph = compile_graph
 
 
+@contextmanager
+def floor_exit_disabled():
+    """Run every greedy descent inside the block to its confirming pass.
+
+    :meth:`~repro.partition.cost.PartitionCost.floor` returns ``None``
+    there, as it does for a cost with a time term, so no descent ends at
+    the floor; ``--jobs`` workers forked inside the block inherit that.
+    """
+    from repro.partition.cost import PartitionCost
+
+    floor = PartitionCost.floor
+    PartitionCost.floor = lambda self: None
+    try:
+        yield
+    finally:
+        PartitionCost.floor = floor
+
+
+def greedy_outcome(slif, start, **kwargs):
+    """What ``greedy_improve`` gives, as a comparable tuple.
+
+    ``("value", repr(result), mapping, counters)`` with the
+    ``partition.*`` and ``estimate.incremental.*`` counters it published
+    (collection is reset and enabled around it), or ``("error", type
+    name, message)`` for the :class:`~repro.errors.SlifError` it raised.
+    """
+    from repro import obs
+    from repro.errors import SlifError
+    from repro.partition.greedy import greedy_improve
+
+    obs.reset()
+    obs.enable()
+    try:
+        result = greedy_improve(slif, start, **kwargs)
+    except SlifError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    else:
+        counters = {
+            name: value
+            for name, value in obs.snapshot()["counters"].items()
+            if name.startswith(("partition.", "estimate.incremental."))
+        }
+        return ("value", repr(result), result.partition.object_mapping(), counters)
+    finally:
+        obs.disable()
+        obs.reset()
+
+
 class WorkerThreads:
     """``count`` in-process fleet workers pulling from ``coordinator``.
 

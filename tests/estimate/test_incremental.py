@@ -155,6 +155,7 @@ class TestMoveStats:
             inc.apply_move("buf", "CPU")
             inc.undo(record)
             inc.system_time()
+            inc.publish()
             counters = obs.snapshot()["counters"]
             assert counters["estimate.incremental.moves_applied"] == 2
             assert counters["estimate.incremental.moves_undone"] == 1

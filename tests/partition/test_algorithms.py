@@ -9,12 +9,13 @@ import pytest
 
 from repro.partition import ALGORITHMS, run_algorithm
 from repro.partition.annealing import simulated_annealing
+from repro.partition.cost import PartitionCost
 from repro.partition.greedy import greedy_improve
 from repro.partition.group_migration import group_migration
 from repro.partition.random_part import random_partition, random_restart
-from repro.errors import PartitionError
+from repro.errors import EstimationError, PartitionError
 
-from _helpers import build_demo_graph, build_demo_partition
+from _helpers import build_demo_graph, build_demo_partition, floor_exit_disabled
 
 
 def constrained_graph():
@@ -60,6 +61,82 @@ class TestGreedy:
         result = greedy_improve(g, p)
         assert result.evaluations > 0
         assert result.iterations >= 1
+
+
+class TestFloorExit:
+    """A descent that reaches cost 0 stops scoring trials but reports the
+    passes and evaluations the full loop makes.
+
+    On the demo graph a pass offers 6 trials: 1 each for the behaviors
+    ``Main`` and ``Sub`` (CPU or HW) and 2 each for the variables ``buf``
+    and ``flag`` (CPU, HW or RAM, less their own).
+    """
+
+    PASS = 6
+
+    @staticmethod
+    def _descend(g, p, monkeypatch, **kwargs):
+        """Greedy with the exit, the trials it scored, and greedy without it."""
+        scored = []
+        try_move = PartitionCost.try_move
+
+        def counted(self, obj, comp):
+            scored.append(obj)
+            return try_move(self, obj, comp)
+
+        with floor_exit_disabled():
+            full = greedy_improve(g, p, **kwargs)
+        monkeypatch.setattr(PartitionCost, "try_move", counted)
+        result = greedy_improve(g, p, **kwargs)
+        assert repr(result) == repr(full)
+        assert result.partition.object_mapping() == full.partition.object_mapping()
+        return result, scored
+
+    def test_start_at_zero_scores_nothing(self, monkeypatch):
+        g = build_demo_graph()
+        result, scored = self._descend(g, build_demo_partition(g), monkeypatch)
+        assert result.cost == 0.0
+        assert result.iterations == 1
+        assert result.evaluations == 1 + self.PASS
+        assert scored == []
+
+    def test_zero_mid_pass_adds_the_confirming_pass(self, g, p, monkeypatch):
+        # moving Main, the first object, to HW fits the CPU
+        result, scored = self._descend(g, p, monkeypatch)
+        assert scored == ["Main"]
+        assert result.history[-1] == 0.0
+        assert result.iterations == 2
+        assert result.evaluations == 1 + 2 * self.PASS
+
+    def test_zero_in_the_last_pass_adds_none(self, g, p, monkeypatch):
+        result, scored = self._descend(g, p, monkeypatch, max_passes=1)
+        assert scored == ["Main"]
+        assert result.iterations == 1
+        assert result.evaluations == 1 + self.PASS
+
+    def test_zero_on_the_last_object(self, monkeypatch):
+        # the CPU is over by less than flag's weight; HW cannot take
+        # Main (900), Sub (400) or buf (768), so only flag fits it
+        g = build_demo_graph()
+        g.processors["CPU"].size_constraint = 180.5
+        g.processors["HW"].size_constraint = 300
+        result, scored = self._descend(g, build_demo_partition(g), monkeypatch)
+        assert scored == ["Main", "Sub", "buf", "buf", "flag", "flag"]
+        assert result.partition.get_bv_comp("flag") == "HW"
+        assert result.iterations == 2
+        assert result.evaluations == 1 + 2 * self.PASS
+
+    def test_missing_weight_still_raises(self):
+        """No move from cost 0 improves, but a trial move onto a
+        component without a weight must still raise."""
+        from repro.api import build_system
+        from repro.core.annotations import WeightMap
+
+        system = build_system("vol")
+        node = system.slif.get_node("VolMain")
+        node.size = WeightMap({t: v for t, v in node.size.items() if t != "asic"})
+        with pytest.raises(EstimationError, match="'asic'"):
+            greedy_improve(system.slif, system.partition)
 
 
 class TestGroupMigration:

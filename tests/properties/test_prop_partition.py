@@ -3,28 +3,32 @@
 For arbitrary graphs and starting points: every algorithm returns a
 proper partition, never worse than its start, with an honest cost
 value (re-evaluating the returned partition reproduces the reported
-cost), and the read-only move scorer agrees bit for bit with applying,
-evaluating and undoing the move.
+cost), the read-only move scorer agrees bit for bit with applying,
+evaluating and undoing the move, and a greedy descent that ends at the
+cost floor answers and counts exactly as one that runs every pass.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import build_system
 from repro.core.annotations import WeightMap
 from repro.errors import EstimationError
 from repro.estimate.size import object_size
 from repro.partition import ALGORITHMS, run_algorithm
 from repro.partition.cost import CostWeights, PartitionCost
 from repro.partition.random_part import random_partition
+from repro.synth.gen import GenConfig, generate_text
 
+from _helpers import floor_exit_disabled, greedy_outcome
 from test_prop_graph import slif_graphs
 
 
-def _constrain(g):
+def _constrain(g, share=0.6):
     """Give the CPU a constraint that makes the problem non-trivial."""
     total = sum(b.size.get("proc", default=0.0) for b in g.behaviors.values())
     total += sum(v.size.get("proc", default=0.0) for v in g.variables.values())
-    g.processors["CPU"].size_constraint = max(total * 0.6, 1.0)
+    g.processors["CPU"].size_constraint = max(total * share, 1.0)
     return g
 
 
@@ -65,6 +69,13 @@ def test_greedy_reaches_local_minimum(g, seed):
 # read-only move scoring vs apply -> cost -> undo
 
 
+def _drop_asic_weight(g, name):
+    """Remove the ASIC size weight of object ``name``, if one is named."""
+    if name is not None:
+        node = g.get_node(name)
+        node.size = WeightMap({t: v for t, v in node.size.items() if t != "asic"})
+
+
 @st.composite
 def cost_scenarios(draw):
     """A graph with non-integral weights, random budgets and cost weights.
@@ -83,10 +94,7 @@ def cost_scenarios(draw):
         )
     for proc in g.processors.values():
         proc.io_constraint = draw(st.none() | st.integers(1, 40))
-    missing = draw(st.none() | st.sampled_from(g.bv_names()))
-    if missing is not None:
-        node = g.get_node(missing)
-        node.size = WeightMap({t: v for t, v in node.size.items() if t != "asic"})
+    _drop_asic_weight(g, draw(st.none() | st.sampled_from(g.bv_names())))
     term = st.sampled_from([0.0, 0.5, 1.0, 3.0])
     weights = CostWeights(
         size=draw(term), io=draw(term), time=draw(term), balance=draw(term)
@@ -157,3 +165,53 @@ def test_try_move_matches_apply_cost_undo(scenario, rng):
             reference.apply_move(obj, commit)
     assert _tallies(scored) == _tallies(reference)
     scored.inc.verify_consistency()
+
+
+# ---------------------------------------------------------------------------
+# greedy ending at the cost floor vs running every pass
+
+
+@st.composite
+def descent_scenarios(draw):
+    """A graph, a start and greedy's arguments.
+
+    Either a cost scenario, sometimes with a pin budget of 0, or a small
+    ``slif gen`` spec whose CPU budget binds, under the default weights,
+    from all on the CPU or a random start, sometimes with one object
+    lacking its ASIC weight.
+    """
+    if draw(st.booleans()):
+        g, weights, time_constraint, seed = draw(cost_scenarios())
+        zero_pins = draw(st.none() | st.sampled_from(sorted(g.processors)))
+        if zero_pins is not None:
+            g.processors[zero_pins].io_constraint = 0
+        start = random_partition(g, seed=seed)
+    else:
+        config = GenConfig(
+            behaviors=draw(st.integers(2, 40)),
+            seed=draw(st.integers(0, 2**16)),
+            variables=draw(st.integers(0, 10)),
+            ports=draw(st.integers(0, 4)),
+        )
+        system = build_system(generate_text(config))
+        g = _constrain(system.slif, draw(st.floats(0.2, 0.9)))
+        _drop_asic_weight(g, draw(st.none() | st.sampled_from(g.bv_names())))
+        weights, time_constraint = CostWeights(), None
+        seed = draw(st.none() | st.integers(0, 1000))
+        start = system.partition if seed is None else random_partition(g, seed=seed)
+    kwargs = dict(
+        weights=weights,
+        time_constraint=time_constraint,
+        max_passes=draw(st.integers(1, 4)),
+    )
+    return g, start, kwargs
+
+
+@given(descent_scenarios())
+@settings(max_examples=60, deadline=None)
+def test_floor_exit_matches_full_passes(scenario):
+    """Ending a descent at the floor changes no answer, error or counter."""
+    g, start, kwargs = scenario
+    with floor_exit_disabled():
+        full = greedy_outcome(g, start, **kwargs)
+    assert greedy_outcome(g, start, **kwargs) == full
