@@ -4,22 +4,26 @@ The paper's pitch for specification-level estimation is that one
 preprocessed access graph answers many what-if questions in O(graph)
 time.  The ``slif serve`` daemon turns that into a service contract:
 the first request for a spec pays the parse+annotate build (~100 ms),
-every later request reuses the cached session and pays only the
-estimator pass (sub-millisecond).  This bench measures end-to-end HTTP
-throughput against a warm-cache server vs a cold server
-(``cache_size=0`` — every request rebuilds, the behaviour a client
-would get from a naive stateless wrapper) and asserts the cache buys
-at least the acceptance criterion's 10x.
+and every later request finds the cached session by a hash of its spec
+argument.  A session has only six estimate answers (three frequency
+modes, with and without concurrency); the first request for each pays
+the estimator pass, and every repeat is answered with the memoized
+response body.  This bench measures end-to-end HTTP throughput against
+a warm-cache server vs a cold server (``cache_size=0`` — every request
+rebuilds, the behaviour a client would get from a naive stateless
+wrapper) and asserts the cache buys at least the acceptance
+criterion's 10x.
 
-The requests are sequential, so the server's estimate batcher never
-has two in flight: each request computes at once, and the measurement
+The requests are sequential and repeat one answer, so after the first
+the warm server answers every one from memory, and the measurement
 isolates the cache effect.
 
 A second bench sends a burst of concurrent estimate requests, one per
 (frequency mode, concurrent) combination, and checks that each client
 gets exactly its own combination's answer.  Distinct combinations
-never share an evaluation; each one that computes is one kernel-backed
-``estimate_many`` call on the cached session.
+never share an evaluation: each is answered from the memo (the primed
+``avg`` one) or computes with one kernel-backed ``estimate_many`` call
+on the cached session.
 """
 
 import http.client
@@ -119,10 +123,11 @@ def test_grouped_batching_one_kernel_sweep(benchmark):
     Six concurrent clients ask for the same spec under every
     (mode, concurrent) combination.  Each distinct combination is its
     own flight in the server's batcher: it computes at once with one
-    ``estimate_many`` kernel call and never waits for the others.  The
-    bench reports the burst latency and the leader/coalesced counters
-    from ``/v1/stats``, and checks each client got exactly its own
-    mode's answer.
+    ``estimate_many`` kernel call and never waits for the others,
+    unless its answer is already memoized (the priming request's).  The
+    bench reports the burst latency and the leader, coalesced and
+    answer-hit counters from ``/v1/stats``, and checks each client got
+    exactly its own mode's answer.
     """
     server = SlifServer(ServerConfig(port=0, cache_size=32))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -139,7 +144,7 @@ def test_grouped_batching_one_kernel_sweep(benchmark):
         try:
             one_request(prime)  # build + cache the graph, count a leader
             prime.request("GET", "/v1/stats")
-            before = json.loads(prime.getresponse().read())["batch"]
+            before = json.loads(prime.getresponse().read())
         finally:
             prime.close()
 
@@ -179,7 +184,7 @@ def test_grouped_batching_one_kernel_sweep(benchmark):
         )
         try:
             stats.request("GET", "/v1/stats")
-            after = json.loads(stats.getresponse().read())["batch"]
+            after = json.loads(stats.getresponse().read())
         finally:
             stats.close()
     finally:
@@ -197,19 +202,23 @@ def test_grouped_batching_one_kernel_sweep(benchmark):
             {"spec": SPEC, "mode": mode, "concurrent": concurrent}
         ).to_dict()
         assert payload == expected, (mode, concurrent)
-    leaders = after["leaders"] - before["leaders"]
-    coalesced = after["coalesced"] - before["coalesced"]
-    # every request either led its own evaluation or shared one
-    assert leaders + coalesced == len(combos)
+    leaders = after["batch"]["leaders"] - before["batch"]["leaders"]
+    coalesced = after["batch"]["coalesced"] - before["batch"]["coalesced"]
+    hits = after["answers"]["hits"] - before["answers"]["hits"]
+    # every request led its own evaluation, shared one, or was answered
+    # from the memo
+    assert leaders + coalesced + hits == len(combos)
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     benchmark.extra_info["burst_seconds"] = burst_seconds
     benchmark.extra_info["leaders"] = leaders
     benchmark.extra_info["coalesced"] = coalesced
+    benchmark.extra_info["answer_hits"] = hits
     report(
         [
             f"grouped batching / {SPEC}: {len(combos)} concurrent "
             f"mixed-mode requests in {burst_seconds * 1e3:.1f} ms, "
-            f"{leaders} evaluation(s) + {coalesced} coalesced",
+            f"{leaders} evaluation(s) + {coalesced} coalesced "
+            f"+ {hits} from memory",
         ]
     )

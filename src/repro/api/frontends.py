@@ -26,6 +26,12 @@ and a *missing* path that clearly looks like one (``specs/typo.vhd``)
 is reported as a missing file naming the registered front ends instead
 of being handed to a lexer.
 
+Resolution takes two steps.  :meth:`FrontEndRegistry.read` classifies
+the argument and reads a file's raw bytes once, giving a
+:class:`SpecInput`; :meth:`FrontEndRegistry.resolve` decodes and
+dispatches it.  The server's graph cache hashes the read input to find
+a cached session, and resolves only when none matches.
+
 Everything above the registry (:func:`repro.api.session.load`, the CLI,
 the server's graph cache) resolves specs through :data:`FRONTENDS`, so
 registering a new front end makes it available everywhere at once::
@@ -44,10 +50,13 @@ old hardcoded chain (covered by ``tests/api/test_frontends.py``).
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from pathlib import Path
+from typing import List, Optional, Tuple, Union
 
 from repro.errors import SlifError
 
@@ -78,6 +87,33 @@ class ResolvedSpec:
     name: str
     profile: Optional[object] = None
     payload: Optional[dict] = field(default=None, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class SpecInput:
+    """One spec argument after :meth:`FrontEndRegistry.read`, not decoded.
+
+    ``kind`` is ``"name"`` for an exact name a front end claims ahead of
+    the filesystem (a bundled benchmark), ``"file"`` for an existing
+    file and ``"text"`` for inline spec text.  ``spec`` is the argument
+    as given.  For a file, ``data`` holds its raw bytes and ``stem`` its
+    stem, the name a document without one gets.
+    """
+
+    kind: str
+    spec: str
+    data: bytes = field(default=b"", repr=False)
+    stem: str = ""
+
+    def digest(self) -> str:
+        """SHA-256 of what resolution reads: a file's bytes, else the text."""
+        if self.kind == "file":
+            return hashlib.sha256(self.data).hexdigest()
+        # a JSON body may carry lone surrogates; surrogatepass still
+        # encodes distinct strings to distinct bytes
+        return hashlib.sha256(
+            self.spec.encode("utf-8", "surrogatepass")
+        ).hexdigest()
 
 
 class FrontEnd:
@@ -319,9 +355,10 @@ class FrontEndRegistry:
 
     Resolution order (the registry owns it, not the front ends):
 
-    1. inline sniffs, in registration order — bundled benchmark names
-       first, then ``slif-synth`` JSON, then VHDL source text;
-    2. an *existing* file path: content is read and dispatched on
+    1. exact names claimed ahead of the filesystem
+       (:attr:`FrontEnd.sniff_before_path`: bundled benchmark names);
+    2. an *existing* file path: content is read, decoded as
+       :meth:`pathlib.Path.read_text` decodes it, and dispatched on
        :meth:`FrontEnd.sniff_source` (first match wins, VHDL is the
        fallback), with the file's stem as the spec name;
     3. a *missing* path that looks like one (has a path separator or a
@@ -329,12 +366,18 @@ class FrontEndRegistry:
        instead of falling through to a text front end — the historical
        failure mode where ``specs/entity_a.vhd`` typo'd was lexed as
        VHDL and died with a confusing parse error;
-    4. anything else raises a :class:`SlifError` listing every
+    4. inline sniffs, in registration order — ``slif-synth`` JSON,
+       then VHDL source text;
+    5. anything else raises a :class:`SlifError` listing every
        registered front end and what it accepts.
+
+    ``generation`` counts registrations and removals, so a memo of
+    resolutions can tell that the rule has changed.
     """
 
     def __init__(self) -> None:
         self._frontends: List[FrontEnd] = []
+        self.generation = 0
 
     # -- registration --------------------------------------------------
 
@@ -348,11 +391,13 @@ class FrontEndRegistry:
             self._frontends.append(frontend)
         else:
             self._frontends.insert(index, frontend)
+        self.generation += 1
 
     def unregister(self, name: str) -> FrontEnd:
         """Remove and return the front end called ``name``."""
         for i, fe in enumerate(self._frontends):
             if fe.name == name:
+                self.generation += 1
                 return self._frontends.pop(i)
         raise SlifError(f"no front end named {name!r} is registered")
 
@@ -392,10 +437,12 @@ class FrontEndRegistry:
     def _describe(self) -> str:
         return "; ".join(f"{fe.name}: {fe.describes}" for fe in self._frontends)
 
-    def resolve(self, spec: str) -> ResolvedSpec:
-        """Resolve one spec argument through the registered front ends."""
-        from pathlib import Path
+    def read(self, spec: str) -> SpecInput:
+        """Classify one spec argument, reading a file's bytes once.
 
+        Decodes and parses nothing; past the type check, the only error
+        is a missing file named by an argument that looks like a path.
+        """
         if not isinstance(spec, str):
             raise SlifError(
                 f"spec must be a string, got {type(spec).__name__}"
@@ -403,35 +450,55 @@ class FrontEndRegistry:
         # exact-name front ends beat a same-named file in the cwd
         for fe in self._frontends:
             if fe.sniff_before_path and fe.sniff(spec):
-                return fe.resolve(spec)
+                return SpecInput("name", spec)
         # a path never contains a newline; check paths (and path-looking
         # typos) before the inline-text sniffs so a missing file fails
         # as a missing file, not as unparseable source
         line = spec.strip()
         pathish = line and "\n" not in line and not line.startswith("{")
         if pathish and Path(line).is_file():
-            source = Path(line).read_text()
-            name = Path(line).stem
-            for fe in self._frontends:
-                if fe.sniff_source(source):
-                    return fe.resolve_source(source, name)
-        elif self._looks_like_path(spec):
+            path = Path(line)
+            return SpecInput("file", spec, path.read_bytes(), path.stem)
+        if self._looks_like_path(spec):
             raise SlifError(
                 f"spec file {line!r} does not exist (it looks like a path: "
                 f"create it, or pass one of the inline forms — "
                 f"{self._describe()})"
             )
+        return SpecInput("text", spec)
+
+    def resolve(self, spec: Union[str, SpecInput]) -> ResolvedSpec:
+        """Resolve a spec argument, or what :meth:`read` made of one."""
+        read = spec if isinstance(spec, SpecInput) else self.read(spec)
+        if read.kind == "file":
+            source = _decode(read)
+            for fe in self._frontends:
+                if fe.sniff_source(source):
+                    return fe.resolve_source(source, read.stem)
         for fe in self._frontends:
-            if fe.sniff(spec):
-                return fe.resolve(spec)
+            if read.kind == "name" and not fe.sniff_before_path:
+                continue
+            if fe.sniff(read.spec):
+                return fe.resolve(read.spec)
         raise SlifError(
-            f"{spec!r} is neither a bundled benchmark, inline spec source, "
-            f"nor an existing file; registered front ends — {self._describe()}"
+            f"{read.spec!r} is neither a bundled benchmark, inline spec "
+            f"source, nor an existing file; registered front ends — "
+            f"{self._describe()}"
         )
 
     def parse(self, resolved: ResolvedSpec, library):
         """Build the annotated functional graph for a resolved spec."""
         return self.get(resolved.frontend).parse(resolved, library)
+
+
+def _decode(read: SpecInput) -> str:
+    """A file's text, decoded exactly as :meth:`pathlib.Path.read_text` does."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(read.data)).read()
+    except UnicodeDecodeError as exc:
+        raise SlifError(
+            f"spec file {read.spec.strip()!r} is not readable text: {exc}"
+        ) from exc
 
 
 def default_registry() -> FrontEndRegistry:

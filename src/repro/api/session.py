@@ -135,16 +135,22 @@ def session_key(
     graph cache can serve both from one parsed+annotated session.  For
     structured formats (``slif-synth``) the hashed source is the
     canonical JSON encoding of the payload, so generated specs are
-    content-addressed regardless of whitespace or key order.
+    content-addressed regardless of whitespace or key order.  Like
+    :func:`load`, it takes an already resolved spec as well.
     """
-    from repro.api.frontends import FRONTENDS
-
     return _key_from_resolved(
-        FRONTENDS.resolve(spec),
+        _resolve(spec),
         processor_name=processor_name,
         asic_name=asic_name,
         bus_bitwidth=bus_bitwidth,
     )
+
+
+def _resolve(spec):
+    """``spec`` through the front-end registry; a ResolvedSpec as is."""
+    from repro.api.frontends import FRONTENDS, ResolvedSpec
+
+    return spec if isinstance(spec, ResolvedSpec) else FRONTENDS.resolve(spec)
 
 
 def _key_from_resolved(
@@ -229,12 +235,19 @@ class Session:
     every estimate.  Heavy operations (partitioning, exploration,
     simulation) read the graph without mutating it and evaluate
     candidate partitions on copies, so they run outside the lock.
+
+    ``answers`` is where the server memoizes its estimate responses:
+    the canonical JSON body per ``(mode, concurrent)``, of which a
+    session has at most six.  It lives and dies with the session.
     """
 
     system: DesignSystem
     key: str
     spec_name: str
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
+    answers: Dict[Tuple[str, bool], str] = field(
+        default_factory=dict, init=False, repr=False
+    )
     _estimators: Dict[Tuple[str, bool], object] = field(
         default_factory=dict, repr=False
     )
@@ -298,7 +311,10 @@ def load(
     The facade's entry point for everything: resolve the spec through
     the front-end registry (bundled name, VHDL text, ``slif-synth``
     JSON, or a path), build the annotated system once, and hand back a
-    session whose estimators are memoized across calls.
+    session whose estimators are memoized across calls.  ``spec`` may
+    also be a :class:`~repro.api.frontends.ResolvedSpec` the registry
+    already returned, which is not resolved again: the server's graph
+    cache resolves before it knows whether it must build.
 
     >>> from repro import api
     >>> session = api.load("vol")
@@ -307,13 +323,12 @@ def load(
     >>> len(session.key)
     24
     """
-    from repro.api.frontends import FRONTENDS
     from repro.obs import OBS, span
 
     # the span covers resolution and keying too, so a load's whole cost
     # is attributed to it
     with span("api.load") as sp:
-        resolved = FRONTENDS.resolve(spec)
+        resolved = _resolve(spec)
         key = _key_from_resolved(
             resolved,
             processor_name=processor_name,

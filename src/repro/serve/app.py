@@ -7,8 +7,9 @@ plus a Prometheus scrape target:
 ========================  ==================================================
 ``GET  /v1/healthz``      liveness (200 ok / 503 while draining);
                           reports version, uptime and pid
-``GET  /v1/stats``        cache, batching, in-flight, per-endpoint RED
-                          and (when enabled) obs registry counters
+``GET  /v1/stats``        cache, batching, answer-memo hits, in-flight,
+                          per-endpoint RED and (when enabled) obs
+                          registry counters
 ``GET  /metrics``         Prometheus text exposition of the same data
 ``POST /v1/estimate``     :class:`~repro.api.EstimateRequest` body
 ``POST /v1/partition``    :class:`~repro.api.PartitionRequest` body
@@ -28,13 +29,18 @@ plus a Prometheus scrape target:
 
 Design:
 
-* **Hot path.**  ``/v1/estimate`` resolves its spec once, in the LRU
-  :class:`~repro.serve.cache.GraphCache` lookup (parse + annotate once
-  per content hash), then evaluates through the
-  :class:`~repro.serve.batching.MicroBatcher`: the first request for a
-  (session key, mode, concurrent) computes at once, and identical
-  requests arriving while it runs share its result.  Nothing waits for
-  a batch to fill.
+* **Hot path.**  ``/v1/estimate`` finds its session in the LRU
+  :class:`~repro.serve.cache.GraphCache` by content: one read and one
+  SHA-256 of the spec argument, with no resolve, parse or annotate
+  once the content has been seen.  A session has only six estimate
+  answers (three frequency modes, with and without concurrency), and
+  each is computed once: its canonical JSON body is memoized in
+  :attr:`~repro.api.session.Session.answers`, and a repeat is answered
+  with that text.  A first request for a (session key, mode,
+  concurrent) computes through the
+  :class:`~repro.serve.batching.MicroBatcher`, so identical requests
+  arriving while it runs share its result, and the flight's leader
+  alone writes the memo.  Nothing waits for a batch to fill.
 * **Heavy path.**  ``/v1/partition``, ``/v1/simulate`` and
   ``/v1/explore`` dispatch onto the fault-tolerant exploration engine
   under a bounded in-flight counter; when ``--max-inflight`` requests
@@ -178,6 +184,7 @@ class SlifServer:
         self._heavy_inflight = 0
         self.requests = 0
         self.responses: Dict[str, int] = {}
+        self.answer_hits = 0
         # tenant shaping is always on (rate 0 just disables admission
         # limits); the durable-job manager only with --state-dir
         self.shaper = TenantShaper(
@@ -289,6 +296,7 @@ class SlifServer:
             heavy = self._heavy_inflight
             requests = self.requests
             responses = dict(self.responses)
+            answer_hits = self.answer_hits
         stats: Dict[str, Any] = {
             "uptime_seconds": time.time() - self.started,
             "draining": self.draining,
@@ -301,6 +309,7 @@ class SlifServer:
             "jobs": self.config.jobs,
             "cache": self.cache.stats(),
             "batch": self.batcher.stats(),
+            "answers": {"hits": answer_hits},
             "endpoints": self.endpoint_stats(),
             "fleet": self.fleet.stats(),
             "tenants": self.shaper.stats(),
@@ -404,9 +413,11 @@ class SlifServer:
         """Route one request; returns ``(status, payload, headers)``.
 
         Pure in-process logic (no sockets), so tests can drive it
-        directly as well as over HTTP.  A ``str`` payload (only
-        ``/metrics``) is sent verbatim; an :class:`EventStream` payload
-        is streamed chunked; dict payloads are canonical JSON.
+        directly as well as over HTTP.  A ``str`` payload (the
+        ``/metrics`` text, and a ``/v1/estimate`` answer, which is
+        already canonical JSON) is sent verbatim with the headers'
+        ``Content-Type``; an :class:`EventStream` payload is streamed
+        chunked; dict payloads are canonical JSON.
         ``tenant`` is the raw ``X-Slif-Tenant`` header value.
         """
         if self.draining:
@@ -491,20 +502,46 @@ class SlifServer:
 
     def _handle_estimate(
         self, body: bytes
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    ) -> Tuple[int, Union[Dict[str, Any], str], Dict[str, str]]:
+        """Answer an estimate from its session's memo, computing once.
+
+        The answer depends on the session and ``(mode, concurrent)``
+        only (truthiness decides ``concurrent`` everywhere), so that
+        pair keys the memo, whose entries are immutable text.
+        """
         try:
             request = self._parse(body, api.EstimateRequest)
             request.validate()
             session, _ = self.cache.get(request.spec)
-            return 200, self.batcher.run_grouped(
-                session.key,
-                (request.mode, request.concurrent),
-                lambda: api.estimate_many(
-                    [request], session=session
-                )[0].to_dict(),
-            ), {}
+            pair = (request.mode, bool(request.concurrent))
+            answer = session.answers.get(pair)
+            with obs.span("serve.answer", memo_hit=answer is not None):
+                if answer is None:
+                    answer = self.batcher.run_grouped(
+                        session.key, pair,
+                        lambda: self._answer(session, request, pair),
+                    )
+                else:
+                    with self._state_lock:
+                        self.answer_hits += 1
+                    if OBS.enabled:
+                        OBS.inc("serve.answers.hits")
+            return 200, answer, {"Content-Type": "application/json"}
         except SlifError as exc:
             return 400, {"error": str(exc)}, {}
+
+    @staticmethod
+    def _answer(session, request, pair) -> str:
+        """Compute and memoize one answer; runs as the flight's leader.
+
+        A request that missed the memo just before another flight wrote
+        it finds the answer here, so each is computed once per session.
+        """
+        answer = session.answers.get(pair)
+        if answer is None:
+            result = api.estimate_many([request], session=session)[0]
+            answer = session.answers[pair] = canonical_json(result.to_dict())
+        return answer
 
     def _retry_after(self, floor: float = 0.0) -> str:
         """Compute the ``Retry-After`` value for 429/503 responses.

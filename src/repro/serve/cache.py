@@ -1,15 +1,28 @@
 """The LRU graph/session cache behind the serving layer's hot path.
 
 Building a session (parse + annotate + allocate, ~100 ms) dwarfs what
-any warm request costs afterwards (~0.1–1 ms against memoized
-estimators), so the server keys sessions by their
+any warm request costs afterwards, so the server keys sessions by their
 :func:`~repro.api.session.session_key` content hash and keeps the most
-recently used ``capacity`` of them.
+recently used ``capacity`` of them.  A warm request finds its session
+with one read and one SHA-256 of the spec argument (0.3 ms for a gen-1k
+file), and the server answers it from the session's memoized responses
+(:attr:`~repro.api.session.Session.answers`).
 
 Properties:
 
-* **Thread-safe.**  One lock guards the LRU order; session builds run
-  outside it so a slow parse never blocks hits on other keys.
+* **Content-addressed lookup.**  :meth:`GraphCache.get` reads the spec
+  argument once (:meth:`~repro.api.frontends.FrontEndRegistry.read`)
+  and looks up an alias: ``(registry generation, input kind, file
+  stem, SHA-256 of the file's bytes or of the text)`` to session key.
+  A hit resolves nothing.  A miss resolves those same bytes once and
+  builds from that resolution, so a file rewritten mid-request cannot
+  tie one content's digest to another content's session.  Aliases die
+  with their session, and at most :attr:`GraphCache.ALIASES_PER_SESSION`
+  times ``capacity`` of them are kept.  Registering or unregistering a
+  front end bumps the generation, so no alias from before it matches.
+* **Thread-safe.**  One lock guards the LRU order and the aliases;
+  reads, hashing and session builds run outside it so a slow parse
+  never blocks hits on other keys.
 * **Build coalescing.**  Concurrent misses on the same key build once:
   the first thread in becomes the builder, later threads wait on its
   event and then re-read the cache — a thundering herd of identical
@@ -17,7 +30,8 @@ Properties:
 * **Counted.**  Hits/misses/evictions are tracked locally (surfaced in
   ``GET /v1/stats``) and mirrored to :mod:`repro.obs` counters
   (``serve.cache.hits`` / ``.misses`` / ``.evictions``) when
-  instrumentation is enabled.
+  instrumentation is enabled.  Each lookup runs in a ``serve.resolve``
+  span whose ``alias_hit`` attribute says whether the alias matched.
 * **Disableable.**  ``capacity=0`` turns the cache off entirely: every
   request parses from scratch.  That is the "cold" baseline the
   throughput benchmark compares against.
@@ -29,18 +43,24 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Tuple
 
+from repro.api.frontends import FRONTENDS
 from repro.api.session import Session, load, session_key
-from repro.obs import OBS
+from repro.obs import OBS, span
 
 
 class GraphCache:
     """Thread-safe LRU of parsed+annotated :class:`Session` objects."""
+
+    #: aliases kept per cached session, on average (inline text and a
+    #: file path of one document are two aliases of one session)
+    ALIASES_PER_SESSION = 4
 
     def __init__(self, capacity: int = 32) -> None:
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self._sessions: "OrderedDict[str, Session]" = OrderedDict()
+        self._aliases: "OrderedDict[tuple, str]" = OrderedDict()
         self._building: Dict[str, threading.Event] = {}
         self._lock = threading.Lock()
         self.hits = 0
@@ -59,6 +79,7 @@ class GraphCache:
     def clear(self) -> None:
         with self._lock:
             self._sessions.clear()
+            self._aliases.clear()
 
     def key_for(self, spec: str) -> str:
         """The cache key a spec resolves to (no session is built)."""
@@ -70,19 +91,28 @@ class GraphCache:
         With ``capacity=0`` every call builds a fresh session (counted
         as a miss) — the parse-per-request baseline.
         """
-        if self.capacity == 0:
-            self._count_miss()
-            return load(spec), False
-        key = session_key(spec)
+        with span("serve.resolve", alias_hit=False) as sp:
+            if self.capacity == 0:
+                self._count_miss()
+                return load(spec), False
+            read = FRONTENDS.read(spec)
+            alias = (FRONTENDS.generation, read.kind, read.stem, read.digest())
+            with self._lock:
+                key = self._aliases.get(alias)
+                if key is not None:
+                    self._aliases.move_to_end(alias)
+                    sp.set_attribute("alias_hit", True)
+                    return self._hit(key), True
+            return self._get_resolved(FRONTENDS.resolve(read), alias)
+
+    def _get_resolved(self, resolved, alias: tuple) -> Tuple[Session, bool]:
+        """Find or build the session of a resolved spec; alias it."""
+        key = session_key(resolved)
         while True:
             with self._lock:
-                session = self._sessions.get(key)
-                if session is not None:
-                    self._sessions.move_to_end(key)
-                    self.hits += 1
-                    if OBS.enabled:
-                        OBS.inc("serve.cache.hits")
-                    return session, True
+                if key in self._sessions:
+                    self._add_alias(alias, key)
+                    return self._hit(key), True
                 pending = self._building.get(key)
                 if pending is None:
                     pending = threading.Event()
@@ -91,7 +121,7 @@ class GraphCache:
             # Another thread is building this key: wait, then re-read.
             pending.wait()
         try:
-            session = load(spec)
+            session = load(resolved)
         except BaseException:
             with self._lock:
                 self._building.pop(key, None)
@@ -101,14 +131,36 @@ class GraphCache:
             self._sessions[key] = session
             self._sessions.move_to_end(key)
             while len(self._sessions) > self.capacity:
-                self._sessions.popitem(last=False)
-                self.evictions += 1
-                if OBS.enabled:
-                    OBS.inc("serve.cache.evictions")
+                self._evict()
+            self._add_alias(alias, key)
             self._building.pop(key, None)
         pending.set()
         self._count_miss()
         return session, False
+
+    def _hit(self, key: str) -> Session:
+        """Count a hit on a cached key and refresh its recency (locked)."""
+        self._sessions.move_to_end(key)
+        self.hits += 1
+        if OBS.enabled:
+            OBS.inc("serve.cache.hits")
+        return self._sessions[key]
+
+    def _add_alias(self, alias: tuple, key: str) -> None:
+        """Map an alias to a cached key, oldest alias out first (locked)."""
+        self._aliases[alias] = key
+        self._aliases.move_to_end(alias)
+        while len(self._aliases) > self.ALIASES_PER_SESSION * self.capacity:
+            self._aliases.popitem(last=False)
+
+    def _evict(self) -> None:
+        """Drop the least recently used session and its aliases (locked)."""
+        key, _ = self._sessions.popitem(last=False)
+        for alias in [a for a, k in self._aliases.items() if k == key]:
+            del self._aliases[alias]
+        self.evictions += 1
+        if OBS.enabled:
+            OBS.inc("serve.cache.evictions")
 
     def _count_miss(self) -> None:
         with self._lock:

@@ -1,10 +1,12 @@
 """Unit tests for the serving layer's LRU graph/session cache."""
 
+import json
 import threading
 
 import pytest
 
 from repro.serve.cache import GraphCache
+from repro.synth.gen import GenConfig, generate_text
 
 
 def tiny_spec(tag: str) -> str:
@@ -131,3 +133,151 @@ class TestConcurrency:
         stats = cache.stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 7
+
+
+def gen_document(seed: int, named: bool = True) -> str:
+    """A small ``slif gen`` document, with or without its name key."""
+    text = generate_text(GenConfig(behaviors=12, seed=seed))
+    if named:
+        return text
+    data = json.loads(text)
+    del data["name"]
+    return json.dumps(data)
+
+
+@pytest.fixture()
+def resolves(monkeypatch):
+    """Count every resolution the process-wide registry performs."""
+    from repro.api.frontends import FRONTENDS
+
+    calls = []
+    original = FRONTENDS.resolve
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(FRONTENDS, "resolve", counting)
+    return calls
+
+
+class TestContentAddressing:
+    def test_cold_miss_resolves_once_and_warm_lookup_never(
+        self, tmp_path, resolves
+    ):
+        path = tmp_path / "gen.json"
+        path.write_text(gen_document(1))
+        cache = GraphCache(capacity=4)
+        session, hit = cache.get(str(path))
+        assert not hit
+        assert len(resolves) == 1
+        again, hit = cache.get(str(path))
+        assert hit and again is session
+        assert len(resolves) == 1
+
+    def test_rewritten_file_maps_to_its_new_content(self, tmp_path):
+        from repro.api import session_key
+
+        path = tmp_path / "gen.json"
+        path.write_text(gen_document(1))
+        cache = GraphCache(capacity=4)
+        first, _ = cache.get(str(path))
+        path.write_text(gen_document(2))
+        second, hit = cache.get(str(path))
+        assert not hit
+        assert second.key == session_key(str(path)) != first.key
+        # the old content, written back, still finds its own session
+        path.write_text(gen_document(1))
+        assert cache.get(str(path)) == (first, True)
+
+    def test_same_bytes_and_stem_under_two_paths_share_a_session(
+        self, tmp_path, resolves
+    ):
+        paths = [tmp_path / d / "spec.json" for d in ("a", "b")]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_text(gen_document(3))
+        cache = GraphCache(capacity=4)
+        first, _ = cache.get(str(paths[0]))
+        second, hit = cache.get(str(paths[1]))
+        assert hit and second is first
+        assert len(resolves) == 1  # the alias matched: nothing resolved
+
+    def test_different_stems_without_a_name_keep_todays_keys(self, tmp_path):
+        from repro.api import session_key
+
+        paths = [tmp_path / "one.json", tmp_path / "two.json"]
+        for path in paths:
+            path.write_text(gen_document(3, named=False))
+        cache = GraphCache(capacity=4)
+        one, _ = cache.get(str(paths[0]))
+        two, hit = cache.get(str(paths[1]))
+        assert not hit
+        assert [one.key, two.key] == [session_key(str(p)) for p in paths]
+        assert one.key != two.key
+        assert (one.spec_name, two.spec_name) == ("one", "two")
+
+    def test_register_and_unregister_invalidate_aliases(self, tmp_path):
+        from repro.api.frontends import FRONTENDS, SynthFrontEnd
+
+        class Renaming(SynthFrontEnd):
+            name = "renaming"
+
+            def resolve_source(self, source, name):
+                resolved = super().resolve_source(source, name)
+                return type(resolved)(
+                    frontend=self.name, source=resolved.source,
+                    name="renamed", payload=resolved.payload,
+                )
+
+        path = tmp_path / "gen.json"
+        path.write_text(gen_document(4))
+        cache = GraphCache(capacity=4)
+        original, _ = cache.get(str(path))
+        FRONTENDS.register(Renaming(), index=0)
+        try:
+            renamed, hit = cache.get(str(path))
+            assert not hit
+            assert renamed.spec_name == "renamed"
+        finally:
+            FRONTENDS.unregister("renaming")
+        again, hit = cache.get(str(path))
+        assert again is original and hit
+
+    def test_capacity_one_keeps_aliases_bounded(self, tmp_path):
+        cache = GraphCache(capacity=1)
+        path = tmp_path / "gen.json"
+        for seed in range(5):
+            path.write_text(gen_document(seed))
+            cache.get(str(path))
+            cache.get(SPEC_A)
+            # an evicted session's aliases went with it
+            assert len(cache._aliases) == 1
+            assert set(cache._aliases.values()) == set(cache.keys())
+        assert cache.stats()["evictions"] == 9
+
+    def test_aliases_of_one_session_are_bounded(self):
+        cache = GraphCache(capacity=1)
+        # differently spaced VHDL texts are different content: each is
+        # its own session, so use one synth document in many spacings
+        document = gen_document(5)
+        for pad in range(3 * GraphCache.ALIASES_PER_SESSION):
+            session, _ = cache.get(" " * pad + document)
+        assert len(cache) == 1
+        assert len(cache._aliases) == GraphCache.ALIASES_PER_SESSION
+        assert set(cache._aliases.values()) == {session.key}
+
+    def test_lookup_span_says_whether_the_alias_hit(self):
+        from repro import obs
+
+        cache = GraphCache(capacity=4)
+        obs.reset()
+        obs.enable()
+        try:
+            cache.get(SPEC_A)
+            cache.get(SPEC_A)
+            spans = [s for s in obs.TRACER.spans() if s.name == "serve.resolve"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert [s.attributes["alias_hit"] for s in spans] == [False, True]

@@ -7,6 +7,9 @@ calling the :mod:`repro.api` facade directly in-process.
 
 import http.client
 import json
+import os
+import random
+import sys
 import threading
 import time
 
@@ -15,6 +18,10 @@ import pytest
 from repro import api
 from repro.api.types import canonical_json
 from repro.serve.app import ServerConfig, SlifServer
+from repro.synth.gen import GenConfig, generate_text
+
+#: every (mode, concurrent) pair, the six answers one session can give
+PAIRS = [(m, c) for m in ("avg", "min", "max") for c in (False, True)]
 
 
 def http_request(server, method, path, body=None, attempts=3):
@@ -321,3 +328,219 @@ class TestConcurrentStress:
         # the stress shared sessions: far fewer builds than requests
         assert stats["cache"]["misses"] <= len(cases) + 4
         assert stats["cache"]["hits"] + stats["batch"]["coalesced"] > 0
+
+
+def gen_file(path, seed):
+    """Write a small ``slif gen`` spec to ``path``; returns the path."""
+    path.write_text(generate_text(GenConfig(behaviors=30, seed=seed)))
+    return str(path)
+
+
+def direct(spec, mode="avg", concurrent=False):
+    """The body ``/v1/estimate`` must send: in-process ``api.estimate``."""
+    request = {"spec": spec, "mode": mode, "concurrent": concurrent}
+    return canonical_json(api.estimate(request).to_dict()).encode("utf-8")
+
+
+def estimate_body(spec, mode, concurrent):
+    return json.dumps(
+        {"spec": spec, "mode": mode, "concurrent": concurrent}
+    ).encode()
+
+
+@pytest.fixture()
+def computes(monkeypatch):
+    """Count the server's ``api.estimate_many`` calls."""
+    calls = []
+    original = api.estimate_many
+
+    def counting(requests, **kwargs):
+        calls.append(len(requests))
+        return original(requests, **kwargs)
+
+    monkeypatch.setattr(api, "estimate_many", counting)
+    return calls
+
+
+class TestAnswerMemo:
+    """Repeated estimates are answered from memory, never stale."""
+
+    def test_rewritten_file_is_answered_for_its_new_content(
+        self, server, tmp_path
+    ):
+        path = tmp_path / "gen.json"
+        for seed in (7, 8):
+            spec = gen_file(path, seed)
+            expected = direct(spec)
+            for _ in range(2):  # computed, then from memory
+                status, headers, body = http_request(
+                    server, "POST", "/v1/estimate", body={"spec": spec}
+                )
+                assert status == 200
+                assert headers["Content-Type"] == "application/json"
+                assert body == expected
+
+    def test_each_answer_is_computed_once_per_session(
+        self, tmp_path, computes
+    ):
+        spec = gen_file(tmp_path / "gen.json", 9)
+        srv = SlifServer(ServerConfig(port=0))
+        try:
+            for _ in range(3):
+                for mode, concurrent in PAIRS:
+                    status, body, headers = srv.handle_request(
+                        "POST", "/v1/estimate",
+                        estimate_body(spec, mode, concurrent),
+                    )
+                    assert status == 200
+                    assert headers == {"Content-Type": "application/json"}
+                    assert body.encode() == direct(spec, mode, concurrent)
+            _, stats, _ = srv.handle_request("GET", "/v1/stats", b"")
+        finally:
+            srv.close()
+        assert computes == [1] * len(PAIRS)
+        assert stats["answers"] == {"hits": 2 * len(PAIRS)}
+        assert stats["batch"]["leaders"] == len(PAIRS)
+
+    def test_a_late_miss_finds_the_answer_inside_the_flight(
+        self, tmp_path, computes
+    ):
+        spec = gen_file(tmp_path / "gen.json", 11)
+        body = estimate_body(spec, "max", True)
+        srv = SlifServer(ServerConfig(port=0))
+        try:
+            assert srv.handle_request("POST", "/v1/estimate", body)[0] == 200
+            session, _ = srv.cache.get(spec)
+
+            class WrittenJustAfterLookup(dict):
+                """The first lookup misses, as if it ran just before the
+                flight that computed this answer wrote it."""
+
+                missed = False
+
+                def get(self, key, default=None):
+                    if not self.missed:
+                        self.missed = True
+                        return default
+                    return super().get(key, default)
+
+            session.answers = WrittenJustAfterLookup(session.answers)
+            status, answer, _ = srv.handle_request("POST", "/v1/estimate", body)
+        finally:
+            srv.close()
+        assert status == 200 and session.answers.missed
+        assert answer.encode() == direct(spec, "max", True)
+        assert computes == [1]
+
+    def test_cache_size_one_keeps_answers_and_aliases_bounded(
+        self, tmp_path, computes
+    ):
+        path = tmp_path / "gen.json"
+        srv = SlifServer(ServerConfig(port=0, cache_size=1))
+        try:
+            for seed in range(4):
+                spec = gen_file(path, seed)
+                for mode, concurrent in PAIRS + PAIRS:
+                    status, _, _ = srv.handle_request(
+                        "POST", "/v1/estimate",
+                        estimate_body(spec, mode, concurrent),
+                    )
+                    assert status == 200
+                session, hit = srv.cache.get(spec)
+                assert hit
+                assert sorted(session.answers) == sorted(PAIRS)
+                # the evicted sessions' aliases went with them
+                assert len(srv.cache._aliases) == 1
+            assert srv.cache.stats()["evictions"] == 3
+        finally:
+            srv.close()
+        assert len(computes) == 4 * len(PAIRS)
+
+    def test_cold_cache_still_rebuilds_every_request(
+        self, tmp_path, computes
+    ):
+        spec = gen_file(tmp_path / "gen.json", 10)
+        srv = SlifServer(ServerConfig(port=0, cache_size=0))
+        try:
+            for _ in range(3):
+                status, body, _ = srv.handle_request(
+                    "POST", "/v1/estimate", estimate_body(spec, "avg", False)
+                )
+                assert status == 200 and body.encode() == direct(spec)
+            stats = srv.stats()
+        finally:
+            srv.close()
+        assert stats["cache"]["misses"] == 3
+        assert stats["answers"] == {"hits": 0}
+        assert len(computes) == 3
+
+    def test_undecodable_spec_file_is_400(self, server, tmp_path):
+        path = tmp_path / "blob.json"
+        path.write_bytes(b'{"format": "slif-synth", "name": "\xff\xfe"}')
+        status, _, body = http_request(
+            server, "POST", "/v1/estimate", body={"spec": str(path)}
+        )
+        assert status == 400
+        assert str(path) in json.loads(body)["error"]
+
+
+class TestAnswerMemoStress:
+    """More threads than cores race two cold specs' six answers each."""
+
+    #: fresh servers raced in turn: each cold start is a new chance for
+    #: a request to miss the memo just before a flight writes it
+    SERVERS = 8
+    ROUNDS = 2
+
+    def race(self, specs, cases, expected, computes):
+        n_threads = 2 * (os.cpu_count() or 1) + 2
+        barrier = threading.Barrier(n_threads)
+        failures = []
+        srv = SlifServer(ServerConfig(port=0))
+
+        def worker(index):
+            order = cases * self.ROUNDS
+            random.Random(index).shuffle(order)
+            barrier.wait(timeout=60)
+            for case in order:
+                status, body, _ = srv.handle_request(
+                    "POST", "/v1/estimate", estimate_body(*case)
+                )
+                if status != 200 or body.encode() != expected[case]:
+                    failures.append((index, case, status))
+
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(n_threads)
+        ]
+        del computes[:]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            srv.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(computes) == len(cases)
+        stats = srv.stats()
+        assert stats["cache"]["misses"] == len(specs)
+        # every request was a memo hit, a flight leader or a follower
+        answered = (stats["answers"]["hits"] + stats["batch"]["leaders"]
+                    + stats["batch"]["coalesced"])
+        assert answered == n_threads * len(cases) * self.ROUNDS
+
+    def test_every_answer_computed_once_and_byte_identical(
+        self, tmp_path, computes
+    ):
+        specs = [gen_file(tmp_path / f"gen{i}.json", 20 + i) for i in (0, 1)]
+        cases = [(spec, m, c) for spec in specs for m, c in PAIRS]
+        expected = {case: direct(*case) for case in cases}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(self.SERVERS):
+                self.race(specs, cases, expected, computes)
+        finally:
+            sys.setswitchinterval(interval)

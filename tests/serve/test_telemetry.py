@@ -228,6 +228,30 @@ class TestConcurrentSpans:
         assert obs.TRACER.dropped == 0
 
 
+class TestEstimateSpans:
+    def test_resolve_and_answer_spans_nest_under_the_request(
+        self, server, collected
+    ):
+        for _ in range(2):
+            http_request(server, "POST", "/v1/estimate", body={"spec": "ether"})
+        spans = obs.TRACER.spans()
+        by_name = {}
+        for s in spans:
+            by_name.setdefault(s.name, []).append(s)
+        requests = {s.span_id for s in by_name["serve.request"]}
+        resolves, answers = by_name["serve.resolve"], by_name["serve.answer"]
+        assert [s.attributes["alias_hit"] for s in resolves] == [False, True]
+        assert [s.attributes["memo_hit"] for s in answers] == [False, True]
+        assert {s.parent_id for s in resolves + answers} <= requests
+        # the one compute nests inside the answer that missed
+        [compute] = by_name["api.estimate_many"]
+        assert compute.parent_id == answers[0].span_id
+        _, _, body = http_request(server, "GET", "/v1/stats")
+        stats = json.loads(body)
+        assert stats["answers"] == {"hits": 1}
+        assert stats["obs"]["counters"]["serve.answers.hits"] == 1
+
+
 class TestDaemonSpans:
     def test_daemon_keeps_no_finished_spans(self, monkeypatch, capsys):
         """``slif serve`` runs with obs on for its whole life; nothing

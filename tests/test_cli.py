@@ -225,6 +225,15 @@ class TestExitCodes:
         assert main(["build", "vol", "-o", str(target)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_undecodable_spec_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "blob.vhd"
+        path.write_bytes(b"entity \xff\xfe\xfa is\n")
+        assert main(["estimate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(path) in err
+        assert "Traceback" not in err
+
     def test_recovery_exhaustion_exits_3_not_2(self, capsys, monkeypatch):
         """ChunkTimeoutError subclasses SlifError: the 3-branch must win."""
         from repro import api
