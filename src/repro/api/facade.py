@@ -16,11 +16,20 @@ dict (as decoded from JSON), or a bare spec string for the common
     api.explore({"spec": "ether", "constraint_steps": 4})
 
 Passing ``session=`` (from :func:`~repro.api.session.load`) reuses an
-already-built graph and its memoized estimators — this is what the
+already-built graph and its compiled batch kernel — this is what the
 server's LRU cache does for every request; without it each call builds
 a fresh session.  Facade calls never mutate a session: partitioning
 and exploration evaluate candidate mappings on copies, so one session
 can serve concurrent requests.
+
+Estimates take one path.  ``estimate`` (a one-item batch),
+``estimate_many`` and the report ``partition`` returns all score their
+``(partition, mode, concurrent)`` items with one
+:meth:`~repro.estimate.kernel.BatchKernel.reports` call on the
+session's kernel; only the items the kernel abstains from (a call
+cycle, a missing weight, an incomplete partition) run on the reference
+:class:`~repro.estimate.engine.Estimator`, which returns the same
+report or raises the precise error.
 """
 
 from __future__ import annotations
@@ -64,12 +73,34 @@ def _session_for(request, session: Optional[Session]) -> Session:
     return session if session is not None else load(request.spec)
 
 
+def _reports(sess: Session, items: list) -> list:
+    """Score ``(partition, mode, concurrent)`` items on ``sess``'s kernel.
+
+    The one estimate path of the facade: every item goes through one
+    :meth:`~repro.estimate.kernel.BatchKernel.reports` call, and only
+    the items the kernel abstains from (all of them when the graph has
+    no kernel) run on a fresh reference
+    :class:`~repro.estimate.engine.Estimator`, which then returns the
+    identical report or raises the precise error, in item order.
+    """
+    from repro.estimate.engine import Estimator
+
+    kernel = sess.kernel()
+    reports = kernel.reports(items) if kernel is not None else [None] * len(items)
+    for i, report in enumerate(reports):
+        if report is None:
+            reports[i] = Estimator(sess.slif, *items[i]).report()
+    return reports
+
+
 def estimate(
     request: Union[EstimateRequest, dict, str],
     *,
     session: Optional[Session] = None,
 ) -> EstimateResult:
     """Full Section 3 metric report for a spec's current partition.
+
+    A one-item batch on the session's kernel (see :func:`estimate_many`).
 
     >>> from repro import api
     >>> result = api.estimate("vol")
@@ -84,9 +115,9 @@ def estimate(
     req.validate()
     sess = _session_for(req, session)
     with span("api.estimate", spec=sess.spec_name, mode=req.mode):
-        with sess.lock:
-            est = sess.estimator(FreqMode(req.mode), req.concurrent)
-            report = est.report()
+        [report] = _reports(
+            sess, [(sess.partition, FreqMode(req.mode), req.concurrent)]
+        )
     return EstimateResult.from_report(report, graph_key=sess.key)
 
 
@@ -95,18 +126,19 @@ def estimate_many(
     *,
     session: Optional[Session] = None,
 ) -> list:
-    """Batch of :func:`estimate` calls, scored in one kernel sweep each.
+    """Batch of :func:`estimate` calls, scored in one kernel call per graph.
 
     ``requests`` is a sequence of anything :func:`estimate` accepts.
     Requests sharing one graph (same ``session``, or specs resolving to
-    the same build) are evaluated together through a single
-    :meth:`~repro.estimate.kernel.BatchKernel.reports` array sweep; the
+    the same build) are scored together by a single
+    :meth:`~repro.estimate.kernel.BatchKernel.reports` call, which
+    shares the mode-independent half of the report between them; the
     server calls it with one request on its cached session.  Any
     request the kernel abstains from (and every request when the kernel
-    is unavailable) falls back to a plain :func:`estimate` call, so
-    results are always exactly what N individual calls would have
-    produced, in order, and a failing request raises what
-    :func:`estimate` raises for it.
+    is unavailable) runs on the reference estimator instead, so results
+    are always exactly what N individual calls would have produced, in
+    order, and a failing request raises what :func:`estimate` raises
+    for it.
 
     >>> from repro import api
     >>> single = api.estimate("vol")
@@ -133,27 +165,15 @@ def estimate_many(
         groups.setdefault(id(sess), (sess, []))[1].append(i)
     with span("api.estimate_many", requests=len(reqs), graphs=len(groups)):
         for sess, indices in groups.values():
-            kernel = sess.kernel()
-            reports = [None] * len(indices)
-            if kernel is not None:
-                with sess.lock:
-                    reports = kernel.reports(
-                        [
-                            (
-                                sess.partition,
-                                FreqMode(reqs[i].mode),
-                                reqs[i].concurrent,
-                            )
-                            for i in indices
-                        ]
-                    )
+            reports = _reports(
+                sess,
+                [
+                    (sess.partition, FreqMode(reqs[i].mode), reqs[i].concurrent)
+                    for i in indices
+                ],
+            )
             for i, report in zip(indices, reports):
-                if report is None:
-                    results[i] = estimate(reqs[i], session=sess)
-                else:
-                    results[i] = EstimateResult.from_report(
-                        report, graph_key=sess.key
-                    )
+                results[i] = EstimateResult.from_report(report, graph_key=sess.key)
     return results
 
 
@@ -169,11 +189,11 @@ def partition(
 
     The run starts from a copy of the session's partition; the session
     itself is never mutated, so cached sessions can serve concurrent
-    partitioning requests.  ``policy``/``checkpoint``/``resume`` pass
-    through to the fault-tolerant exploration engine for the
-    multi-start algorithms.
+    partitioning requests.  The outcome's report is scored on the
+    session's kernel like any estimate.  ``policy``/``checkpoint``/
+    ``resume`` pass through to the fault-tolerant exploration engine
+    for the multi-start algorithms.
     """
-    from repro.estimate.engine import Estimator
     from repro.partition import run_algorithm
 
     req = _coerce(request, PartitionRequest)
@@ -201,7 +221,7 @@ def partition(
             checkpoint=checkpoint,
             resume=resume,
         )
-        report = Estimator(sess.slif, result.partition).report()
+        [report] = _reports(sess, [(result.partition, FreqMode.AVG, False)])
     return PartitionResult(
         algorithm=req.algorithm,
         cost=result.cost,

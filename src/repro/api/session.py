@@ -13,10 +13,13 @@ plus the pieces the facade and the serving layer add on top:
   and architecture parameters; two calls that would build the same
   annotated graph get the same key.  This is what the server's graph
   cache and the estimate batcher key on.
-* :class:`Session` — one built system plus memoized estimators and a
-  lock, safe to share across threads and requests.  Building a session
-  is the expensive part (parse + annotate, ~100 ms); everything the
-  facade does with one afterwards is O(graph).
+* :class:`Session` — one built system plus its lazily compiled batch
+  kernel and a lock, safe to share across threads and requests.
+  Building a session is the expensive part (parse + annotate, ~100 ms);
+  everything the facade does with one afterwards is O(graph).  Every
+  facade estimate — ``api.estimate``, ``api.estimate_many`` and the
+  report ``api.partition`` returns — is scored on that kernel; the
+  session memoizes no reference estimator.
 """
 
 from __future__ import annotations
@@ -230,11 +233,12 @@ class Session:
     """One built system, shareable across threads and requests.
 
     ``key`` is the :func:`session_key` content hash.  ``lock``
-    serializes work that touches the session's memoized estimators
-    (their memo tables are plain dicts); the facade takes it around
-    every estimate.  Heavy operations (partitioning, exploration,
-    simulation) read the graph without mutating it and evaluate
-    candidate partitions on copies, so they run outside the lock.
+    serializes the one-time kernel compile (:meth:`kernel`) and the
+    copy of the session partition a search starts from.  Estimates run
+    outside it: the kernel and the reference estimators only read the
+    graph and the partition, and every other facade operation
+    (partitioning, exploration, simulation) evaluates candidate
+    partitions on copies.
 
     ``answers`` is where the server memoizes its estimate responses:
     the canonical JSON body per ``(mode, concurrent)``, of which a
@@ -248,9 +252,6 @@ class Session:
     answers: Dict[Tuple[str, bool], str] = field(
         default_factory=dict, init=False, repr=False
     )
-    _estimators: Dict[Tuple[str, bool], object] = field(
-        default_factory=dict, repr=False
-    )
     _kernel: object = field(default=None, repr=False)
 
     @property
@@ -261,32 +262,14 @@ class Session:
     def partition(self) -> Partition:
         return self.system.partition
 
-    def estimator(self, mode: FreqMode = FreqMode.AVG, concurrent: bool = False):
-        """Memoized :class:`~repro.estimate.engine.Estimator` per mode.
-
-        The estimator's memoized execution-time evaluator is what makes
-        a warm session's estimates hundreds of times cheaper than a
-        cold build — reusing it across requests is the whole point of
-        caching sessions.
-        """
-        from repro.estimate.engine import Estimator
-
-        key = (mode.value, bool(concurrent))
-        with self.lock:
-            est = self._estimators.get(key)
-            if est is None:
-                est = Estimator(self.slif, self.partition, mode, concurrent)
-                self._estimators[key] = est
-            return est
-
     def kernel(self):
         """The session's :class:`~repro.estimate.kernel.BatchKernel`, or None.
 
         Compiled lazily, once, under the session lock; ``None`` when the
-        graph has a call cycle, in which case callers stay on the
-        memoized estimators.  :func:`~repro.api.facade.estimate_many`,
-        which the serving layer calls for every estimate, scores its
-        requests with it in one flat-array sweep.
+        graph has a call cycle, in which case every facade estimate runs
+        on the reference estimators.  ``api.estimate``,
+        ``api.estimate_many`` (which the serving layer calls) and
+        ``api.partition``'s report are all scored with it.
         """
         from repro.estimate.kernel import BatchKernel, KernelUnavailable
 
@@ -311,7 +294,7 @@ def load(
     The facade's entry point for everything: resolve the spec through
     the front-end registry (bundled name, VHDL text, ``slif-synth``
     JSON, or a path), build the annotated system once, and hand back a
-    session whose estimators are memoized across calls.  ``spec`` may
+    session whose kernel is compiled once, on first use.  ``spec`` may
     also be a :class:`~repro.api.frontends.ResolvedSpec` the registry
     already returned, which is not resolved again: the server's graph
     cache resolves before it knows whether it must build.

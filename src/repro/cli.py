@@ -91,7 +91,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from repro import obs
+from repro import __version__, obs
 from repro.errors import SlifError
 
 
@@ -707,25 +707,13 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _version() -> str:
-    """Package version from installed metadata, else the source tree."""
-    try:
-        from importlib.metadata import version
-
-        return version("repro")
-    except Exception:
-        from repro import __version__
-
-        return __version__
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slif",
         description="SLIF: specification-level intermediate format tools",
     )
     parser.add_argument(
-        "--version", action="version", version=f"slif {_version()}"
+        "--version", action="version", version=f"slif {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,7 +17,7 @@ behavior (sum of parameter bits) or a message.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import EstimationError
 
@@ -100,6 +100,10 @@ class WeightMap:
 
     def technologies(self) -> Iterable[str]:
         return self._weights.keys()
+
+    def row(self, technologies: Iterable[str]) -> List[Optional[float]]:
+        """The weight per technology, in order; None where never annotated."""
+        return list(map(self._weights.get, technologies))
 
     def copy(self) -> "WeightMap":
         return WeightMap(self._weights)

@@ -32,8 +32,9 @@ touching a single graph object:
 Evaluation order is resolved at compile time too: a reverse-topological
 order over the nodes reachable from the system's processes (and, for
 full reports, from every channel source), callees before callers, so a
-single forward sweep reproduces the recursion.  A call cycle means no
-such order exists — :func:`compile_graph` raises
+single forward sweep reproduces the recursion.  One DFS emits both:
+the design order is the prefix it emits from the processes.  A call
+cycle means no such order exists — :func:`compile_graph` raises
 :class:`KernelUnavailable` and callers keep the memoized path, which
 reports the cycle with its usual :class:`~repro.errors.
 RecursionCycleError` diagnostics.
@@ -45,7 +46,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.channels import FreqMode
 from repro.core.graph import Slif
 
 
@@ -135,55 +135,63 @@ class CompiledGraph:
         return len(self.slot_dst)
 
 
-def _weight_row(weights, technologies: List[str]) -> List[Optional[float]]:
-    """One node's weight per component technology; None when missing."""
-    return [
-        weights.get(tech) if tech in weights else None
-        for tech in technologies
-    ]
+def _evaluation_order(cg: CompiledGraph) -> Tuple[List[int], int]:
+    """Callees-first order of the nodes reachable from the processes,
+    continued to those reachable from every other channel source.
 
-
-def _toposort(
-    roots: List[int], deps: List[List[int]], n_behaviors: int
-) -> List[int]:
-    """Reverse-topological order of the nodes reachable from ``roots``.
-
-    Iterative DFS postorder: every node appears after all the nodes its
-    execution time depends on.  Raises :class:`KernelUnavailable` on a
-    cycle — the memoized estimator owns recursion diagnostics.
+    One iterative DFS postorder with list state: the processes are its
+    first roots, so the nodes emitted before the first other source is
+    visited are exactly the design order, and the whole emission is the
+    report order.  Returns ``(order, length of the design prefix)``.
+    Raises :class:`KernelUnavailable` on a cycle — the memoized
+    estimator owns recursion diagnostics.
     """
-    DONE, ACTIVE = 2, 1
-    state = {}
+    ACTIVE, DONE = 1, 2
+    n_beh = cg.n_behaviors
+    chan_lo, chan_hi, slot_dst = cg.chan_lo, cg.chan_hi, cg.slot_dst
+    state = [0] * cg.n_nodes
     order: List[int] = []
-    for root in roots:
-        if state.get(root) == DONE:
-            continue
-        stack: List[Tuple[int, int]] = [(root, 0)]
-        while stack:
-            node, cursor = stack.pop()
-            if cursor == 0:
-                if state.get(node) == DONE:
-                    continue
-                state[node] = ACTIVE
-            children = deps[node] if node < n_behaviors else []
-            advanced = False
-            for i in range(cursor, len(children)):
-                child = children[i]
-                mark = state.get(child)
+
+    def visit(root: int) -> None:
+        state[root] = ACTIVE
+        stack: List[Tuple[int, int]] = []
+        node, s, hi = root, chan_lo[root], chan_hi[root]
+        while True:
+            while s < hi:
+                child = slot_dst[s]
+                s += 1
+                if child < 0:
+                    continue  # a port
+                mark = state[child]
                 if mark == DONE:
                     continue
                 if mark == ACTIVE:
                     raise KernelUnavailable(
-                        "call cycle reachable from the evaluated processes"
+                        "call cycle reachable from the evaluated behaviors"
                     )
-                stack.append((node, i + 1))
-                stack.append((child, 0))
-                advanced = True
-                break
-            if not advanced:
-                state[node] = DONE
-                order.append(node)
-    return order
+                if child >= n_beh:  # a variable depends on nothing
+                    state[child] = DONE
+                    order.append(child)
+                    continue
+                stack.append((node, s))
+                state[child] = ACTIVE
+                node, s, hi = child, chan_lo[child], chan_hi[child]
+            state[node] = DONE
+            order.append(node)
+            if not stack:
+                return
+            node, s = stack.pop()
+            hi = chan_hi[node]
+
+    for root in cg.processes:
+        if state[root] != DONE:
+            visit(root)
+    n_design = len(order)
+    # every behavior with an out-channel is some channel's source
+    for b in range(n_beh):
+        if state[b] != DONE and chan_hi[b] > chan_lo[b]:
+            visit(b)
+    return order, n_design
 
 
 def compile_graph(slif: Slif) -> CompiledGraph:
@@ -204,30 +212,30 @@ def compile_graph(slif: Slif) -> CompiledGraph:
     technologies = [
         slif.get_component(name).technology.name for name in cg.comp_names
     ]
-
-    for name in cg.node_names:
-        node = slif.get_node(name)
-        cg.ict.append(_weight_row(node.ict, technologies))
-        cg.size.append(_weight_row(node.size, technologies))
+    nodes = list(slif.behaviors.values()) + list(slif.variables.values())
+    cg.ict = [node.ict.row(technologies) for node in nodes]
+    cg.size = [node.size.row(technologies) for node in nodes]
 
     # CSR adjacency over out-channels, insertion order per behavior
-    freq_avg: List[float] = []
-    freq_min: List[float] = []
-    freq_max: List[float] = []
+    channels = []
     for b, bname in enumerate(slif.behaviors):
-        cg.chan_lo.append(len(cg.slot_dst))
-        for channel in slif.out_channels(bname):
-            cg.slot_of_channel[channel.name] = len(cg.slot_dst)
-            cg.slot_src.append(b)
-            cg.slot_dst.append(cg.node_index.get(channel.dst, -1))
-            cg.slot_bits.append(channel.bits)
-            cg.slot_tag.append(channel.tag)
-            cg.slot_name.append(channel.name)
-            freq_avg.append(channel.frequency(FreqMode.AVG))
-            freq_min.append(channel.frequency(FreqMode.MIN))
-            freq_max.append(channel.frequency(FreqMode.MAX))
-        cg.chan_hi.append(len(cg.slot_dst))
-    cg.freq = {"avg": freq_avg, "min": freq_min, "max": freq_max}
+        out = slif.out_channels(bname)
+        cg.chan_lo.append(len(channels))
+        channels += out
+        cg.chan_hi.append(len(channels))
+        cg.slot_src += [b] * len(out)
+    node_index = cg.node_index
+    cg.slot_dst = [node_index.get(ch.dst, -1) for ch in channels]
+    cg.slot_bits = [ch.bits for ch in channels]
+    cg.slot_tag = [ch.tag for ch in channels]
+    cg.slot_name = [ch.name for ch in channels]
+    cg.slot_of_channel = {name: s for s, name in enumerate(cg.slot_name)}
+    # Channel.frequency() per mode, read straight off the fields
+    cg.freq = {
+        "avg": [float(ch.accfreq) for ch in channels],
+        "min": [float(ch.accmin) for ch in channels],
+        "max": [float(ch.accmax) for ch in channels],
+    }
     cg.moved = {
         mode: [f * bits for f, bits in zip(freqs, cg.slot_bits)]
         for mode, freqs in cg.freq.items()
@@ -256,29 +264,21 @@ def compile_graph(slif: Slif) -> CompiledGraph:
         cg.bus_capacity.append(
             float("inf") if bus.td == 0.0 else bus.bitwidth / bus.td
         )
-    for bits in cg.slot_bits:
-        cg.transfers.append(
-            [
-                0 if bits == 0 else math.ceil(bits / slif.get_bus(n).bitwidth)
-                for n in cg.bus_names
-            ]
-        )
+    # slots of one bit width share their (read-only) row
+    widths = [slif.get_bus(name).bitwidth for name in cg.bus_names]
+    rows = {
+        bits: [0 if bits == 0 else math.ceil(bits / w) for w in widths]
+        for bits in set(cg.slot_bits)
+    }
+    cg.transfers = [rows[bits] for bits in cg.slot_bits]
 
     # evaluation orders: design points need everything reachable from
     # the processes; full reports also need every channel source (the
     # bitrate pass divides by Exectime(c.src) for every channel)
-    deps: List[List[int]] = [
-        [d for d in cg.slot_dst[cg.chan_lo[b]:cg.chan_hi[b]] if d >= 0]
-        for b in range(cg.n_behaviors)
-    ]
-    cg.processes = [cg.node_index[p.name] for p in slif.processes()]
-    cg.process_names = [p.name for p in slif.processes()]
-    cg.order_design = _toposort(cg.processes, deps, cg.n_behaviors)
-    report_roots = list(cg.processes)
-    seen = set(report_roots)
-    for src in cg.slot_src:
-        if src not in seen:
-            seen.add(src)
-            report_roots.append(src)
-    cg.order_report = _toposort(report_roots, deps, cg.n_behaviors)
+    processes = slif.processes()
+    cg.processes = [cg.node_index[p.name] for p in processes]
+    cg.process_names = [p.name for p in processes]
+    order, n_design = _evaluation_order(cg)
+    cg.order_design = order[:n_design]
+    cg.order_report = order
     return cg

@@ -23,8 +23,9 @@ The division of labour with :mod:`repro.estimate.exectime` and friends:
   can only ever agree with it or abstain.
 
 The sweep is plain Python over lists and int indices, one candidate at
-a time: the batches real callers form (an explore chunk, one served
-request) are too small for anything vectorised to pay off.
+a time: the batches real callers form (an explore chunk, the one to six
+reports of a facade estimate call) are too small for anything
+vectorised to pay off.
 
 Example — compile once, evaluate a batch, cross-check the oracle:
 
@@ -51,7 +52,7 @@ from repro.core.channels import FreqMode
 from repro.core.graph import Slif
 from repro.core.partition import Partition
 from repro.estimate.compile import CompiledGraph, KernelUnavailable, compile_graph
-from repro.obs import OBS
+from repro.obs import OBS, span
 
 __all__ = [
     "BatchKernel",
@@ -430,7 +431,7 @@ class BatchKernel:
         )
 
     # ------------------------------------------------------------------
-    # full reports (the serving path)
+    # full reports (every session estimate)
 
     def reports(
         self, items: Sequence[Tuple[Partition, FreqMode, bool]]
@@ -438,86 +439,119 @@ class BatchKernel:
         """Full :class:`~repro.estimate.engine.EstimateReport` per item.
 
         ``items`` are ``(partition, mode, concurrent)`` triples, each
-        scored on its own into what ``Estimator(slif, partition, mode,
-        concurrent).report()`` returns (no time constraint).
-        Unsupported items come back ``None`` (incomplete partition,
-        missing weight, zero-time bitrate source, call cycle reached)
-        and the caller re-runs them through the reference
-        :class:`~repro.estimate.engine.Estimator`.
+        scored into what ``Estimator(slif, partition, mode,
+        concurrent).report()`` returns (no time constraint).  This is
+        how every facade estimate is scored: ``api.estimate`` (one
+        item), ``api.estimate_many`` and ``api.partition``'s report.
+        The mode-independent half of a report (partition conversion,
+        Eqs. 4–6 sizes and I/O, size and pin violations) is computed
+        once per distinct partition object in the call; each item then
+        costs one Eq. 1 sweep and one bus-load pass, and still gets its
+        own dicts and lists.  Unsupported items come back ``None``
+        (incomplete partition, missing weight, zero-time bitrate
+        source, call cycle reached) and the caller re-runs them through
+        the reference :class:`~repro.estimate.engine.Estimator`.
         """
         from repro.estimate.bitrate import BusLoad
-        from repro.estimate.engine import EstimateReport, Violation
+        from repro.estimate.engine import EstimateReport
 
         cg = self.cg
+        slot_src = cg.slot_src
         out: List[Optional[Any]] = []
-        unsupported = 0
-        for partition, mode, concurrent in items:
-            try:
-                pairs, comp_of, bus_of, chan_pairs = self._convert(partition)
-                if len(pairs) != cg.n_nodes or len(chan_pairs) != cg.n_slots:
-                    raise _Unsupported  # incomplete: reference raises
-                acc = self._sizes(pairs)
-                times = self._sweep(
-                    comp_of, bus_of, mode.value, concurrent, cg.order_report
-                )
-                sizes = dict(zip(cg.comp_names, acc))
-                ios = self._component_ios(comp_of, chan_pairs)
+        shared: Dict[int, Optional[tuple]] = {}
+        with span("estimate.report", items=len(items), kernel=True):
+            for partition, mode, concurrent in items:
+                key = id(partition)
+                if key not in shared:
+                    shared[key] = self._partition_half(partition)
+                half = shared[key]
+                if half is None:
+                    out.append(None)
+                    continue
+                comp_of, bus_of, by_bus, sizes, ios, violations = half
+                try:
+                    times = self._sweep(
+                        comp_of, bus_of, mode.value, concurrent, cg.order_report
+                    )
+                    moved = cg.moved[mode.value]
+                    bus_loads = {}
+                    for k, bus_name in enumerate(cg.bus_names):
+                        demand: Any = 0  # sum() starts from int 0
+                        for slot in by_bus[k]:
+                            src_time = times[slot_src[slot]]
+                            if src_time <= 0.0:
+                                raise _Unsupported  # reference raises EstimationError
+                            mv = moved[slot]
+                            demand = demand + (0.0 if mv == 0.0 else mv / src_time)
+                        bus_loads[bus_name] = BusLoad(
+                            bus=bus_name, demand=demand, capacity=cg.bus_capacity[k]
+                        )
+                except _Unsupported:
+                    out.append(None)
+                    continue
                 process_times = {
                     name: times[ni]
                     for name, ni in zip(cg.process_names, cg.processes)
                 }
-                system_time = (
-                    max(process_times.values()) if process_times else 0.0
-                )
-                violations = []
-                for name in cg.comp_names:
-                    comp = cg.slif.get_component(name)  # constraints read live
-                    if comp.size_constraint is not None:
-                        used = sizes[name]
-                        if used > comp.size_constraint:
-                            violations.append(
-                                Violation(name, "size", used, comp.size_constraint)
-                            )
-                    limit = getattr(comp, "io_constraint", None)
-                    if limit is not None:
-                        used_io = ios[name]
-                        if used_io > limit:
-                            violations.append(Violation(name, "io", used_io, limit))
-                moved = cg.moved[mode.value]
-                bus_loads = {}
-                for k, bus_name in enumerate(cg.bus_names):
-                    demand: Any = 0  # sum() starts from int 0
-                    for slot, bi in chan_pairs:
-                        if bi != k:
-                            continue
-                        src_time = times[cg.slot_src[slot]]
-                        if src_time <= 0.0:
-                            raise _Unsupported  # reference raises EstimationError
-                        mv = moved[slot]
-                        demand = demand + (0.0 if mv == 0.0 else mv / src_time)
-                    bus_loads[bus_name] = BusLoad(
-                        bus=bus_name, demand=demand, capacity=cg.bus_capacity[k]
-                    )
                 out.append(
                     EstimateReport(
                         partition_name=partition.name,
-                        component_sizes=sizes,
-                        component_ios=ios,
+                        component_sizes=dict(sizes),
+                        component_ios=dict(ios),
                         process_times=process_times,
-                        system_time=system_time,
+                        system_time=(
+                            max(process_times.values()) if process_times else 0.0
+                        ),
                         bus_loads=bus_loads,
-                        violations=violations,
+                        violations=list(violations),
                     )
                 )
-            except _Unsupported:
-                out.append(None)
-                unsupported += 1
         if OBS.enabled:
             OBS.inc("kernel.batches")
             OBS.inc("kernel.candidates", len(items))
+            unsupported = out.count(None)
             if unsupported:
                 OBS.inc("kernel.unsupported", unsupported)
         return out
+
+    def _partition_half(self, partition: Partition) -> Optional[tuple]:
+        """A report's mode-independent half, or None when unsupported.
+
+        ``(comp_of, bus_of, by_bus, sizes, ios, violations)``:
+        ``by_bus[k]`` lists the slots mapped to bus ``k`` in the
+        channel-mapping insertion order Eq. 3 sums bitrates in.
+        Component constraints are read live, as the reference does.
+        """
+        from repro.estimate.engine import Violation
+
+        cg = self.cg
+        try:
+            pairs, comp_of, bus_of, chan_pairs = self._convert(partition)
+            if len(pairs) != cg.n_nodes or len(chan_pairs) != cg.n_slots:
+                raise _Unsupported  # incomplete: reference raises
+            acc = self._sizes(pairs)
+        except _Unsupported:
+            return None
+        sizes = dict(zip(cg.comp_names, acc))
+        ios = self._component_ios(comp_of, chan_pairs)
+        violations = []
+        for name in cg.comp_names:
+            comp = cg.slif.get_component(name)
+            if comp.size_constraint is not None:
+                used = sizes[name]
+                if used > comp.size_constraint:
+                    violations.append(
+                        Violation(name, "size", used, comp.size_constraint)
+                    )
+            limit = getattr(comp, "io_constraint", None)
+            if limit is not None:
+                used_io = ios[name]
+                if used_io > limit:
+                    violations.append(Violation(name, "io", used_io, limit))
+        by_bus: List[List[int]] = [[] for _ in cg.bus_names]
+        for slot, bi in chan_pairs:
+            by_bus[bi].append(slot)
+        return comp_of, bus_of, by_bus, sizes, ios, violations
 
     def _component_ios(
         self, comp_of: List[int], chan_pairs: List[Tuple[int, int]]

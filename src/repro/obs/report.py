@@ -3,8 +3,9 @@
 :func:`render_summary` is what ``slif <cmd> --stats`` prints to stderr:
 spans aggregated by name (count, total, mean, max), every counter and
 gauge, histogram quantiles, and a short *derived* section that answers
-the questions the paper's speed argument raises directly — estimator
-memo hit rate, cost evaluations performed, annealing acceptance rate.
+the questions the paper's speed argument raises directly — the share
+of candidates the batch kernel scored, estimator memo hit rate, cost
+evaluations performed, annealing acceptance rate.
 """
 
 from __future__ import annotations
@@ -51,6 +52,13 @@ def _ratio(numerator: float, denominator: float) -> str:
 
 def _derived_lines(counters: Dict[str, int]) -> List[str]:
     lines: List[str] = []
+    candidates = counters.get("kernel.candidates", 0)
+    if candidates:
+        scored = candidates - counters.get("kernel.unsupported", 0)
+        lines.append(
+            f"  kernel scored: {_ratio(scored, candidates)} "
+            f"({scored} of {candidates} candidates)"
+        )
     hits = counters.get("estimate.exectime.memo_hit", 0)
     misses = counters.get("estimate.exectime.memo_miss", 0)
     if hits or misses:

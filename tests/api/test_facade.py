@@ -71,15 +71,6 @@ class TestLoad:
             "session_key": session.key,
         }
 
-    def test_estimators_are_memoized_per_mode(self, vol_session):
-        from repro.core.channels import FreqMode
-
-        a = vol_session.estimator(FreqMode.AVG, False)
-        b = vol_session.estimator(FreqMode.AVG, False)
-        c = vol_session.estimator(FreqMode.MAX, False)
-        assert a is b
-        assert a is not c
-
 
 class TestEstimate:
     def test_matches_direct_estimator(self, vol_session):
@@ -111,6 +102,110 @@ class TestEstimate:
         before = vol_session.partition.object_mapping()
         api.estimate("vol", session=vol_session)
         assert vol_session.partition.object_mapping() == before
+
+
+class TestOneEstimatePath:
+    """Every facade estimate is scored on the session's kernel; the
+    reference estimator runs only for the items the kernel abstains
+    from, and raises its precise error there."""
+
+    @staticmethod
+    def counters(run):
+        """Counters of ``run()``, plus how many reference reports it made."""
+        from repro import obs
+
+        obs.reset()
+        obs.enable()
+        try:
+            run()
+            counters = dict(obs.snapshot()["counters"])
+            counters["reference reports"] = sum(
+                1
+                for span in obs.TRACER.spans()
+                if span.name == "estimate.report" and "kernel" not in span.attributes
+            )
+            return counters
+        finally:
+            obs.disable()
+            obs.reset()
+
+    @staticmethod
+    def session_of(slif, partition):
+        from repro.api.session import DesignSystem, Session
+
+        return Session(DesignSystem(slif, partition), key="k", spec_name=slif.name)
+
+    def test_estimate_is_a_one_item_kernel_batch(self):
+        session = api.load("vol")
+        counters = self.counters(lambda: api.estimate("vol", session=session))
+        assert counters["kernel.compiles"] == 1
+        assert counters["kernel.batches"] == 1
+        assert counters["kernel.candidates"] == 1
+        assert counters["reference reports"] == 0
+
+    def test_six_pairs_and_a_partition_report_share_one_compile(self, vol_session):
+        pairs = [
+            {"spec": "vol", "mode": mode, "concurrent": concurrent}
+            for mode in ("avg", "min", "max")
+            for concurrent in (False, True)
+        ]
+
+        def run():
+            api.estimate_many(pairs, session=vol_session)
+            api.partition(
+                api.PartitionRequest(spec="vol", algorithm="random", seed=1),
+                session=vol_session,
+            )
+
+        counters = self.counters(run)
+        assert counters.get("kernel.compiles", 0) == 0  # compiled earlier
+        assert counters["kernel.batches"] == 2
+        assert counters["kernel.candidates"] == 7
+        assert counters["reference reports"] == 0
+
+    def test_abstained_item_raises_the_reference_error(self):
+        from repro.core import SlifBuilder
+        from repro.core.partition import single_bus_partition
+        from repro.errors import EstimationError
+
+        slif = (
+            SlifBuilder("nw")
+            .process("Main", ict={"proc": 5.0}, size={"proc": 10})
+            .processor("CPU", "proc")
+            .asic("HW", "asic")
+            .bus("b", bitwidth=16, ts=0.1, td=1.0)
+            .build()
+        )
+        session = self.session_of(
+            slif, single_bus_partition(slif, {"Main": "HW"}, name="hw")
+        )
+        assert session.kernel() is not None
+        with pytest.raises(EstimationError, match="no weight recorded"):
+            api.estimate("nw", session=session)
+        with pytest.raises(EstimationError, match="no weight recorded"):
+            api.estimate_many(["nw"], session=session)
+
+    def test_graph_without_a_kernel_runs_on_the_reference(self):
+        from repro.core import SlifBuilder
+        from repro.core.partition import single_bus_partition
+        from repro.errors import RecursionCycleError
+
+        slif = (
+            SlifBuilder("cycle")
+            .process("A", ict={"proc": 1.0}, size={"proc": 1})
+            .procedure("B", ict={"proc": 1.0}, size={"proc": 1})
+            .call("A", "B", freq=1)
+            .call("B", "A", freq=1)
+            .processor("CPU", "proc")
+            .bus("b", bitwidth=16, ts=0.1, td=1.0)
+            .build()
+        )
+        session = self.session_of(
+            slif, single_bus_partition(slif, {"A": "CPU", "B": "CPU"}, name="c")
+        )
+        assert session.kernel() is None
+        with pytest.raises(RecursionCycleError):
+            api.estimate("cycle", session=session)
 
 
 class TestPartition:

@@ -66,6 +66,18 @@ def test_render_summary_sections_and_derived(populated):
     assert "annealing acceptance rate: 80.0% (8 accepted / 2 rejected)" in text
 
 
+def test_render_summary_kernel_scored_line():
+    registry = Registry(enabled=True)
+    text = render_summary(registry, Tracer(registry=registry))
+    assert "kernel scored" not in text
+    registry.inc("kernel.candidates", 8)
+    text = render_summary(registry, Tracer(registry=registry))
+    assert "  kernel scored: 100.0% (8 of 8 candidates)" in text
+    registry.inc("kernel.unsupported", 2)
+    text = render_summary(registry, Tracer(registry=registry))
+    assert "  kernel scored: 75.0% (6 of 8 candidates)" in text
+
+
 def test_render_summary_empty_is_graceful():
     registry = Registry()
     tracer = Tracer(registry=registry)

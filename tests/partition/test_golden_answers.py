@@ -8,8 +8,10 @@ for five algorithms, and the default explore front at ``jobs=1``,
 ``jobs=2``, without the batch kernel and on a two-worker fleet (the
 ``--workers`` wire path, in-process), on the four bundled specs and two
 generated ones; on the bundled specs also the partition results under
-binding size and pin budgets.  ``tests/_golden.py`` says how to
-regenerate the file.
+binding size and pin budgets.  The partition results are also pinned
+with the batch kernel off, on sessions loaded without one, so the
+reference estimator that scores a report the kernel abstains from gives
+the same bytes.  ``tests/_golden.py`` says how to regenerate the file.
 """
 
 import json
@@ -35,6 +37,17 @@ def sessions():
     return {name: api.load(_golden.spec_text(name)) for name in SPECS}
 
 
+@pytest.fixture(scope="module")
+def sessions_without_kernel():
+    """Fresh sessions whose kernel was first asked for with it disabled."""
+    from repro import api
+
+    with kernel_disabled():
+        loaded = {name: api.load(_golden.spec_text(name)) for name in SPECS}
+        assert all(session.kernel() is None for session in loaded.values())
+    return loaded
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_partition_answers(spec, sessions, golden):
     session = sessions[spec]
@@ -43,11 +56,31 @@ def test_partition_answers(spec, sessions, golden):
         assert got == golden[spec]["partition"][algorithm], algorithm
 
 
+@pytest.mark.parametrize("spec", SPECS)
+def test_partition_answers_kernel_off(spec, sessions_without_kernel, golden):
+    session = sessions_without_kernel[spec]
+    with kernel_disabled():
+        for algorithm in _golden.ALGORITHMS:
+            got = _golden.partition_answer(session, algorithm)
+            assert got == golden[spec]["partition"][algorithm], algorithm
+
+
 @pytest.mark.parametrize("spec", _golden.BUNDLED)
 def test_constrained_partition_answers(spec, sessions, golden):
     with _golden.constrained(sessions[spec]):
         for algorithm in _golden.ALGORITHMS:
             got = _golden.partition_answer(sessions[spec], algorithm)
+            assert got == golden[spec]["partition_constrained"][algorithm], algorithm
+
+
+@pytest.mark.parametrize("spec", _golden.BUNDLED)
+def test_constrained_partition_answers_kernel_off(
+    spec, sessions_without_kernel, golden
+):
+    session = sessions_without_kernel[spec]
+    with kernel_disabled(), _golden.constrained(session):
+        for algorithm in _golden.ALGORITHMS:
+            got = _golden.partition_answer(session, algorithm)
             assert got == golden[spec]["partition_constrained"][algorithm], algorithm
 
 
