@@ -312,9 +312,11 @@ def explore(
 ) -> ExploreResult:
     """Sweep the time/area trade-off; returns the Pareto front as data.
 
-    Dispatches onto the fault-tolerant :mod:`repro.explore` engine;
-    ``jobs`` fans candidate evaluation across worker processes and the
-    front is byte-identical for any value given the same seed.
+    Dispatches onto the fault-tolerant :mod:`repro.explore` engine,
+    which sweeps the session's own graph, move index and kernel
+    read-only: in-process at ``jobs=1``, and in worker processes that
+    inherit them when forked at ``jobs>1``.  The front is
+    byte-identical for any ``jobs`` value given the same seed.
     ``fleet`` (a coordinator ``host:port``/URL or a ready
     :class:`~repro.fleet.protocol.FleetSpec`) distributes the sweep
     across a worker fleet instead; the session's content-hash key
@@ -343,6 +345,8 @@ def explore(
         front = explore_pareto(
             sess.slif,
             sess.partition,
+            index=sess.move_index(),
+            kernel=sess.kernel() or False,
             constraint_steps=req.constraint_steps,
             random_starts=req.random_starts,
             seed=req.seed,

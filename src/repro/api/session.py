@@ -14,12 +14,14 @@ plus the pieces the facade and the serving layer add on top:
   annotated graph get the same key.  This is what the server's graph
   cache and the estimate batcher key on.
 * :class:`Session` — one built system plus its lazily compiled batch
-  kernel and a lock, safe to share across threads and requests.
-  Building a session is the expensive part (parse + annotate, ~100 ms);
-  everything the facade does with one afterwards is O(graph).  Every
-  facade estimate — ``api.estimate``, ``api.estimate_many`` and the
-  report ``api.partition`` returns — is scored on that kernel; the
-  session memoizes no reference estimator.
+  kernel, its lazily built move index and a lock, safe to share across
+  threads and requests.  Building a session is the expensive part
+  (parse + annotate, ~100 ms); everything the facade does with one
+  afterwards is O(graph).  Every facade estimate — ``api.estimate``,
+  ``api.estimate_many`` and the report ``api.partition`` returns — is
+  scored on that kernel, and every ``api.explore`` sweeps the session's
+  own graph, move index and kernel; the session memoizes no reference
+  estimator.
 """
 
 from __future__ import annotations
@@ -233,12 +235,14 @@ class Session:
     """One built system, shareable across threads and requests.
 
     ``key`` is the :func:`session_key` content hash.  ``lock``
-    serializes the one-time kernel compile (:meth:`kernel`) and the
-    copy of the session partition a search starts from.  Estimates run
-    outside it: the kernel and the reference estimators only read the
-    graph and the partition, and every other facade operation
-    (partitioning, exploration, simulation) evaluates candidate
-    partitions on copies.
+    serializes the one-time kernel compile (:meth:`kernel`), the
+    one-time move-index build (:meth:`move_index`) and the copy of the
+    session partition a search starts from; once built, the kernel and
+    the index are returned without it.  Estimates and sweeps run
+    outside it: the kernel, the index and the reference estimators only
+    read the graph and the partition, and every facade operation that
+    moves objects (partitioning, exploration, simulation) does so on
+    copies.
 
     ``answers`` is where the server memoizes its estimate responses:
     the canonical JSON body per ``(mode, concurrent)``, of which a
@@ -253,6 +257,7 @@ class Session:
         default_factory=dict, init=False, repr=False
     )
     _kernel: object = field(default=None, repr=False)
+    _index: object = field(default=None, repr=False)
 
     @property
     def slif(self) -> Slif:
@@ -268,18 +273,34 @@ class Session:
         Compiled lazily, once, under the session lock; ``None`` when the
         graph has a call cycle, in which case every facade estimate runs
         on the reference estimators.  ``api.estimate``,
-        ``api.estimate_many`` (which the serving layer calls) and
-        ``api.partition``'s report are all scored with it.
+        ``api.estimate_many`` (which the serving layer calls),
+        ``api.partition``'s report and ``api.explore``'s design points
+        are all scored with it.
         """
-        from repro.estimate.kernel import BatchKernel, KernelUnavailable
+        if self._kernel is None:
+            from repro.estimate.kernel import BatchKernel, KernelUnavailable
 
-        with self.lock:
-            if self._kernel is None:
-                try:
-                    self._kernel = BatchKernel.for_graph(self.slif)
-                except KernelUnavailable:
-                    self._kernel = False
-            return self._kernel or None
+            with self.lock:
+                if self._kernel is None:
+                    try:
+                        self._kernel = BatchKernel.for_graph(self.slif)
+                    except KernelUnavailable:
+                        self._kernel = False
+        return self._kernel or None
+
+    def move_index(self):
+        """The graph's :class:`~repro.estimate.incremental.MoveIndex`.
+
+        Built lazily, once, under the session lock, by the first
+        ``api.explore``; every sweep's descents then share it.
+        """
+        if self._index is None:
+            from repro.estimate.incremental import MoveIndex
+
+            with self.lock:
+                if self._index is None:
+                    self._index = MoveIndex(self.slif)
+        return self._index
 
 
 def load(

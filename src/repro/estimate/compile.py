@@ -64,9 +64,8 @@ class CompiledGraph:
 
     Immutable by convention: the compiler builds it once and the kernel
     only reads it.  ``slif`` is retained for names and for *live* reads
-    of component constraints — exploration mutates ``size_constraint``
-    on the shared graph, and snapshotting constraints here would go
-    stale.
+    of component constraints, so a report sees the budgets the graph
+    has when it is made, not when the graph was compiled.
     """
 
     slif: Slif

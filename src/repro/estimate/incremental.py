@@ -55,9 +55,11 @@ class MoveIndex:
 
     Building it is one pass over the objects and channels.  Whoever owns
     the graph builds it once and hands it to every estimator of that
-    graph; an explore worker shares one across all of its descents.  The
-    graph's nodes, channels, weights and technologies must not change
-    while the index is in use (component constraints may).
+    graph: a session keeps one for all of its sweeps, and every descent
+    of a sweep shares it, in forked workers too.  It only reads what
+    it indexes, so concurrent sweeps may share it.  The graph's nodes,
+    channels, weights and technologies must not change while the index
+    is in use; it holds no component constraint, so those may.
     """
 
     def __init__(self, slif: Slif) -> None:

@@ -80,9 +80,12 @@ class BatchKernel:
     :class:`~repro.core.partition.Partition`.
 
     Thread safety: evaluation only reads the compiled arrays, so one
-    kernel may serve concurrent callers as long as the underlying graph
-    is not mutated mid-call (the contract the reference estimators have
-    too).
+    kernel may serve concurrent callers (a session's concurrent sweeps
+    and estimates) as long as the underlying graph is not mutated
+    mid-call (the contract the reference estimators have too).  Its
+    caches of converted channel and hardware vectors are only ever
+    given whole, never-mutated entries or replaced outright, so a
+    concurrent caller finds a complete entry or none.
     """
 
     def __init__(self, compiled: CompiledGraph) -> None:

@@ -48,11 +48,12 @@ def plan_fingerprint(payload: PlanPayload, plan: WorkPlan) -> str:
     and fault plans are deliberately excluded: they change *how* chunks
     are scheduled, never what they compute.
     """
+    slif_data, partition_data = payload.plain()
     blob = json.dumps(
         {
             "task": payload.task,
-            "slif": payload.slif_data,
-            "partition": payload.partition_data,
+            "slif": slif_data,
+            "partition": partition_data,
             "hardware": list(payload.hardware),
             "weights": repr(payload.weights),
             "time_constraint": payload.time_constraint,

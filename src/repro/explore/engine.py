@@ -3,12 +3,14 @@
 :func:`run_plan` executes a :class:`~repro.explore.plan.WorkPlan` in
 one of two ways.  ``jobs=1`` runs :func:`run_chunks`, the in-process
 loop: one :class:`~repro.explore.worker.ChunkRunner` shared by every
-chunk.  Anything else goes through
+chunk, evaluating on the payload's live graph, move index and kernel.
+Anything else goes through
 :func:`repro.fleet.client.run_fleet_chunks` against a fleet
 coordinator: a remote one for ``fleet=`` (``--workers``), or for
 ``jobs>1`` an embedded one whose workers are ``jobs`` local
-processes (:mod:`repro.fleet.local`), each holding its own runner,
-graph copy and memoized estimators.  Results come back as
+processes (:mod:`repro.fleet.local`), forked with that same state
+built, each holding its own runner and memoized estimators.  Results
+come back as
 :class:`~repro.explore.worker.ChunkResult`\\ s and are merged in
 candidate-index order, which replays the sequential insertion order
 exactly — the reason ``--jobs N`` output is byte-identical to
@@ -225,8 +227,8 @@ def run_plan(
     """Evaluate every chunk of ``plan`` and return results in chunk order.
 
     ``jobs=1`` shares one in-process :class:`ChunkRunner` across all
-    chunks; ``jobs>1`` starts that many local worker processes, each
-    building a private runner from the payload, under an embedded fleet
+    chunks; ``jobs>1`` forks that many local worker processes, which
+    inherit the payload's live state, under an embedded fleet
     coordinator that applies ``policy`` (default :class:`RetryPolicy`).
     Either way the same chunks are evaluated with the same per-candidate
     code, so the merged result is independent of ``jobs`` — and of any
@@ -472,25 +474,25 @@ def run_multistart(
     """Run a multi-start candidate list and fold it into one result.
 
     The engine behind ``random_restart(jobs=...)``,
-    ``greedy_multistart`` and restart-based annealing: serialize the
-    graph and base partition once, evaluate all candidate specs (in
-    parallel when ``jobs > 1``), and return a
+    ``greedy_multistart`` and restart-based annealing: evaluate all
+    candidate specs on the caller's graph and partition, read-only (in
+    forked workers when ``jobs > 1``), and return a
     :class:`~repro.partition.result.PartitionResult` whose partition is
-    rebuilt against the *caller's* graph.  ``history_mode`` selects the
-    ``history`` semantics: ``"improvements"`` replays the sequential
-    best-so-far trace over candidate costs; ``"best_chain"`` keeps the
-    winning candidate's own internal history (annealing chains).
+    a copy of ``partition`` carrying the best mapping.
+    ``history_mode`` selects the ``history`` semantics:
+    ``"improvements"`` replays the sequential best-so-far trace over
+    candidate costs; ``"best_chain"`` keeps the winning candidate's own
+    internal history (annealing chains).
     ``policy``/``checkpoint``/``resume`` pass straight to
     :func:`run_plan`.
     """
-    from repro.core.serialize import partition_to_dict, slif_to_dict
     from repro.explore.plan import restart_plan
     from repro.partition.result import PartitionResult
 
     payload = PlanPayload(
         task="restart",
-        slif_data=slif_to_dict(slif),
-        partition_data=partition_to_dict(partition),
+        slif=slif,
+        partition=partition,
         weights=weights,
         time_constraint=time_constraint,
     )

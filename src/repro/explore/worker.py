@@ -1,20 +1,20 @@
 """Chunk evaluation: the per-process side of parallel exploration.
 
-A :class:`ChunkRunner` is what one worker holds (a local worker
-process of ``--jobs N`` or a ``slif work`` daemon, see
-:mod:`repro.fleet.worker`): its own copy of the annotated graph
-(rebuilt from the plain-dict serialization, so nothing is shared
-across process boundaries), its own base partition, the graph's
-:class:`~repro.estimate.incremental.MoveIndex` (built once, shared by
-every descent the runner makes, freed with the runner), and its own
-estimator instances — the memoized
+A :class:`ChunkRunner` evaluates chunks on the live state its
+:class:`PlanPayload` carries: the annotated graph, the base partition,
+the graph's :class:`~repro.estimate.incremental.MoveIndex` and its
+:class:`~repro.estimate.kernel.BatchKernel`.  A sweep only reads them:
+each candidate's synthetic size budgets go to its descent as an
+override map, never onto the graph.  So one runner serves ``--jobs 1``
+on the caller's own state (a warm session's, for ``api.explore``), and
+the local worker processes of ``--jobs N`` (see
+:mod:`repro.fleet.local`) inherit that state copy-on-write when they
+fork.  Only a ``slif work`` daemon (see :mod:`repro.fleet.worker`)
+rebuilds it, once per payload, from the plain-dict form that crossed
+the wire.  The memoized
 :class:`~repro.estimate.exectime.ExecTimeEstimator` and
 :class:`~repro.estimate.incremental.IncrementalEstimator` each descent
-constructs live and die inside the worker.  The same class *is* the
-batched sequential fallback: ``--jobs 1`` runs every chunk through one
-in-process runner, so the single-core path shares one graph rebuild and
-the same lean design-point evaluation instead of a full per-candidate
-``Estimator.report()``.
+constructs live and die inside it.
 
 Every candidate is evaluated as a pure function of ``(graph, spec)``;
 see :mod:`repro.explore.plan` for why that makes results independent of
@@ -53,19 +53,67 @@ class ObsContext:
 
 @dataclass
 class PlanPayload:
-    """Everything a worker needs, in picklable plain-data form.
+    """Everything a chunk runner needs to evaluate a plan.
 
     ``task`` selects the evaluation mode: ``"pareto"`` produces
     time/area design points, ``"restart"`` produces cost-function
     outcomes for multi-start partitioning.
+
+    The graph comes in one of two forms.  A sweep started in this
+    process passes the live ``slif`` and base ``partition`` (and, when
+    it holds them, the graph's ``index`` and ``kernel``); nothing here
+    mutates them.  A payload that crossed the fleet wire carries the
+    plain-dict ``slif_data``/``partition_data`` instead.  Each form is
+    built from the other on first need, once: :meth:`plain` for the
+    wire and checkpoint fingerprints, :meth:`warm` for evaluation.
     """
 
     task: str
-    slif_data: Dict[str, Any]
-    partition_data: Dict[str, Any]
+    slif_data: Optional[Dict[str, Any]] = None
+    partition_data: Optional[Dict[str, Any]] = None
     hardware: Tuple[str, ...] = ()
     weights: Optional[Any] = None            # CostWeights, picklable
     time_constraint: Optional[float] = None
+    slif: Any = field(default=None, repr=False, compare=False)
+    partition: Any = field(default=None, repr=False, compare=False)
+    index: Any = field(default=None, repr=False, compare=False)
+    #: the graph's BatchKernel, False when it has none, None until built
+    kernel: Any = field(default=None, repr=False, compare=False)
+
+    def plain(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """The plain-dict graph and base partition."""
+        if self.slif_data is None:
+            from repro.core.serialize import partition_to_dict, slif_to_dict
+
+            self.slif_data = slif_to_dict(self.slif)
+            self.partition_data = partition_to_dict(self.partition)
+        return self.slif_data, self.partition_data
+
+    def warm(self) -> "PlanPayload":
+        """Build the live state a runner reads; returns ``self``.
+
+        The graph and base partition, the move index, and for a
+        ``"pareto"`` task the batch kernel (``False`` when the graph
+        cannot be compiled, e.g. it has a call cycle: every candidate
+        then stays on the reference estimators).
+        """
+        if self.slif is None:
+            from repro.core.serialize import partition_from_dict, slif_from_dict
+
+            self.slif = slif_from_dict(self.slif_data)
+            self.partition = partition_from_dict(self.partition_data, self.slif)
+        if self.index is None:
+            from repro.estimate.incremental import MoveIndex
+
+            self.index = MoveIndex(self.slif)
+        if self.kernel is None and self.task == "pareto":
+            from repro.estimate.kernel import BatchKernel, KernelUnavailable
+
+            try:
+                self.kernel = BatchKernel.for_graph(self.slif)
+            except KernelUnavailable:
+                self.kernel = False
+        return self
 
 
 @dataclass(frozen=True)
@@ -135,60 +183,13 @@ def prune_local_front(pairs: List[Tuple[int, Any]]) -> List[Tuple[int, Any]]:
 
 
 class ChunkRunner:
-    """Evaluates chunks of candidates against a private graph copy."""
+    """Evaluates chunks of candidates on a payload's read-only state."""
 
     def __init__(self, payload: PlanPayload) -> None:
-        from repro.core.serialize import partition_from_dict, slif_from_dict
-
-        self.payload = payload
-        self.slif = slif_from_dict(payload.slif_data)
-        self.base = partition_from_dict(payload.partition_data, self.slif)
+        self.payload = payload.warm()
+        self.slif = payload.slif
+        self.base = payload.partition
         self.candidates_evaluated = 0
-        self._kernel: Any = None   # lazy: BatchKernel | False (unavailable)
-        self._index: Any = None    # lazy: MoveIndex
-
-    def _move_index(self):
-        """The graph's move index, built on first use and then shared."""
-        if self._index is None:
-            from repro.estimate.incremental import MoveIndex
-
-            self._index = MoveIndex(self.slif)
-        return self._index
-
-    def _get_kernel(self):
-        """The runner's batch kernel, compiled once, or None.
-
-        ``None`` (the graph has a call cycle) keeps every candidate on
-        the reference estimators — same values, same diagnostics, just
-        slower.
-        """
-        if self._kernel is None:
-            from repro.estimate.kernel import BatchKernel, KernelUnavailable
-
-            try:
-                self._kernel = BatchKernel.for_graph(self.slif)
-            except KernelUnavailable:
-                self._kernel = False
-        return self._kernel or None
-
-    # ------------------------------------------------------------------
-    # candidate plumbing
-
-    def _apply_constraints(
-        self, constraints: Tuple[Tuple[str, Optional[float]], ...]
-    ) -> List[Tuple[str, Optional[float]]]:
-        saved = []
-        for name, value in constraints:
-            component = self.slif.get_component(name)
-            saved.append((name, component.size_constraint))
-            component.size_constraint = value
-        return saved
-
-    def _restore_constraints(
-        self, saved: List[Tuple[str, Optional[float]]]
-    ) -> None:
-        for name, value in saved:
-            self.slif.get_component(name).size_constraint = value
 
     def _start_partition(self, spec: CandidateSpec):
         from repro.partition.random_part import random_partition
@@ -204,7 +205,8 @@ class ChunkRunner:
         kwargs = dict(
             weights=self.payload.weights,
             time_constraint=self.payload.time_constraint,
-            index=self._move_index(),
+            index=self.payload.index,
+            budgets=dict(spec.constraints),
         )
         kwargs.update(spec.params)
         if spec.algorithm == "greedy":
@@ -224,7 +226,7 @@ class ChunkRunner:
         Scoring is deferred so :meth:`run_chunk` can hand the whole
         chunk's partitions to one :meth:`BatchKernel.evaluate` call
         instead of N memoized graph walks.  Only this production step
-        needs the spec's synthetic size constraints (the descents read
+        needs the spec's synthetic size budgets (the descents read
         them); the time/area scoring itself does not.
         """
         if spec.algorithm == "none":
@@ -241,7 +243,8 @@ class ChunkRunner:
                 partition,
                 self.payload.weights,
                 self.payload.time_constraint,
-                self._move_index(),
+                self.payload.index,
+                dict(spec.constraints),
             )
             cost = evaluator.cost()
             evaluator.publish()
@@ -277,7 +280,6 @@ class ChunkRunner:
             return result
         best_key = None
         for spec in chunk.candidates:
-            saved = self._apply_constraints(spec.constraints)
             try:
                 outcome, partition, history = self._restart_candidate(spec)
                 result.outcomes.append(outcome)
@@ -291,8 +293,6 @@ class ChunkRunner:
                 raise
             except SlifError as exc:
                 raise self._wrap(spec, chunk, exc) from None
-            finally:
-                self._restore_constraints(saved)
             self.candidates_evaluated += 1
         result.seconds = time.perf_counter() - started
         return result
@@ -301,7 +301,7 @@ class ChunkRunner:
         """Produce the chunk's partitions, then score them in one batch.
 
         The descents still run per candidate (each under its spec's
-        synthetic constraints), but the time/area scoring goes through a
+        synthetic size budgets), but the time/area scoring goes through a
         single :meth:`~repro.estimate.kernel.BatchKernel.evaluate` array
         sweep.  Candidates the kernel abstains from (``None``) are
         re-scored on the reference ``evaluate_design_point`` — which
@@ -314,18 +314,15 @@ class ChunkRunner:
 
         staged: List[Tuple[CandidateSpec, Any]] = []
         for spec in chunk.candidates:
-            saved = self._apply_constraints(spec.constraints)
             try:
                 staged.append((spec, self._pareto_partition(spec)))
             except WorkerError:
                 raise
             except SlifError as exc:
                 raise self._wrap(spec, chunk, exc) from None
-            finally:
-                self._restore_constraints(saved)
-        kernel = self._get_kernel()
+        kernel = self.payload.kernel
         hardware = list(self.payload.hardware)
-        if kernel is not None:
+        if kernel:
             points = kernel.evaluate(
                 [(partition, spec.label) for spec, partition in staged], hardware
             )

@@ -3,9 +3,10 @@
 :func:`run_fleet_chunks` is what :func:`repro.explore.engine.run_plan`
 calls for every multi-worker sweep, remote (``--workers``) or local
 (``--jobs N``, against the embedded coordinator of
-:mod:`repro.fleet.local`): it submits the payload, the todo chunks and
-the :class:`~repro.explore.engine.RetryPolicy` as one sweep, polls the
-coordinator for completed results (feeding each into the engine's
+:mod:`repro.fleet.local`): it submits the payload's wire form (none
+when the transport's workers inherited the payload), the todo chunks
+and the :class:`~repro.explore.engine.RetryPolicy` as one sweep, polls
+the coordinator for completed results (feeding each into the engine's
 ``on_complete`` hook as it lands, so ``--checkpoint`` journaling works
 unchanged), and finishes any chunk the fleet could not through
 :func:`~repro.explore.engine.run_chunks`, the engine's in-process loop
@@ -51,6 +52,9 @@ from repro.fleet.protocol import (
 
 class HttpTransport:
     """``POST /v1/fleet/<op>`` against a ``slif serve`` coordinator."""
+
+    #: Workers fetch the payload's wire form from the coordinator.
+    inherits_payload = False
 
     def __init__(
         self, base_url: str, timeout: float = 30.0, retries: int = 3
@@ -98,6 +102,8 @@ class HttpTransport:
 
 class LocalTransport:
     """In-process transport with wire-fidelity JSON round-trips."""
+
+    inherits_payload = False
 
     def __init__(self, coordinator) -> None:
         self.coordinator = coordinator
@@ -180,7 +186,11 @@ def run_fleet_chunks(
     sweep_id = transport.call(
         "sweep",
         {
-            "payload": payload_to_wire(payload),
+            "payload": (
+                None
+                if transport.inherits_payload
+                else payload_to_wire(payload)
+            ),
             "chunks": [chunk_to_wire(chunk) for chunk in todo],
             "policy": policy_to_wire(policy),
             "session_key": fleet.session_key,

@@ -9,11 +9,12 @@ a local sweep is scheduled exactly like a ``--workers`` one: the same
 leases, timeouts, seeded requeues, first-wins dedupe and exhaustion
 reports.
 
-What differs is the edges.  Each worker builds its
-:class:`~repro.explore.worker.ChunkRunner` once, at start, from the
-payload handed to its process (inherited, not copied, under ``fork``);
-it never fetches the payload, the coordinator skips the payload
-fingerprint, and results cross the pipe as pickled
+What differs is the edges.  The parent builds the payload's live
+state (graph, base partition, move index and kernel) before it forks,
+so each worker's :class:`~repro.explore.worker.ChunkRunner` reads
+that state as inherited, copy-on-write, and rebuilds nothing.  No
+payload is sent: the sweep carries no wire form, the coordinator
+skips the payload fingerprint, and results cross the pipe as pickled
 :class:`~repro.explore.worker.ChunkResult` objects, not JSON wire
 forms.  Liveness is the pipe: a worker that dies closes it, the
 coordinator requeues its lease at once (no heartbeats, no heartbeat
@@ -72,11 +73,12 @@ class PipeTransport:
 
 
 class PipeWorker(FleetWorker):
-    """A local worker: one runner, built at start; results sent as objects.
+    """A local worker: one runner on the inherited payload; results sent
+    as objects.
 
     The pipe pickles whatever crosses it, so a result needs no JSON wire
     form, and the only payload this worker ever serves is the one its
-    process was started with — it never fetches one.
+    process was forked with — it never fetches one.
     """
 
     encode = staticmethod(lambda result: result)
@@ -113,10 +115,15 @@ class LocalFleet:
     It is also the sweep client's transport.  Every call goes straight
     to the coordinator (no JSON round trip); a ``collect`` first answers
     worker requests until a result lands or :data:`TICK_SECONDS` pass.
+    The payload is warmed here, so every worker, replacements included,
+    is forked with its live state built.
     """
 
+    #: Workers are forked holding the payload; the sweep sends none.
+    inherits_payload = True
+
     def __init__(self, payload: PlanPayload) -> None:
-        self.payload = payload
+        self.payload = payload.warm()
         # workers whose lease timed out.  The coordinator is handed this
         # set's add, not a method of self: that would make a cycle that
         # keeps every sweep's payload alive until the cyclic collector runs

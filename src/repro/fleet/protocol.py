@@ -34,11 +34,13 @@ from repro.explore.worker import ChunkResult, PlanPayload
 
 
 def payload_to_wire(payload: PlanPayload) -> Dict[str, Any]:
-    """Plain-JSON form of a :class:`PlanPayload`."""
+    """Plain-JSON form of a :class:`PlanPayload` (what ``slif work``
+    daemons rebuild their runners from)."""
+    slif_data, partition_data = payload.plain()
     return {
         "task": payload.task,
-        "slif": payload.slif_data,
-        "partition": payload.partition_data,
+        "slif": slif_data,
+        "partition": partition_data,
         "hardware": list(payload.hardware),
         "weights": None if payload.weights is None else asdict(payload.weights),
         "time_constraint": payload.time_constraint,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.core.graph import Slif
 from repro.core.partition import Partition
@@ -38,6 +38,7 @@ def simulated_annealing(
     checkpoint: Optional[str] = None,
     resume: bool = False,
     index: Optional[MoveIndex] = None,
+    budgets: Optional[Mapping[str, Optional[float]]] = None,
     **_ignored,
 ) -> PartitionResult:
     """Anneal from ``partition`` (copied, not mutated).
@@ -48,7 +49,8 @@ def simulated_annealing(
     :mod:`repro.explore` engine.  The winning chain is the same for any
     ``jobs`` value (ties break toward the lower seed); the returned
     ``history`` is the winning chain's own improvement trace and
-    ``iterations``/``evaluations`` sum over all chains.
+    ``iterations``/``evaluations`` sum over all chains.  ``index`` and
+    ``budgets`` are as for :func:`~repro.partition.greedy.greedy_improve`.
     """
     if restarts > 1 or jobs != 1 or checkpoint or resume:
         from repro.explore.engine import run_multistart
@@ -92,7 +94,9 @@ def simulated_annealing(
 
     rng = random.Random(seed)
     working = partition.copy(name="annealing")
-    evaluator = PartitionCost(slif, working, weights, time_constraint, index)
+    evaluator = PartitionCost(
+        slif, working, weights, time_constraint, index, budgets
+    )
     current = evaluator.cost()
     best_snapshot = working.copy(name="annealing-best")
     best_cost = current

@@ -61,6 +61,11 @@ class PartitionCost:
     the graph's :class:`~repro.estimate.incremental.MoveIndex`; pass one
     to share it across many evaluators of the same graph.
 
+    ``budgets`` maps component names to the size budgets to use in
+    place of their ``size_constraint`` (``None`` for no budget), so a
+    search can run under synthetic budgets without touching the graph.
+    Budgets are read once, here.
+
     Evaluations are counted in :attr:`evaluations`; :meth:`publish`
     adds them to the ``partition.cost.evaluations`` counter, once per
     search rather than once per evaluation.
@@ -73,6 +78,7 @@ class PartitionCost:
         weights: Optional[CostWeights] = None,
         time_constraint: Optional[float] = None,
         index: Optional[MoveIndex] = None,
+        budgets: Optional[Mapping[str, Optional[float]]] = None,
     ) -> None:
         self.slif = slif
         self.partition = partition
@@ -80,8 +86,10 @@ class PartitionCost:
         self.time_constraint = time_constraint
         self.inc = IncrementalEstimator(slif, partition, index=index)
         self.evaluations = 0
-        self._components = [
-            (name, slif.get_component(name)) for name in self.inc.index.components
+        budgets = budgets or {}
+        self._budgets = [
+            (name, budgets.get(name, slif.get_component(name).size_constraint))
+            for name in self.inc.index.components
         ]
         self._behavior_pool = list(slif.processors)
         self._variable_pool = list(slif.processors) + list(slif.memories)
@@ -118,9 +126,8 @@ class PartitionCost:
         w = self.weights
         total = 0.0
         utilisations: List[float] = []
-        for name, comp in self._components:
+        for name, limit in self._budgets:
             used = sizes[name]
-            limit = comp.size_constraint
             if limit:
                 if used > limit:
                     total += w.size * (used - limit) / limit
@@ -170,10 +177,7 @@ class PartitionCost:
             return None
         if not self.inc.index.covers_pools:
             return None
-        if any(
-            comp.size_constraint is not None and comp.size_constraint < 0
-            for _, comp in self._components
-        ):
+        if any(limit is not None and limit < 0 for _, limit in self._budgets):
             return None
         if w.io and any(
             proc.io_constraint is not None and proc.io_constraint <= 0

@@ -18,7 +18,7 @@ estimator was built for.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.core.graph import Slif
 from repro.core.partition import Partition
@@ -35,15 +35,19 @@ def greedy_improve(
     time_constraint: Optional[float] = None,
     max_passes: int = 50,
     index: Optional[MoveIndex] = None,
+    budgets: Optional[Mapping[str, Optional[float]]] = None,
     **_ignored,
 ) -> PartitionResult:
     """Hill-climb from ``partition`` (which is copied, not mutated).
 
     ``index`` is the graph's move index, when the caller shares one
-    across descents.
+    across descents; ``budgets`` overrides component size budgets (see
+    :class:`~repro.partition.cost.PartitionCost`).
     """
     working = partition.copy(name="greedy")
-    evaluator = PartitionCost(slif, working, weights, time_constraint, index)
+    evaluator = PartitionCost(
+        slif, working, weights, time_constraint, index, budgets
+    )
     current = evaluator.cost()
     history = [current]
     floor = evaluator.floor()

@@ -20,8 +20,9 @@ exactly the workload the paper's preprocessing makes cheap.
 The sweep itself runs on the :mod:`repro.explore` engine: candidates
 are sharded into deterministic chunks and fanned across worker
 processes (``jobs > 1``) or batched through one in-process runner
-(``jobs=1``); chunk-local fronts are merged in candidate order, so the
-front is byte-identical for any ``jobs`` value given the same seed.
+(``jobs=1``), all reading the caller's graph; chunk-local fronts are
+merged in candidate order, so the front is byte-identical for any
+``jobs`` value given the same seed.
 """
 
 from __future__ import annotations
@@ -135,14 +136,20 @@ def explore_pareto(
     resume: bool = False,
     fleet=None,
     on_result=None,
+    index=None,
+    kernel=None,
 ) -> ParetoFront:
     """Sweep the time/area trade-off and return the Pareto front.
 
     ``hardware_components`` names the custom processors whose summed
     size is the area axis; by default every custom processor counts.
-    The sweep installs synthetic CPU size constraints on private graph
-    copies to force different offload levels; the caller's graph is
-    never mutated.
+    The sweep gives its descents synthetic CPU size budgets to force
+    different offload levels; the caller's graph and partition are
+    only read, never mutated.  ``index`` and ``kernel`` are the graph's
+    :class:`~repro.estimate.incremental.MoveIndex` and
+    :class:`~repro.estimate.kernel.BatchKernel` (``False`` when it has
+    none), when the caller holds them; otherwise the sweep builds them
+    once, in this process, when it first needs them.
 
     ``jobs`` controls parallelism: 1 evaluates the whole plan through
     one in-process runner, N > 1 fans chunks across N worker processes,
@@ -172,7 +179,6 @@ def explore_pareto(
     ...     for a in front.points for b in front.points if a is not b)
     True
     """
-    from repro.core.serialize import partition_to_dict, slif_to_dict
     from repro.estimate.size import all_component_sizes
     from repro.explore.engine import merge_fronts, run_plan
     from repro.explore.plan import pareto_plan
@@ -202,9 +208,11 @@ def explore_pareto(
         )
         payload = PlanPayload(
             task="pareto",
-            slif_data=slif_to_dict(slif),
-            partition_data=partition_to_dict(start),
             hardware=tuple(hardware_components),
+            slif=slif,
+            partition=start,
+            index=index,
+            kernel=kernel,
         )
         results = run_plan(
             payload,

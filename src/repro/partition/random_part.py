@@ -11,7 +11,7 @@ from typing import Optional
 
 from repro.core.graph import Slif
 from repro.core.partition import Partition
-from repro.errors import PartitionError
+from repro.errors import PartitionError, SlifNameError
 from repro.estimate.incremental import MoveIndex
 from repro.obs import OBS
 from repro.partition.cost import CostWeights, PartitionCost
@@ -40,14 +40,16 @@ def random_partition(
                 f"graph has {len(slif.buses)} buses; specify which to use"
             )
         bus = next(iter(slif.buses))
-    part = Partition(slif, name)
-    for b in slif.behaviors:
-        part.assign(b, rng.choice(processors))
+    # names taken from the graph need none of assign()'s checks.  Seeded
+    # starts depend on the draw order: behaviors, then variables
+    choice = rng.choice
     var_pool = processors + memories
-    for v in slif.variables:
-        part.assign(v, rng.choice(var_pool))
-    for ch in slif.channels:
-        part.assign_channel(ch, bus)
+    part = Partition(slif, name)
+    part._bv_comp = {b: choice(processors) for b in slif.behaviors}
+    part._bv_comp.update((v, choice(var_pool)) for v in slif.variables)
+    if slif.channels and bus not in slif.buses:
+        raise SlifNameError(f"no bus named {bus!r}")
+    part._chan_bus = dict.fromkeys(slif.channels, bus)
     return part
 
 

@@ -68,9 +68,11 @@ def kernel_disabled():
     ``repro.estimate.kernel.compile_graph`` raises
     :class:`~repro.estimate.compile.KernelUnavailable` there, as it does
     for a graph with a call cycle, so every ``BatchKernel.for_graph``
-    caller falls back; ``--jobs`` workers forked inside the block
-    inherit that.  A kernel compiled before the block (a warm
-    ``Session``'s) stays in use.
+    caller falls back.  A kernel compiled before the block stays in
+    use: a warm ``Session``'s scores its ``api.estimate``,
+    ``api.partition`` and ``api.explore`` calls, and ``--jobs`` workers
+    inherit the sweep's.  Use a session whose kernel was first asked
+    for inside the block.
     """
     import repro.estimate.kernel as kernel
     from repro.estimate.compile import KernelUnavailable

@@ -8,10 +8,10 @@ for five algorithms, and the default explore front at ``jobs=1``,
 ``jobs=2``, without the batch kernel and on a two-worker fleet (the
 ``--workers`` wire path, in-process), on the four bundled specs and two
 generated ones; on the bundled specs also the partition results under
-binding size and pin budgets.  The partition results are also pinned
-with the batch kernel off, on sessions loaded without one, so the
-reference estimator that scores a report the kernel abstains from gives
-the same bytes.  ``tests/_golden.py`` says how to regenerate the file.
+binding size and pin budgets.  The partition results and the front are
+also pinned with the batch kernel off, on sessions loaded without one,
+so the reference estimators that score what the kernel abstains from
+give the same bytes.  ``tests/_golden.py`` says how to regenerate the file.
 """
 
 import json
@@ -86,15 +86,17 @@ def test_constrained_partition_answers_kernel_off(
 
 @pytest.mark.parametrize("config", ["jobs1", "jobs2", "kernel-off", "fleet"])
 @pytest.mark.parametrize("spec", SPECS)
-def test_explore_front(spec, config, sessions, golden):
+def test_explore_front(spec, config, sessions, sessions_without_kernel, golden):
     if config == "fleet":
         from repro.fleet import FleetCoordinator
 
         with WorkerThreads(FleetCoordinator(), count=2) as workers:
             answer = _golden.explore_answer(sessions[spec], fleet=workers.spec)
     elif config == "kernel-off":
+        # a sweep scores on its session's kernel, so this needs a
+        # session that has none
         with kernel_disabled():
-            answer = _golden.explore_answer(sessions[spec])
+            answer = _golden.explore_answer(sessions_without_kernel[spec])
     else:
         jobs = 2 if config == "jobs2" else 1
         answer = _golden.explore_answer(sessions[spec], jobs)
