@@ -29,8 +29,9 @@ of being handed to a lexer.
 Resolution takes two steps.  :meth:`FrontEndRegistry.read` classifies
 the argument and reads a file's raw bytes once, giving a
 :class:`SpecInput`; :meth:`FrontEndRegistry.resolve` decodes and
-dispatches it.  The server's graph cache hashes the read input to find
-a cached session, and resolves only when none matches.
+dispatches it.  The server's graph cache compares the read input with
+content it has seen to find a cached session, and resolves only when
+none matches.
 
 Everything above the registry (:func:`repro.api.session.load`, the CLI,
 the server's graph cache) resolves specs through :data:`FRONTENDS`, so
@@ -50,7 +51,6 @@ old hardcoded chain (covered by ``tests/api/test_frontends.py``).
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -104,16 +104,6 @@ class SpecInput:
     spec: str
     data: bytes = field(default=b"", repr=False)
     stem: str = ""
-
-    def digest(self) -> str:
-        """SHA-256 of what resolution reads: a file's bytes, else the text."""
-        if self.kind == "file":
-            return hashlib.sha256(self.data).hexdigest()
-        # a JSON body may carry lone surrogates; surrogatepass still
-        # encodes distinct strings to distinct bytes
-        return hashlib.sha256(
-            self.spec.encode("utf-8", "surrogatepass")
-        ).hexdigest()
 
 
 class FrontEnd:

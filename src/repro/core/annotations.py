@@ -12,11 +12,16 @@ The module also provides the bit-counting helpers of Section 2.4.1: the
 number of bits transferred by a channel access depends on whether the
 destination is a scalar, an array (element bits plus address bits), a
 behavior (sum of parameter bits) or a message.
+
+Every estimate that adds floats adds them with :func:`left_sum`, so an
+answer does not depend on which Python computed it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import EstimationError
@@ -120,6 +125,23 @@ class WeightMap:
 
     def to_dict(self) -> Dict[str, float]:
         return dict(self._weights)
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Add ``values`` left to right, starting from int 0.
+
+    This is what builtin :func:`sum` did up to Python 3.11.  Since 3.12
+    it adds floats with compensated summation, so its result depends on
+    the interpreter.  Every float sum that feeds a compared answer uses
+    this instead, and the batch kernel repeats the same additions in the
+    same order, so both give the same float on every Python.
+
+    >>> left_sum([0.1] * 10)
+    0.9999999999999999
+    >>> left_sum([])
+    0
+    """
+    return reduce(operator.add, values, 0)
 
 
 def address_bits(element_count: int) -> int:

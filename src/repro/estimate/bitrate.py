@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.core.annotations import left_sum
 from repro.core.channels import FreqMode
 from repro.core.graph import Slif
 from repro.core.partition import Partition
@@ -67,7 +68,7 @@ def bus_bitrate(
     if bus not in slif.buses:
         raise EstimationError(f"no bus named {bus!r}")
     est = estimator or ExecTimeEstimator(slif, partition)
-    return sum(
+    return left_sum(
         channel_bitrate(slif, partition, ch, est)
         for ch in partition.channels_on(bus)
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.annotations import left_sum
 from repro.core.channels import FreqMode
 from repro.core.graph import Slif
 from repro.core.partition import Partition
@@ -51,11 +52,11 @@ class Breakdown:
 
     @property
     def transfer(self) -> float:
-        return sum(c.transfer for c in self.channels)
+        return left_sum(c.transfer for c in self.channels)
 
     @property
     def inside(self) -> float:
-        return sum(c.inside for c in self.channels)
+        return left_sum(c.inside for c in self.channels)
 
     @property
     def communication(self) -> float:

@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
+from repro.core.annotations import left_sum
 from repro.core.channels import Channel, FreqMode
 from repro.core.graph import Slif
 from repro.core.partition import Partition
@@ -198,7 +199,7 @@ class ExecTimeEstimator:
         """``Commtime(b)``: total channel time of one execution of ``b``."""
         channels = self.slif.out_channels(behavior)
         if not self.concurrent:
-            return sum(self._channel_cost(c) for c in channels)
+            return left_sum(self._channel_cost(c) for c in channels)
         # concurrent mode: same-tag groups overlap, so a group costs the
         # maximum of its members; untagged channels stay sequential.
         total = 0.0
@@ -209,7 +210,7 @@ class ExecTimeEstimator:
                 total += cost
             else:
                 groups[c.tag] = max(groups.get(c.tag, 0.0), cost)
-        return total + sum(groups.values())
+        return total + left_sum(groups.values())
 
     def _channel_cost(self, channel: Channel) -> float:
         freq = channel.frequency(self.mode)

@@ -9,7 +9,10 @@ grouping), Eqs. 4–5 (assignment insertion order per component) and
 Eq. 3 (channel-mapping insertion order per bus), and every arithmetic
 step repeats the reference expression shape — so exploration fronts and
 served estimates do not change by a single bit when the kernel path is
-active.
+active.  Both sides add left to right from int 0
+(:func:`~repro.core.annotations.left_sum` on the reference side), never
+with builtin :func:`sum`, whose float result changed in Python 3.12, so
+the identity holds on every Python.
 
 The division of labour with :mod:`repro.estimate.exectime` and friends:
 
@@ -48,6 +51,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.annotations import left_sum
 from repro.core.channels import FreqMode
 from repro.core.graph import Slif
 from repro.core.partition import Partition
@@ -235,9 +239,9 @@ class BatchKernel:
         """Execution time of every node in ``order``, callees first.
 
         Each step repeats the reference expression for that node —
-        ``ict + sum(freq * (transfer + dst_time))`` with the identical
-        summation order and start value — so the produced floats match
-        the memoized recursion bit for bit.
+        ``ict + left_sum(freq * (transfer + dst_time))`` with the
+        identical summation order and start value — so the produced
+        floats match the memoized recursion bit for bit.
         """
         cg = self.cg
         n_beh = cg.n_behaviors
@@ -260,7 +264,7 @@ class BatchKernel:
                 continue
             base = (ci + 1) * span + 1
             if not concurrent:
-                total: Any = 0  # sum() starts from int 0
+                total: Any = 0  # left_sum starts from int 0
                 for s in range(chan_lo[ni], chan_hi[ni]):
                     f = freq[s]
                     if f == 0.0:
@@ -304,7 +308,7 @@ class BatchKernel:
                     seq += cost
                 else:
                     groups[tag] = max(groups.get(tag, 0.0), cost)
-            gsum: Any = 0  # sum() starts from int 0
+            gsum: Any = 0  # left_sum starts from int 0
             for value in groups.values():
                 gsum = gsum + value
             times[ni] = w + (seq + gsum)
@@ -313,7 +317,7 @@ class BatchKernel:
     def _sizes(self, pairs: List[Tuple[int, int]]) -> List[Any]:
         """Per-component summed size weights, assignment insertion order."""
         size = self.cg.size
-        acc: List[Any] = [0] * self.cg.n_comps  # sum() starts from int 0
+        acc: List[Any] = [0] * self.cg.n_comps  # left_sum starts from int 0
         for ni, ci in pairs:
             w = size[ni][ci]
             if w is None:
@@ -322,7 +326,7 @@ class BatchKernel:
         return acc
 
     def _hardware_size(self, acc: List[Any], hw_cis: List[Optional[int]]) -> Any:
-        total: Any = 0  # sum() starts from int 0
+        total: Any = 0  # left_sum starts from int 0
         for ci in hw_cis:
             total = total + (acc[ci] if ci is not None else 0.0)
         return total
@@ -333,8 +337,8 @@ class BatchKernel:
         Only the hardware components' totals feed a design point, and
         for component ``c`` the reference accumulation is exactly the
         insertion-order subsequence of size weights assigned to ``c``
-        starting from int 0 — which is what the filtered ``sum`` below
-        computes, bit for bit.  Requires every size weight annotated
+        starting from int 0 — which is what the filtered ``left_sum``
+        below computes, bit for bit.  Requires every size weight annotated
         (``_size_complete``); otherwise the per-pair None checks of
         :meth:`_sizes` decide abstention exactly like the reference.
         """
@@ -343,12 +347,12 @@ class BatchKernel:
                 self._sizes(list(enumerate(comp_of))), hw_cis
             )
         cols = self._size_cols
-        total: Any = 0  # sum() starts from int 0
+        total: Any = 0  # left_sum starts from int 0
         for ci in hw_cis:
             if ci is None:
                 total = total + 0.0
             else:
-                total = total + sum(
+                total = total + left_sum(
                     w for c, w in zip(comp_of, cols[ci]) if c == ci
                 )
         return total
@@ -479,7 +483,7 @@ class BatchKernel:
                     moved = cg.moved[mode.value]
                     bus_loads = {}
                     for k, bus_name in enumerate(cg.bus_names):
-                        demand: Any = 0  # sum() starts from int 0
+                        demand: Any = 0  # left_sum starts from int 0
                         for slot in by_bus[k]:
                             src_time = times[slot_src[slot]]
                             if src_time <= 0.0:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.core.annotations import left_sum
 from repro.core.graph import Slif
 from repro.core.partition import Partition
 from repro.errors import EstimationError
@@ -41,7 +42,7 @@ def component_size(slif: Slif, partition: Partition, component: str) -> float:
     """
     if component not in slif.processors and component not in slif.memories:
         raise EstimationError(f"no processor or memory named {component!r}")
-    return sum(
+    return left_sum(
         object_size(slif, obj, component)
         for obj in partition.objects_on(component)
     )
@@ -103,7 +104,7 @@ def component_size_shared(
     asic = lib.asic_named(comp.technology.name)
     if asic is None:
         return plain
-    variable_area = plain - sum(
+    variable_area = plain - left_sum(
         slif.behaviors[obj].size.get(comp.technology.name)
         for obj in partition.objects_on(component)
         if obj in slif.behaviors

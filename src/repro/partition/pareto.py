@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.annotations import left_sum
 from repro.core.graph import Slif
 from repro.core.partition import Partition
 from repro.errors import PartitionError
@@ -117,7 +118,7 @@ def evaluate_design_point(
     times = ExecTimeEstimator(slif, partition).process_times()
     return DesignPoint(
         system_time=max(times.values()) if times else 0.0,
-        hardware_size=sum(sizes.get(name, 0.0) for name in hardware),
+        hardware_size=left_sum(sizes.get(name, 0.0) for name in hardware),
         mapping=tuple(sorted(partition.object_mapping().items())),
         label=label,
     )

@@ -30,17 +30,25 @@ plus a Prometheus scrape target:
 Design:
 
 * **Hot path.**  ``/v1/estimate`` finds its session in the LRU
-  :class:`~repro.serve.cache.GraphCache` by content: one read and one
-  SHA-256 of the spec argument, with no resolve, parse or annotate
-  once the content has been seen.  A session has only six estimate
-  answers (three frequency modes, with and without concurrency), and
-  each is computed once: its canonical JSON body is memoized in
+  :class:`~repro.serve.cache.GraphCache` by exact content: one read of
+  the spec argument and one comparison against content seen before,
+  with no hash, resolve, parse or annotate once the content has been
+  seen.  A session has only six estimate answers (three frequency
+  modes, with and without concurrency), and each is computed once:
+  its canonical JSON body is memoized in
   :attr:`~repro.api.session.Session.answers`, and a repeat is answered
   with that text.  A first request for a (session key, mode,
   concurrent) computes through the
   :class:`~repro.serve.batching.MicroBatcher`, so identical requests
   arriving while it runs share its result, and the flight's leader
   alone writes the memo.  Nothing waits for a batch to fill.
+* **Framing.**  The handler reads request headers itself, without the
+  :mod:`email` package, under :mod:`http.client`'s limits (431 past
+  them).  It answers 400 to a header line RFC 9112 rejects (no colon,
+  whitespace before the colon, obs-fold), to a ``Content-Length`` that
+  is not a plain non-negative decimal or is repeated with different
+  values, and 501 to a ``Transfer-Encoding``; these never read the
+  body and close the connection.
 * **Heavy path.**  ``/v1/partition``, ``/v1/simulate`` and
   ``/v1/explore`` dispatch onto the fault-tolerant exploration engine
   under a bounded in-flight counter; when ``--max-inflight`` requests
@@ -89,6 +97,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -677,6 +686,11 @@ def _version() -> str:
     return __version__
 
 
+#: :mod:`http.client`'s limits: bytes in one header line, header lines
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Thin HTTP shim over :meth:`SlifServer.handle_request`."""
 
@@ -699,6 +713,185 @@ class _Handler(BaseHTTPRequestHandler):
             sys.stderr.write(
                 "slif serve: %s %s\n" % (self.address_string(), format % args)
             )
+
+    # -- request framing -----------------------------------------------
+
+    def parse_request(self) -> bool:
+        """Parse the request line and headers; False once an error is sent.
+
+        The request line is checked as :class:`BaseHTTPRequestHandler`
+        checks it.  The header block is read by :meth:`_read_headers`
+        instead of :func:`http.client.parse_headers`, which builds an
+        :mod:`email` message per request.  ``self.headers`` is a dict
+        from lower-cased field name to its first value.  A request
+        whose body the server cannot delimit is refused before any of
+        it is read, and its connection closed: 501 when it carries
+        ``Transfer-Encoding``, 400 when ``Content-Length`` is not a
+        plain non-negative decimal.
+        """
+        if not self._parse_request_line():
+            return False
+        headers = self._read_headers()
+        if headers is None:
+            return False
+        self.headers = headers  # type: ignore[assignment]
+        # this handler always speaks HTTP/1.1, which the stdlib's
+        # keep-alive and 100-continue rules also require of the server
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if "transfer-encoding" in headers:
+            self.send_error(
+                HTTPStatus.NOT_IMPLEMENTED,
+                "Transfer-Encoding is not supported",
+                "send the body with a Content-Length",
+            )
+            return False
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            self.send_error(
+                HTTPStatus.BAD_REQUEST,
+                "Bad Content-Length",
+                "Content-Length must be a non-negative decimal",
+            )
+            return False
+        self.content_length = int(length)
+        if (
+            headers.get("expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def handle_expect_100(self) -> bool:
+        """Send ``100 Continue`` at once: the client waits for it.
+
+        The stdlib leaves it in the write buffer (``wbufsize``), where
+        it would sit until the response, after a body the client holds
+        back until it sees the 100.
+        """
+        self.send_response_only(HTTPStatus.CONTINUE)
+        self.end_headers()
+        self.wfile.flush()
+        return True
+
+    def _parse_request_line(self) -> bool:
+        """:class:`BaseHTTPRequestHandler`'s request-line checks, unchanged."""
+        self.command = None  # set in case of error on the first line
+        self.request_version = version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if len(words) == 0:
+            return False
+        if len(words) >= 3:  # enough to determine protocol version
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                base_version_number = version.split("/", 1)[1]
+                version_number = base_version_number.split(".")
+                # RFC 2145 section 3.1: one ".", separate integers,
+                # leading zeros ignored
+                if len(version_number) != 2:
+                    raise ValueError
+                if any(not part.isdigit() for part in version_number):
+                    raise ValueError("non digit in http version")
+                if any(len(part) > 10 for part in version_number):
+                    raise ValueError("unreasonable length http version")
+                version_number = int(version_number[0]), int(version_number[1])
+            except (ValueError, IndexError):
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    "Bad request version (%r)" % version,
+                )
+                return False
+            if (
+                version_number >= (1, 1)
+                and self.protocol_version >= "HTTP/1.1"
+            ):
+                self.close_connection = False
+            if version_number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    "Invalid HTTP version (%s)" % base_version_number,
+                )
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST,
+                "Bad request syntax (%r)" % requestline,
+            )
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    "Bad HTTP/0.9 request type (%r)" % command,
+                )
+                return False
+        self.command, self.path = command, path
+        # gh-87389: a path starting with "//" would read as a scheme-less
+        # absolute URI (an open redirect); reduce it to a single "/"
+        if self.path.startswith("//"):
+            self.path = "/" + self.path.lstrip("/")
+        return True
+
+    def _read_headers(self) -> Optional[Dict[str, str]]:
+        """The header block as ``{lower-cased name: first value}``.
+
+        Reads iso-8859-1 lines under :mod:`http.client`'s limits: a line
+        over 65,536 bytes or more than 100 header lines get a 431.  A
+        line RFC 9112 §5 tells a server to reject gets a 400: one
+        without a colon, one with whitespace before the colon, and an
+        obs-fold continuation line (leading whitespace).  So does
+        ``Content-Length`` repeated with different values.  Values lose
+        their surrounding whitespace.  Returns None once an error is
+        sent.
+        """
+        headers: Dict[str, str] = {}
+        lines = 0
+        while True:
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    f"got more than {_MAX_LINE} bytes in a header line",
+                )
+                return None
+            if line in (b"\r\n", b"\n", b""):
+                return headers
+            lines += 1
+            if lines > _MAX_HEADERS:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Too many headers",
+                    f"got more than {_MAX_HEADERS} headers",
+                )
+                return None
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            if not colon:
+                problem = "a header line without a colon"
+            elif name[:1] in (" ", "\t"):
+                problem = "a folded (obs-fold) or indented header line"
+            elif not name or name[-1] in (" ", "\t"):
+                problem = "an empty header name, or space before its colon"
+            else:
+                name = name.lower()
+                value = value.strip(" \t\r\n")
+                first = headers.setdefault(name, value)
+                if first == value or name != "content-length":
+                    continue
+                problem = "Content-Length repeated with different values"
+            self.send_error(HTTPStatus.BAD_REQUEST, "Bad header", problem)
+            return None
 
     def _access_log(
         self, method: str, status: int, duration: float, trace_id: str
@@ -726,14 +919,14 @@ class _Handler(BaseHTTPRequestHandler):
         started = time.perf_counter()
         trace_id = ""
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = self.content_length
             body = self.rfile.read(length) if length else b""
             status, payload, headers, trace_id = app.handle_timed(
                 method,
                 self.path,
                 body,
-                trace_id=self.headers.get("X-Slif-Trace-Id"),
-                tenant=self.headers.get("X-Slif-Tenant"),
+                trace_id=self.headers.get("x-slif-trace-id"),
+                tenant=self.headers.get("x-slif-tenant"),
             )
             if isinstance(payload, EventStream):
                 self._stream(status, payload, headers)

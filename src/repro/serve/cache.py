@@ -4,24 +4,28 @@ Building a session (parse + annotate + allocate, ~100 ms) dwarfs what
 any warm request costs afterwards, so the server keys sessions by their
 :func:`~repro.api.session.session_key` content hash and keeps the most
 recently used ``capacity`` of them.  A warm request finds its session
-with one read and one SHA-256 of the spec argument (0.3 ms for a gen-1k
-file), and the server answers it from the session's memoized responses
+with one read of the spec argument and one comparison against content
+seen before (about 40 µs for a gen-1k file, mostly the read), and the
+server answers it from the session's memoized responses
 (:attr:`~repro.api.session.Session.answers`).
 
 Properties:
 
-* **Content-addressed lookup.**  :meth:`GraphCache.get` reads the spec
+* **Exact-content lookup.**  :meth:`GraphCache.get` reads the spec
   argument once (:meth:`~repro.api.frontends.FrontEndRegistry.read`)
-  and looks up an alias: ``(registry generation, input kind, file
-  stem, SHA-256 of the file's bytes or of the text)`` to session key.
-  A hit resolves nothing.  A miss resolves those same bytes once and
-  builds from that resolution, so a file rewritten mid-request cannot
-  tie one content's digest to another content's session.  Aliases die
-  with their session, and at most :attr:`GraphCache.ALIASES_PER_SESSION`
-  times ``capacity`` of them are kept.  Registering or unregistering a
-  front end bumps the generation, so no alias from before it matches.
+  and looks up an alias by its shape, ``(registry generation, input
+  kind, file stem, content length)``.  An alias keeps the content
+  itself (a file's bytes, or the argument text), and a lookup matches
+  it with ``==``: a lookup hashes nothing.  A hit resolves nothing.  A miss
+  resolves those same bytes once and builds from that resolution, so a
+  file rewritten mid-request cannot tie one content to another
+  content's session.  Aliases die with their session, and at most
+  :attr:`GraphCache.ALIASES_PER_SESSION` times ``capacity`` of them are
+  kept, oldest out first.  Registering or unregistering a front end
+  bumps the generation: no alias from before it matches, and the next
+  lookup drops them all.
 * **Thread-safe.**  One lock guards the LRU order and the aliases;
-  reads, hashing and session builds run outside it so a slow parse
+  reads, comparisons and session builds run outside it so a slow parse
   never blocks hits on other keys.
 * **Build coalescing.**  Concurrent misses on the same key build once:
   the first thread in becomes the builder, later threads wait on its
@@ -60,7 +64,15 @@ class GraphCache:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self._sessions: "OrderedDict[str, Session]" = OrderedDict()
+        # alias (shape, content) -> session key, least recently used
+        # first; shape is (generation, kind, stem, len(content)).  The
+        # content is hashed once, when its alias is stored; lookups
+        # find it through _by_length and compare it with ==
         self._aliases: "OrderedDict[tuple, str]" = OrderedDict()
+        # shape -> the aliases of that shape, so a lookup compares
+        # content only against stored content of the same length
+        self._by_length: Dict[tuple, List[tuple]] = {}
+        self._generation = FRONTENDS.generation
         self._building: Dict[str, threading.Event] = {}
         self._lock = threading.Lock()
         self.hits = 0
@@ -80,6 +92,7 @@ class GraphCache:
         with self._lock:
             self._sessions.clear()
             self._aliases.clear()
+            self._by_length.clear()
 
     def key_for(self, spec: str) -> str:
         """The cache key a spec resolves to (no session is built)."""
@@ -95,15 +108,24 @@ class GraphCache:
             if self.capacity == 0:
                 self._count_miss()
                 return load(spec), False
+            generation = FRONTENDS.generation
             read = FRONTENDS.read(spec)
-            alias = (FRONTENDS.generation, read.kind, read.stem, read.digest())
+            content = read.data if read.kind == "file" else read.spec
+            shape = (generation, read.kind, read.stem, len(content))
             with self._lock:
-                key = self._aliases.get(alias)
-                if key is not None:
-                    self._aliases.move_to_end(alias)
-                    sp.set_attribute("alias_hit", True)
-                    return self._hit(key), True
-            return self._get_resolved(FRONTENDS.resolve(read), alias)
+                if generation > self._generation:
+                    # the resolution rule changed: no alias can match
+                    self._aliases.clear()
+                    self._by_length.clear()
+                    self._generation = generation
+                for alias in self._by_length.get(shape, ()):
+                    if alias[1] == content:
+                        self._aliases.move_to_end(alias)
+                        sp.set_attribute("alias_hit", True)
+                        return self._hit(self._aliases[alias]), True
+            return self._get_resolved(
+                FRONTENDS.resolve(read), (shape, content)
+            )
 
     def _get_resolved(self, resolved, alias: tuple) -> Tuple[Session, bool]:
         """Find or build the session of a resolved spec; alias it."""
@@ -148,16 +170,28 @@ class GraphCache:
 
     def _add_alias(self, alias: tuple, key: str) -> None:
         """Map an alias to a cached key, oldest alias out first (locked)."""
+        if alias[0][0] < self._generation:
+            return  # read under a resolution rule that is gone
+        if alias not in self._aliases:
+            self._by_length.setdefault(alias[0], []).append(alias)
         self._aliases[alias] = key
         self._aliases.move_to_end(alias)
         while len(self._aliases) > self.ALIASES_PER_SESSION * self.capacity:
-            self._aliases.popitem(last=False)
+            self._drop_alias(next(iter(self._aliases)))
+
+    def _drop_alias(self, alias: tuple) -> None:
+        """Forget one stored alias (locked)."""
+        del self._aliases[alias]
+        same_shape = self._by_length[alias[0]]
+        same_shape.remove(alias)
+        if not same_shape:
+            del self._by_length[alias[0]]
 
     def _evict(self) -> None:
         """Drop the least recently used session and its aliases (locked)."""
         key, _ = self._sessions.popitem(last=False)
         for alias in [a for a, k in self._aliases.items() if k == key]:
-            del self._aliases[alias]
+            self._drop_alias(alias)
         self.evictions += 1
         if OBS.enabled:
             OBS.inc("serve.cache.evictions")

@@ -61,6 +61,19 @@ def build_demo_partition(slif: Slif, sub_on: str = "CPU") -> Partition:
     )
 
 
+def same_length_variant(text: str) -> str:
+    """A ``slif gen`` document of the same length with other estimates.
+
+    The leading digits of its first behavior's two ``ict`` weights are
+    changed.
+    """
+    for tag in ('"ict":{"asic":', '"proc":'):
+        at = text.index(tag) + len(tag)
+        digit = "2" if text[at] == "1" else "1"
+        text = text[:at] + digit + text[at + 1:]
+    return text
+
+
 @contextmanager
 def kernel_disabled():
     """Keep every estimate inside the block on the reference estimators.

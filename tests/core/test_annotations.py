@@ -7,6 +7,7 @@ from repro.core.annotations import (
     address_bits,
     array_access_bits,
     call_access_bits,
+    left_sum,
     message_access_bits,
     scalar_access_bits,
 )
@@ -111,3 +112,19 @@ class TestBitRules:
         assert message_access_bits(32) == 32
         with pytest.raises(ValueError):
             message_access_bits(0)
+
+
+class TestLeftSum:
+    def test_adds_left_to_right_on_every_python(self):
+        # compensated summation (builtin sum() of floats since 3.12)
+        # gives 1.0 here
+        assert left_sum([0.1] * 10) == 0.9999999999999999
+
+    def test_starts_from_int_zero(self):
+        assert type(left_sum([])) is int
+        assert left_sum(iter([2, 3])) == 5
+
+    def test_order_is_the_iteration_order(self):
+        values = [1.0, 1e16, -1e16]
+        assert left_sum(values) == 0.0  # 1.0 is lost in 1e16
+        assert left_sum(reversed(values)) == 1.0

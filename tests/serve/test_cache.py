@@ -1,12 +1,15 @@
 """Unit tests for the serving layer's LRU graph/session cache."""
 
 import json
+import sys
 import threading
 
 import pytest
 
 from repro.serve.cache import GraphCache
 from repro.synth.gen import GenConfig, generate_text
+
+from _helpers import same_length_variant
 
 
 def tiny_spec(tag: str) -> str:
@@ -281,3 +284,161 @@ class TestContentAddressing:
             obs.disable()
             obs.reset()
         assert [s.attributes["alias_hit"] for s in spans] == [False, True]
+
+
+def assert_alias_index_consistent(cache: GraphCache) -> None:
+    """Every alias is indexed under its shape, and nothing else is."""
+    indexed = [a for same in cache._by_length.values() for a in same]
+    assert sorted(map(id, indexed)) == sorted(map(id, cache._aliases))
+    for shape, same in cache._by_length.items():
+        assert same and all(a[0] == shape for a in same)
+        assert all(shape[3] == len(a[1]) for a in same)
+
+
+class TestExactContentAliases:
+    def test_same_stem_and_length_with_other_bytes_is_its_own_session(
+        self, tmp_path
+    ):
+        from repro.api import session_key
+
+        document = gen_document(6)
+        variant = same_length_variant(document)
+        assert len(variant) == len(document) and variant != document
+        paths = [tmp_path / d / "spec.json" for d in ("a", "b")]
+        for path, text in zip(paths, (document, variant)):
+            path.parent.mkdir()
+            path.write_text(text)
+        cache = GraphCache(capacity=4)
+        first, _ = cache.get(str(paths[0]))
+        second, hit = cache.get(str(paths[1]))
+        assert not hit and second is not first
+        assert [first.key, second.key] == [session_key(str(p)) for p in paths]
+        # both stay found by their own content
+        assert cache.get(str(paths[0])) == (first, True)
+        assert cache.get(str(paths[1])) == (second, True)
+        assert len(cache._by_length) == 1  # one shape, two contents
+        assert_alias_index_consistent(cache)
+
+    def test_bundled_names_of_one_length_hit_their_own_sessions(self):
+        assert len("fuzzy") == len("ether")
+        cache = GraphCache(capacity=4)
+        fuzzy, _ = cache.get("fuzzy")
+        ether, _ = cache.get("ether")
+        assert fuzzy is not ether
+        assert (fuzzy.spec_name, ether.spec_name) == ("fuzzy", "ether")
+        for _ in range(2):
+            assert cache.get("fuzzy") == (fuzzy, True)
+            assert cache.get("ether") == (ether, True)
+        assert cache.stats()["misses"] == 2
+
+    def test_same_length_rewrite_in_place_gets_the_new_content(
+        self, tmp_path
+    ):
+        from repro.api import session_key
+
+        path = tmp_path / "gen.json"
+        document = gen_document(7)
+        path.write_text(document)
+        cache = GraphCache(capacity=4)
+        first, _ = cache.get(str(path))
+        path.write_text(same_length_variant(document))
+        second, hit = cache.get(str(path))
+        assert not hit
+        assert second.key == session_key(str(path)) != first.key
+        path.write_text(document)
+        assert cache.get(str(path)) == (first, True)
+
+    def test_eviction_empties_the_aliases_and_their_index(self):
+        cache = GraphCache(capacity=1)
+        document = gen_document(8)
+        cache.get(document)
+        cache.get(" " + document)  # a second alias of the same session
+        assert len(cache) == 1 and len(cache._aliases) == 2
+        cache.get(SPEC_B)  # evicts the document's session
+        assert list(cache._aliases.values()) == cache.keys()
+        assert [a[1] for a in cache._aliases] == [SPEC_B]
+        assert list(cache._by_length) == [next(iter(cache._aliases))[0]]
+        assert_alias_index_consistent(cache)
+
+    def test_clear_empties_the_aliases_and_their_index(self):
+        cache = GraphCache(capacity=4)
+        cache.get(SPEC_A)
+        cache.get("fuzzy")
+        cache.clear()
+        assert not cache._aliases and not cache._by_length
+        assert len(cache) == 0
+        assert cache.get(SPEC_A)[1] is False
+
+    def test_generation_bump_empties_the_aliases_and_their_index(self):
+        from repro.api.frontends import FRONTENDS, FrontEnd
+
+        class Inert(FrontEnd):
+            name = "inert"
+
+        cache = GraphCache(capacity=4)
+        a, _ = cache.get(SPEC_A)
+        cache.get(SPEC_B)
+        FRONTENDS.register(Inert())
+        try:
+            again, hit = cache.get(SPEC_A)
+            # the session is still cached under its key; only the
+            # aliases from before the bump are gone
+            assert again is a and hit
+            assert [alias[1] for alias in cache._aliases] == [SPEC_A]
+            assert all(
+                shape[0] == FRONTENDS.generation for shape in cache._by_length
+            )
+            assert_alias_index_consistent(cache)
+        finally:
+            FRONTENDS.unregister("inert")
+        cache.get(SPEC_B)
+        assert [alias[1] for alias in cache._aliases] == [SPEC_B]
+        assert_alias_index_consistent(cache)
+
+
+class TestAliasStress:
+    def test_racing_lookups_keep_every_alias_on_its_own_content(
+        self, tmp_path
+    ):
+        """More threads than cores race four contents of two shapes
+        through a cache that holds two sessions, so lookups, builds and
+        evictions interleave."""
+        from repro.api import session_key
+
+        specs = [SPEC_A, SPEC_B]  # inline texts of one length
+        for folder, tag in (("c", "c"), ("d", "d")):
+            path = tmp_path / folder / "spec.vhd"  # one stem and length
+            path.parent.mkdir()
+            path.write_text(tiny_spec(tag))
+            specs.append(str(path))
+        expected = {spec: session_key(spec) for spec in specs}
+        assert len(set(expected.values())) == len(specs)
+        cache = GraphCache(capacity=2)
+        wrong = []
+
+        def worker(offset):
+            for i in range(40):
+                spec = specs[(offset + i * (offset + 1)) % len(specs)]
+                session, _ = cache.get(spec)
+                if session.key != expected[spec]:
+                    wrong.append((spec, session.key))
+
+        threads = [
+            threading.Thread(target=worker, args=(n,)) for n in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert_alias_index_consistent(cache)
+        assert set(cache._aliases.values()) <= set(cache.keys())
+        assert len(cache._aliases) <= GraphCache.ALIASES_PER_SESSION * 2
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == 6 * 40

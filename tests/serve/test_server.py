@@ -20,6 +20,8 @@ from repro.api.types import canonical_json
 from repro.serve.app import ServerConfig, SlifServer
 from repro.synth.gen import GenConfig, generate_text
 
+from _helpers import same_length_variant
+
 #: every (mode, concurrent) pair, the six answers one session can give
 PAIRS = [(m, c) for m in ("avg", "min", "max") for c in (False, True)]
 
@@ -379,6 +381,25 @@ class TestAnswerMemo:
                 assert status == 200
                 assert headers["Content-Type"] == "application/json"
                 assert body == expected
+
+    def test_same_stem_and_length_files_get_their_own_answers(
+        self, server, tmp_path
+    ):
+        text = generate_text(GenConfig(behaviors=30, seed=12))
+        specs = []
+        for folder, content in (("a", text), ("b", same_length_variant(text))):
+            (tmp_path / folder).mkdir()
+            path = tmp_path / folder / "spec.json"
+            path.write_text(content)
+            specs.append(str(path))
+        expected = [direct(spec) for spec in specs]
+        assert expected[0] != expected[1]
+        for _ in range(2):  # computed, then from memory
+            for spec, answer in zip(specs, expected):
+                status, _, body = http_request(
+                    server, "POST", "/v1/estimate", body={"spec": spec}
+                )
+                assert status == 200 and body == answer
 
     def test_each_answer_is_computed_once_per_session(
         self, tmp_path, computes
