@@ -7,6 +7,11 @@ computes those answers on the four bundled specs and two generated
 ones; ``tests/partition/test_golden_answers.py`` compares them with the
 checked-in ``tests/golden/search_answers.json``.
 
+The ``partition_timed`` section pins searches under a time constraint
+of half the start's system time, where every trial move also pays an
+Eq. 1 recompute; ``partition_timed_slow`` holds the slower ones, which
+``benchmarks/bench_time_equivalence.py`` checks.
+
 Regenerate the file only for a change that is meant to alter answers::
 
     PYTHONPATH=src python tests/_golden.py > tests/golden/search_answers.json
@@ -18,7 +23,7 @@ import hashlib
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Dict
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "search_answers.json")
@@ -30,6 +35,25 @@ GENERATED = {
     "gen300-deep": {"behaviors": 300, "seed": 4, "depth": 5, "concurrency": 0.5},
 }
 ALGORITHMS = ("greedy", "group_migration", "annealing", "greedy_multistart", "random")
+#: spec -> the algorithms searched under a time constraint and binding
+#: size and pin budgets (see :func:`constrained`), with :data:`FAST`
+TIMED = {
+    "ans": ALGORITHMS,
+    "ether": ("greedy", "annealing", "random"),
+    "fuzzy": ALGORITHMS,
+    "vol": ALGORITHMS,
+}
+#: algorithm -> settings that keep the :data:`TIMED` searches short
+FAST = {
+    "annealing": {"moves_per_temperature": 10, "cooling": 0.8},
+    "greedy_multistart": {"starts": 3},
+}
+#: spec -> (algorithms, whether under :func:`constrained`) of the slow
+#: time-constrained searches, at default settings
+TIMED_SLOW = {
+    "ether": (("group_migration", "greedy_multistart"), True),
+    "gen300": (("greedy",), False),
+}
 
 
 def digest(value: Any) -> str:
@@ -79,6 +103,44 @@ def partition_answer(session, algorithm: str) -> Dict[str, Any]:
         "history": [repr(value) for value in result.history],
         "mapping": digest(result.partition.object_mapping()),
         "api": digest(served.to_dict()),
+    }
+
+
+def timed_answer(session, algorithm: str, compiled=None, **params) -> Dict[str, Any]:
+    """One search under a time constraint of half the start's system time.
+
+    ``compiled`` is passed on to the search when given, so a test can
+    compare a run on the session's compiled graph with one that builds
+    its own.
+    """
+    from repro.estimate.exectime import ExecTimeEstimator
+    from repro.partition import run_algorithm
+
+    start = session.partition
+    limit = ExecTimeEstimator(session.slif, start).system_time() / 2
+    if compiled is not None:
+        params["compiled"] = compiled
+    result = run_algorithm(
+        algorithm, session.slif, start.copy(), seed=0, time_constraint=limit,
+        **params,
+    )
+    return {
+        "cost": repr(result.cost),
+        "iterations": result.iterations,
+        "evaluations": result.evaluations,
+        "history": [repr(value) for value in result.history],
+        "mapping": digest(result.partition.object_mapping()),
+    }
+
+
+def timed_answers(session, algorithms, compiled=None, fast=True) -> Dict[str, Any]:
+    """:func:`timed_answer` of each algorithm; with :data:`FAST` settings
+    when ``fast``."""
+    return {
+        algorithm: timed_answer(
+            session, algorithm, compiled, **(FAST.get(algorithm, {}) if fast else {})
+        )
+        for algorithm in algorithms
     }
 
 
@@ -142,9 +204,20 @@ def collect() -> Dict[str, Any]:
     """Every golden answer, keyed by spec."""
     from repro import api
 
-    answers: Dict[str, Any] = {}
+    answers: Dict[str, Any] = {"partition_timed": {}, "partition_timed_slow": {}}
     for name in BUNDLED + tuple(GENERATED):
         session = api.load(spec_text(name))
+        if name in TIMED:
+            with constrained(session):
+                answers["partition_timed"][name] = timed_answers(
+                    session, TIMED[name]
+                )
+        if name in TIMED_SLOW:
+            algorithms, binding = TIMED_SLOW[name]
+            with constrained(session) if binding else nullcontext():
+                answers["partition_timed_slow"][name] = timed_answers(
+                    session, algorithms, fast=False
+                )
         answers[name] = {
             "explore": explore_answer(session),
             "partition": {

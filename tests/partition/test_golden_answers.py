@@ -8,7 +8,9 @@ for five algorithms, and the default explore front at ``jobs=1``,
 ``jobs=2``, without the batch kernel and on a two-worker fleet (the
 ``--workers`` wire path, in-process), on the four bundled specs and two
 generated ones; on the bundled specs also the partition results under
-binding size and pin budgets.  The partition results and the front are
+binding size and pin budgets, and searches under a time constraint
+with those budgets, each run both on the session's compiled graph and
+on one of its own.  The partition results and the front are
 also pinned with the batch kernel off, on sessions loaded without one,
 so the reference estimators that score what the kernel abstains from
 give the same bytes.  ``tests/_golden.py`` says how to regenerate the file.
@@ -82,6 +84,16 @@ def test_constrained_partition_answers_kernel_off(
         for algorithm in _golden.ALGORITHMS:
             got = _golden.partition_answer(session, algorithm)
             assert got == golden[spec]["partition_constrained"][algorithm], algorithm
+
+
+@pytest.mark.parametrize("spec", sorted(_golden.TIMED))
+def test_timed_partition_answers(spec, sessions, golden):
+    session = sessions[spec]
+    want = golden["partition_timed"][spec]
+    with _golden.constrained(session):
+        assert _golden.timed_answers(session, _golden.TIMED[spec]) == want
+        compiled = session.kernel().cg
+        assert _golden.timed_answers(session, _golden.TIMED[spec], compiled) == want
 
 
 @pytest.mark.parametrize("config", ["jobs1", "jobs2", "kernel-off", "fleet"])
