@@ -1,8 +1,9 @@
 """Warm and served explore sweeps on a gen-10k spec against a fresh one.
 
-``api.explore`` sweeps the session's own graph, move index and batch
-kernel, read-only: in-process at ``jobs=1``, and in worker processes
-forked with them at ``jobs=2``.  ``tests/properties/test_prop_explore.py``
+``api.explore`` sweeps the session's own graph and batch kernel, whose
+compiled graph also scores every descent's moves, read-only:
+in-process at ``jobs=1``, and in worker processes forked with them at
+``jobs=2``.  ``tests/properties/test_prop_explore.py``
 checks that against a fresh sweep on small generated specs; this runs
 the default sweep (8 constraint steps, 5 random starts, 49 candidates)
 once at the scale of the ``open-gen10k`` workload, a ``slif gen`` spec
@@ -11,8 +12,7 @@ with 10,000 behaviors.
 Each of these fronts must be byte-equal, points and rendered text, to
 ``explore_pareto`` on a freshly built ``DesignSystem`` of the spec:
 
-- two sweeps of one session at ``jobs=1`` (the first builds its move
-  index) and one at ``jobs=2``;
+- two sweeps of one session at ``jobs=1`` and one at ``jobs=2``;
 - two ``POST /v1/explore`` requests, naming the spec by path, to an
   in-process ``slif serve`` (the first loads the session, the second
   finds it warm in the server's graph cache).

@@ -53,7 +53,6 @@ from repro.api.session import (
     Session,
     build_system,
     load,
-    resolve_spec,
     session_key,
 )
 from repro.api.types import (
@@ -101,7 +100,6 @@ __all__ = [
     "load",
     "partition",
     "poll",
-    "resolve_spec",
     "session_key",
     "simulate",
     "submit",

@@ -79,14 +79,13 @@ def _reports(sess: Session, items: list) -> list:
     The one estimate path of the facade: every item goes through one
     :meth:`~repro.estimate.kernel.BatchKernel.reports` call, and only
     the items the kernel abstains from (all of them when the graph has
-    no kernel) run on a fresh reference
+    a call cycle) run on a fresh reference
     :class:`~repro.estimate.engine.Estimator`, which then returns the
     identical report or raises the precise error, in item order.
     """
     from repro.estimate.engine import Estimator
 
-    kernel = sess.kernel()
-    reports = kernel.reports(items) if kernel is not None else [None] * len(items)
+    reports = sess.kernel().reports(items)
     for i, report in enumerate(reports):
         if report is None:
             reports[i] = Estimator(sess.slif, *items[i]).report()
@@ -134,8 +133,8 @@ def estimate_many(
     :meth:`~repro.estimate.kernel.BatchKernel.reports` call, which
     shares the mode-independent half of the report between them; the
     server calls it with one request on its cached session.  Any
-    request the kernel abstains from (and every request when the kernel
-    is unavailable) runs on the reference estimator instead, so results
+    request the kernel abstains from (every request on a graph with a
+    call cycle) runs on the reference estimator instead, so results
     are always exactly what N individual calls would have produced, in
     order, and a failing request raises what :func:`estimate` raises
     for it.
@@ -189,8 +188,9 @@ def partition(
 
     The run starts from a copy of the session's partition; the session
     itself is never mutated, so cached sessions can serve concurrent
-    partitioning requests.  The outcome's report is scored on the
-    session's kernel like any estimate.  ``policy``/``checkpoint``/
+    partitioning requests.  Greedy and annealing score their moves on
+    the session kernel's compiled graph, and the outcome's report is
+    scored on the kernel like any estimate.  ``policy``/``checkpoint``/
     ``resume`` pass through to the fault-tolerant exploration engine
     for the multi-start algorithms.
     """
@@ -217,6 +217,7 @@ def partition(
             start,
             seed=req.seed,
             jobs=jobs,
+            compiled=sess.kernel().cg,
             policy=policy,
             checkpoint=checkpoint,
             resume=resume,
@@ -313,10 +314,10 @@ def explore(
     """Sweep the time/area trade-off; returns the Pareto front as data.
 
     Dispatches onto the fault-tolerant :mod:`repro.explore` engine,
-    which sweeps the session's own graph, move index and kernel
-    read-only: in-process at ``jobs=1``, and in worker processes that
-    inherit them when forked at ``jobs>1``.  The front is
-    byte-identical for any ``jobs`` value given the same seed.
+    which sweeps the session's own graph and kernel read-only:
+    in-process at ``jobs=1``, and in worker processes that inherit them
+    when forked at ``jobs>1``.  The front is byte-identical for any
+    ``jobs`` value given the same seed.
     ``fleet`` (a coordinator ``host:port``/URL or a ready
     :class:`~repro.fleet.protocol.FleetSpec`) distributes the sweep
     across a worker fleet instead; the session's content-hash key
@@ -345,8 +346,7 @@ def explore(
         front = explore_pareto(
             sess.slif,
             sess.partition,
-            index=sess.move_index(),
-            kernel=sess.kernel() or False,
+            kernel=sess.kernel(),
             constraint_steps=req.constraint_steps,
             random_starts=req.random_starts,
             seed=req.seed,

@@ -1,10 +1,10 @@
 """Pluggable spec front ends: the registry behind every ``spec`` argument.
 
-Historically :func:`repro.api.session.resolve_spec` hardcoded exactly
-three input kinds (bundled benchmark name, VHDL source text, filesystem
-path) in a fixed ``if`` chain, so a new specification format meant
-editing the facade.  This module is the redesign: each input format is
-a :class:`FrontEnd` object —
+Spec resolution once hardcoded exactly three input kinds (bundled
+benchmark name, VHDL source text, filesystem path) in a fixed ``if``
+chain, so a new specification format meant editing the facade.  This
+module is the redesign: each input format is a :class:`FrontEnd`
+object —
 
 ``name``
     Stable identifier (``benchmark``, ``vhdl``, ``synth``) used in
@@ -54,7 +54,9 @@ from __future__ import annotations
 import io
 import json
 import os
+import reprlib
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -285,50 +287,81 @@ class SynthFrontEnd(FrontEnd):
             slif = Slif(resolved.name)
             try:
                 for b in data.get("behaviors", []):
+                    name, ict, size = b["name"], b.get("ict", {}), b.get("size", {})
+                    bits = int(b.get("parameter_bits", 0))
+                    if not (
+                        type(name) is str
+                        and type(ict) is dict
+                        and type(size) is dict
+                        and isfinite(bits)
+                    ):
+                        raise _malformed("behavior", b)
                     slif.add_behavior(
                         Behavior(
-                            b["name"],
+                            name,
                             is_process=bool(b.get("process", False)),
-                            ict=b.get("ict", {}),
-                            size=b.get("size", {}),
-                            parameter_bits=int(b.get("parameter_bits", 0)),
-                            source_ref=f"{SYNTH_FORMAT}:{b['name']}",
+                            ict=ict,
+                            size=size,
+                            parameter_bits=bits,
+                            source_ref=f"{SYNTH_FORMAT}:{name}",
                         )
                     )
                 for v in data.get("variables", []):
+                    name, ict, size = v["name"], v.get("ict", {}), v.get("size", {})
+                    bits, elements = int(v.get("bits", 32)), int(v.get("elements", 1))
+                    if not (
+                        type(name) is str
+                        and type(ict) is dict
+                        and type(size) is dict
+                        and isfinite(bits)
+                        and isfinite(elements)
+                    ):
+                        raise _malformed("variable", v)
                     slif.add_variable(
                         Variable(
-                            v["name"],
-                            bits=int(v.get("bits", 32)),
-                            elements=int(v.get("elements", 1)),
-                            ict=v.get("ict", {}),
-                            size=v.get("size", {}),
+                            name,
+                            bits=bits,
+                            elements=elements,
+                            ict=ict,
+                            size=size,
                             concurrent=bool(v.get("concurrent", False)),
                         )
                     )
                 for p in data.get("ports", []):
+                    name, bits = p["name"], int(p.get("bits", 32))
+                    if not (type(name) is str and isfinite(bits)):
+                        raise _malformed("port", p)
                     slif.add_port(
-                        Port(
-                            p["name"],
-                            PortDirection(p.get("direction", "in")),
-                            int(p.get("bits", 32)),
-                        )
+                        Port(name, PortDirection(p.get("direction", "in")), bits)
                     )
                 for c in data.get("channels", []):
+                    src, dst, tag = c["src"], c["dst"], c.get("tag")
+                    accfreq, bits = float(c.get("accfreq", 1.0)), int(c.get("bits", 0))
+                    accmin, accmax = c.get("accmin"), c.get("accmax")
+                    if not (
+                        type(src) is str
+                        and type(dst) is str
+                        and (tag is None or type(tag) is str)
+                        and isfinite(accfreq)
+                        and isfinite(bits)
+                        and (accmin is None or isfinite(accmin))
+                        and (accmax is None or isfinite(accmax))
+                    ):
+                        raise _malformed("channel", c)
                     slif.add_channel(
                         Channel(
-                            f"{c['src']}->{c['dst']}",
-                            c["src"],
-                            c["dst"],
+                            f"{src}->{dst}",
+                            src,
+                            dst,
                             AccessKind(c.get("kind", "rw")),
-                            accfreq=float(c.get("accfreq", 1.0)),
-                            accmin=c.get("accmin"),
-                            accmax=c.get("accmax"),
-                            bits=int(c.get("bits", 0)),
-                            tag=c.get("tag"),
+                            accfreq=accfreq,
+                            accmin=accmin,
+                            accmax=accmax,
+                            bits=bits,
+                            tag=tag,
                         )
                     )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise SlifError(
                     f"malformed {SYNTH_FORMAT} document: {exc}"
                 ) from exc
@@ -338,6 +371,20 @@ class SynthFrontEnd(FrontEnd):
                     "process behaviors; nothing would ever execute"
                 )
         return slif
+
+
+def _malformed(kind: str, obj) -> ValueError:
+    """The error for a ``kind`` object with a field of the wrong type or
+    a number beyond float range.
+
+    The weights inside a weight map are checked by the node's
+    :class:`~repro.core.annotations.WeightMap`, as it stores them.
+    """
+    return ValueError(
+        f"{kind} {reprlib.repr(obj)}: names, src, dst and tags must be "
+        "strings (a tag may be null), weight maps objects, and every "
+        "number finite"
+    )
 
 
 class FrontEndRegistry:

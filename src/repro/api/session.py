@@ -4,24 +4,19 @@ This module is the canonical home of :class:`DesignSystem` and
 :func:`build_system` (also re-exported as ``repro.build_system``),
 plus the pieces the facade and the serving layer add on top:
 
-* :func:`resolve_spec` — one resolution rule for every entry point,
-  delegated to the pluggable front-end registry
-  (:data:`repro.api.frontends.FRONTENDS`): a spec argument is a bundled
-  benchmark name, a ``slif-synth`` JSON document, VHDL-subset source
-  text, or a filesystem path holding any of those.
 * :func:`session_key` — a stable content hash over the resolved source
   and architecture parameters; two calls that would build the same
   annotated graph get the same key.  This is what the server's graph
   cache and the estimate batcher key on.
 * :class:`Session` — one built system plus its lazily compiled batch
-  kernel, its lazily built move index and a lock, safe to share across
-  threads and requests.  Building a session is the expensive part
-  (parse + annotate, ~100 ms); everything the facade does with one
-  afterwards is O(graph).  Every facade estimate — ``api.estimate``,
-  ``api.estimate_many`` and the report ``api.partition`` returns — is
-  scored on that kernel, and every ``api.explore`` sweeps the session's
-  own graph, move index and kernel; the session memoizes no reference
-  estimator.
+  kernel and a lock, safe to share across threads and requests.
+  Building a session is the expensive part (parse + annotate, ~100 ms);
+  everything the facade does with one afterwards is O(graph).  Every
+  facade estimate — ``api.estimate``, ``api.estimate_many`` and the
+  report ``api.partition`` returns — is scored on that kernel, every
+  ``api.explore`` sweeps the session's own graph and kernel, and
+  greedy ``api.partition`` descents score their moves on the kernel's
+  compiled graph; the session memoizes no reference estimator.
 """
 
 from __future__ import annotations
@@ -110,22 +105,6 @@ class DesignSystem:
         return to_dot(self.slif, self.partition, annotate=annotate)
 
 
-def resolve_spec(spec: str) -> Tuple[str, str, Optional[object]]:
-    """Resolve a spec argument to ``(source text, name, profile)``.
-
-    Back-compat wrapper over the front-end registry
-    (:data:`repro.api.frontends.FRONTENDS`), which owns the resolution
-    order: bundled benchmark names win, then inline spec text
-    (``slif-synth`` JSON, VHDL source), then a filesystem path holding
-    either.  Anything else is a :class:`SlifError` naming the
-    registered front ends.
-    """
-    from repro.api.frontends import FRONTENDS
-
-    resolved = FRONTENDS.resolve(spec)
-    return resolved.source, resolved.name, resolved.profile
-
-
 def session_key(
     spec: str,
     *,
@@ -137,7 +116,10 @@ def session_key(
 
     Stable across processes: two specs that resolve to the same
     canonical source and architecture parameters share a key, so a
-    graph cache can serve both from one parsed+annotated session.  For
+    graph cache can serve both from one parsed+annotated session.  A
+    spec named like a bundled benchmark but resolved by another front
+    end (a file ``vol.vhd``) also hashes that front end's name: it
+    lacks the benchmark's branch profile, so it builds another graph.  For
     structured formats (``slif-synth``) the hashed source is the
     canonical JSON encoding of the payload, so generated specs are
     content-addressed regardless of whitespace or key order.  Like
@@ -165,11 +147,15 @@ def _key_from_resolved(
     asic_name: str = "HW",
     bus_bitwidth: int = 16,
 ) -> str:
-    blob = "\x00".join(
-        [resolved.source, resolved.name, processor_name, asic_name,
-         str(bus_bitwidth)]
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
+    from repro.specs import SPEC_NAMES
+
+    parts = [resolved.source, resolved.name, processor_name, asic_name,
+             str(bus_bitwidth)]
+    if resolved.frontend != "benchmark" and resolved.name in SPEC_NAMES:
+        # a file named like a bundled benchmark can hold its source, yet
+        # builds another graph: it has no branch profile
+        parts.append(resolved.frontend)
+    return hashlib.sha256("\x00".join(parts).encode("utf-8")).hexdigest()[:24]
 
 
 def _build_from_resolved(
@@ -235,14 +221,12 @@ class Session:
     """One built system, shareable across threads and requests.
 
     ``key`` is the :func:`session_key` content hash.  ``lock``
-    serializes the one-time kernel compile (:meth:`kernel`), the
-    one-time move-index build (:meth:`move_index`) and the copy of the
-    session partition a search starts from; once built, the kernel and
-    the index are returned without it.  Estimates and sweeps run
-    outside it: the kernel, the index and the reference estimators only
-    read the graph and the partition, and every facade operation that
-    moves objects (partitioning, exploration, simulation) does so on
-    copies.
+    serializes the one-time kernel compile (:meth:`kernel`) and the
+    copy of the session partition a search starts from; once built, the
+    kernel is returned without it.  Estimates and sweeps run outside
+    it: the kernel and the reference estimators only read the graph and
+    the partition, and every facade operation that moves objects
+    (partitioning, exploration, simulation) does so on copies.
 
     ``answers`` is where the server memoizes its estimate responses:
     the canonical JSON body per ``(mode, concurrent)``, of which a
@@ -257,7 +241,6 @@ class Session:
         default_factory=dict, init=False, repr=False
     )
     _kernel: object = field(default=None, repr=False)
-    _index: object = field(default=None, repr=False)
 
     @property
     def slif(self) -> Slif:
@@ -268,39 +251,22 @@ class Session:
         return self.system.partition
 
     def kernel(self):
-        """The session's :class:`~repro.estimate.kernel.BatchKernel`, or None.
+        """The session's :class:`~repro.estimate.kernel.BatchKernel`.
 
-        Compiled lazily, once, under the session lock; ``None`` when the
-        graph has a call cycle, in which case every facade estimate runs
-        on the reference estimators.  ``api.estimate``,
+        Compiled lazily, once, under the session lock.  ``api.estimate``,
         ``api.estimate_many`` (which the serving layer calls),
         ``api.partition``'s report and ``api.explore``'s design points
-        are all scored with it.
+        are all scored with it, and its compiled graph scores the moves
+        of every descent they run.  On a graph with a call cycle it
+        abstains from everything, and the reference estimators answer.
         """
         if self._kernel is None:
-            from repro.estimate.kernel import BatchKernel, KernelUnavailable
+            from repro.estimate.kernel import BatchKernel
 
             with self.lock:
                 if self._kernel is None:
-                    try:
-                        self._kernel = BatchKernel.for_graph(self.slif)
-                    except KernelUnavailable:
-                        self._kernel = False
-        return self._kernel or None
-
-    def move_index(self):
-        """The graph's :class:`~repro.estimate.incremental.MoveIndex`.
-
-        Built lazily, once, under the session lock, by the first
-        ``api.explore``; every sweep's descents then share it.
-        """
-        if self._index is None:
-            from repro.estimate.incremental import MoveIndex
-
-            with self.lock:
-                if self._index is None:
-                    self._index = MoveIndex(self.slif)
-        return self._index
+                    self._kernel = BatchKernel.for_graph(self.slif)
+        return self._kernel
 
 
 def load(

@@ -21,10 +21,14 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
+import sys
 from functools import reduce
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import EstimationError
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class WeightMap:
@@ -53,10 +57,15 @@ class WeightMap:
                 self.set(tech, val)
 
     def set(self, technology: str, value: float) -> None:
-        """Record ``value`` as this node's weight on ``technology``."""
-        if value < 0:
+        """Record ``value`` as this node's weight on ``technology``.
+
+        A weight is a finite number >= 0: anything else raises
+        ``ValueError``, or ``TypeError`` when it is not a number.
+        """
+        if not 0 <= value <= _FLOAT_MAX:  # also false for nan
             raise ValueError(
-                f"weight for technology {technology!r} must be >= 0, got {value}"
+                f"weight for technology {technology!r} must be a finite "
+                f"number >= 0, got {reprlib.repr(value)}"
             )
         self._weights[technology] = float(value)
 

@@ -32,11 +32,10 @@ from repro.estimate.exectime import (
 from repro.estimate.incremental import (
     IncrementalEstimator,
     IncrementalStats,
-    MoveIndex,
     MoveRecord,
 )
 from repro.estimate.kernel import BatchKernel, kernel_backend
-from repro.estimate.compile import CompiledGraph, KernelUnavailable, compile_graph
+from repro.estimate.compile import CompiledGraph, compile_graph
 from repro.estimate.io import (
     all_component_ios,
     component_io,
@@ -64,8 +63,6 @@ __all__ = [
     "ExecTimeStats",
     "IncrementalEstimator",
     "IncrementalStats",
-    "KernelUnavailable",
-    "MoveIndex",
     "MoveRecord",
     "Violation",
     "all_bus_loads",

@@ -27,35 +27,31 @@ touching a single graph object:
 * per-bus lookup tables give the per-transfer time for every (source
   component, destination component) placement — including the
   ``pair_times`` extension and the port/unmapped column — plus the
-  Eq. 1 ceiling-division transfer count per (slot, bus).
+  Eq. 1 ceiling-division transfer count per (slot, bus);
+* each node's incident channels, for scoring single-object partition
+  moves (:mod:`repro.estimate.incremental`): another CSR layout over
+  the same slots.
 
 Evaluation order is resolved at compile time too: a reverse-topological
 order over the nodes reachable from the system's processes (and, for
 full reports, from every channel source), callees before callers, so a
 single forward sweep reproduces the recursion.  One DFS emits both:
 the design order is the prefix it emits from the processes.  A call
-cycle means no such order exists — :func:`compile_graph` raises
-:class:`KernelUnavailable` and callers keep the memoized path, which
-reports the cycle with its usual :class:`~repro.errors.
-RecursionCycleError` diagnostics.
+cycle anywhere on that walk means no such order exists: both orders
+stay ``None``, the kernel abstains from every candidate, and callers
+run the memoized path, which reports the cycle with its usual
+:class:`~repro.errors.RecursionCycleError` diagnostics.  Every other
+table is built all the same, so move scoring works on any graph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.graph import Slif
-
-
-class KernelUnavailable(Exception):
-    """The graph cannot be compiled to flat arrays (e.g. a call cycle).
-
-    Deliberately *not* a :class:`~repro.errors.SlifError`: it is never a
-    user-facing diagnostic, only a signal to keep using the reference
-    estimators (which produce the proper error, if any).
-    """
 
 
 @dataclass
@@ -115,11 +111,24 @@ class CompiledGraph:
     transfers: List[List[int]] = field(default_factory=list)
     bus_capacity: List[float] = field(default_factory=list)
 
-    # evaluation orders (callees before callers)
+    # incidence: inc_slot[inc_lo[n]:inc_lo[n + 1]] are the slots of node
+    # n's channels but self-loops, each under its source and under a
+    # destination that is not a port; the far endpoint is the slot's
+    # other end in slot_src/slot_dst
+    inc_lo: List[int] = field(default_factory=list)
+    inc_slot: List[int] = field(default_factory=list)
+    #: every (node, component) size weight is annotated, so the kernel
+    #: never abstains on a size lookup
+    size_complete: bool = False
+    #: every behavior has a size weight on every processor and every
+    #: variable on every component, so no legal move can miss one
+    covers_pools: bool = False
+
+    # evaluation orders (callees before callers); None on a call cycle
     processes: List[int] = field(default_factory=list)
     process_names: List[str] = field(default_factory=list)
-    order_design: List[int] = field(default_factory=list)
-    order_report: List[int] = field(default_factory=list)
+    order_design: Optional[List[int]] = None
+    order_report: Optional[List[int]] = None
 
     @property
     def n_nodes(self) -> int:
@@ -134,16 +143,16 @@ class CompiledGraph:
         return len(self.slot_dst)
 
 
-def _evaluation_order(cg: CompiledGraph) -> Tuple[List[int], int]:
+def _evaluation_order(cg: CompiledGraph) -> Optional[Tuple[List[int], int]]:
     """Callees-first order of the nodes reachable from the processes,
     continued to those reachable from every other channel source.
 
     One iterative DFS postorder with list state: the processes are its
     first roots, so the nodes emitted before the first other source is
     visited are exactly the design order, and the whole emission is the
-    report order.  Returns ``(order, length of the design prefix)``.
-    Raises :class:`KernelUnavailable` on a cycle — the memoized
-    estimator owns recursion diagnostics.
+    report order.  Returns ``(order, length of the design prefix)``, or
+    ``None`` on a cycle — the memoized estimator owns recursion
+    diagnostics.
     """
     ACTIVE, DONE = 1, 2
     n_beh = cg.n_behaviors
@@ -151,7 +160,8 @@ def _evaluation_order(cg: CompiledGraph) -> Tuple[List[int], int]:
     state = [0] * cg.n_nodes
     order: List[int] = []
 
-    def visit(root: int) -> None:
+    def visit(root: int) -> bool:
+        """Emit ``root``'s unvisited callees and then it; False on a cycle."""
         state[root] = ACTIVE
         stack: List[Tuple[int, int]] = []
         node, s, hi = root, chan_lo[root], chan_hi[root]
@@ -165,9 +175,7 @@ def _evaluation_order(cg: CompiledGraph) -> Tuple[List[int], int]:
                 if mark == DONE:
                     continue
                 if mark == ACTIVE:
-                    raise KernelUnavailable(
-                        "call cycle reachable from the evaluated behaviors"
-                    )
+                    return False
                 if child >= n_beh:  # a variable depends on nothing
                     state[child] = DONE
                     order.append(child)
@@ -178,19 +186,44 @@ def _evaluation_order(cg: CompiledGraph) -> Tuple[List[int], int]:
             state[node] = DONE
             order.append(node)
             if not stack:
-                return
+                return True
             node, s = stack.pop()
             hi = chan_hi[node]
 
     for root in cg.processes:
-        if state[root] != DONE:
-            visit(root)
+        if state[root] != DONE and not visit(root):
+            return None
     n_design = len(order)
     # every behavior with an out-channel is some channel's source
     for b in range(n_beh):
-        if state[b] != DONE and chan_hi[b] > chan_lo[b]:
-            visit(b)
+        if state[b] != DONE and chan_hi[b] > chan_lo[b] and not visit(b):
+            return None
     return order, n_design
+
+
+def _incidence(cg: CompiledGraph) -> None:
+    """Fill ``inc_lo``/``inc_slot`` by a counting sort of the slots.
+
+    It allocates no per-node lists, and ``inc_slot`` reuses
+    ``slot_of_channel``'s ints.
+    """
+    src, dst = cg.slot_src, cg.slot_dst
+    degree = [0] * cg.n_nodes
+    for a, b in zip(src, dst):
+        if a != b:  # moving both endpoints at once never changes a cut
+            degree[a] += 1
+            if b >= 0:
+                degree[b] += 1
+    cg.inc_lo = lo = [0, *accumulate(degree)]
+    free = lo[:-1]  # each node's next unfilled entry
+    slots = cg.inc_slot = [0] * lo[-1]
+    for s, a, b in zip(cg.slot_of_channel.values(), src, dst):
+        if a != b:
+            slots[free[a]] = s
+            free[a] += 1
+            if b >= 0:
+                slots[free[b]] = s
+                free[b] += 1
 
 
 def compile_graph(slif: Slif) -> CompiledGraph:
@@ -214,6 +247,13 @@ def compile_graph(slif: Slif) -> CompiledGraph:
     nodes = list(slif.behaviors.values()) + list(slif.variables.values())
     cg.ict = [node.ict.row(technologies) for node in nodes]
     cg.size = [node.size.row(technologies) for node in nodes]
+    cg.size_complete = all(w is not None for row in cg.size for w in row)
+    # behaviors may go to any processor, variables to any component
+    n_procs = len(slif.processors)
+    cg.covers_pools = cg.size_complete or (
+        all(None not in row[:n_procs] for row in cg.size[: cg.n_behaviors])
+        and all(None not in row for row in cg.size[cg.n_behaviors:])
+    )
 
     # CSR adjacency over out-channels, insertion order per behavior
     channels = []
@@ -240,6 +280,7 @@ def compile_graph(slif: Slif) -> CompiledGraph:
         for mode, freqs in cg.freq.items()
     }
     cg.report_slots = [cg.slot_of_channel[name] for name in slif.channels]
+    _incidence(cg)
 
     # per-bus transfer-time matrices over (src comp, dst comp) incl. the
     # port/unmapped column at index 0, and per-(slot, bus) transfer counts
@@ -277,7 +318,9 @@ def compile_graph(slif: Slif) -> CompiledGraph:
     processes = slif.processes()
     cg.processes = [cg.node_index[p.name] for p in processes]
     cg.process_names = [p.name for p in processes]
-    order, n_design = _evaluation_order(cg)
-    cg.order_design = order[:n_design]
-    cg.order_report = order
+    orders = _evaluation_order(cg)
+    if orders is not None:
+        order, n_design = orders
+        cg.order_design = order[:n_design]
+        cg.order_report = order
     return cg

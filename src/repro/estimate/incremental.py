@@ -15,8 +15,9 @@ never pay for it.
 A search that only asks what a move *would* do need not make it:
 :meth:`IncrementalEstimator.preview_sizes` and
 :meth:`IncrementalEstimator.cut_delta` answer from the tallies plus the
-moved object's entry in a :class:`MoveIndex` (its size weight per
-component and its incident channels), leaving the partition alone.
+moved object's size weights and incident channels in the graph's
+:class:`~repro.estimate.compile.CompiledGraph`, leaving the partition
+alone.
 
 Usage::
 
@@ -29,81 +30,16 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import chain
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.channels import FreqMode
 from repro.core.graph import Slif
 from repro.core.partition import Partition
 from repro.errors import PartitionError
+from repro.estimate.compile import CompiledGraph, compile_graph
 from repro.estimate.exectime import ExecTimeEstimator
 from repro.estimate.size import object_size
 from repro.obs import OBS
-
-
-class MoveIndex:
-    """Per-graph incidence index for single-object moves.
-
-    For every behavior and variable it holds the object's size weight on
-    each component whose technology it is annotated for (the Eq. 4/5
-    summand) and its incident channels as ``(other endpoint, channel
-    name)`` pairs.  Self-loops are left out: moving both endpoints at
-    once never changes a cut.  :attr:`covers_pools` is true when every
-    object has a weight on every component it may be mapped to (a
-    behavior on every processor, a variable on every processor and
-    memory), so that no legal move can miss one.
-
-    Building it is one pass over the objects and channels.  Whoever owns
-    the graph builds it once and hands it to every estimator of that
-    graph: a session keeps one for all of its sweeps, and every descent
-    of a sweep shares it, in forked workers too.  It only reads what
-    it indexes, so concurrent sweeps may share it.  The graph's nodes,
-    channels, weights and technologies must not change while the index
-    is in use; it holds no component constraint, so those may.
-    """
-
-    def __init__(self, slif: Slif) -> None:
-        self.slif = slif
-        self.components: Tuple[str, ...] = tuple(slif.processors) + tuple(
-            slif.memories
-        )
-        techs = [
-            (name, slif.get_component(name).technology.name)
-            for name in self.components
-        ]
-        self.weights: Dict[str, Dict[str, float]] = {}
-        self.incident: Dict[str, List[Tuple[str, str]]] = {}
-        for node in chain(slif.behaviors.values(), slif.variables.values()):
-            known = dict(node.size.items())
-            self.weights[node.name] = {
-                comp: known[tech] for comp, tech in techs if tech in known
-            }
-            self.incident[node.name] = []
-        processors = set(slif.processors)
-        everything = set(self.components)
-        self.covers_pools = all(
-            processors <= self.weights[name].keys() for name in slif.behaviors
-        ) and all(
-            everything <= self.weights[name].keys() for name in slif.variables
-        )
-        for ch in slif.channels.values():
-            if ch.src == ch.dst:
-                continue
-            self.incident[ch.src].append((ch.dst, ch.name))
-            if ch.dst in self.incident:  # ports never move
-                self.incident[ch.dst].append((ch.src, ch.name))
-
-    def weight(self, obj: str, component: str) -> float:
-        """``GetBvSize(obj, component)`` in O(1).
-
-        A weight the index lacks is looked up the reference way, so a
-        missing annotation raises exactly what
-        :func:`~repro.estimate.size.object_size` raises for it.
-        """
-        try:
-            return self.weights[obj][component]
-        except KeyError:
-            return object_size(self.slif, obj, component)
 
 
 @dataclass(frozen=True)
@@ -140,12 +76,17 @@ class IncrementalEstimator:
     tallies will drift (a drift check is available via
     :meth:`verify_consistency`, used by the property tests).
 
-    ``index`` is the graph's :class:`MoveIndex`; one is built when none
-    is given.  Moves never remap channels, so each channel's bus is read
-    from the partition once, when the estimator is built.  The cut
-    counts are built on the first I/O query and kept up to date from
-    then on, so a search whose cost has no pin budget never pays for
-    them.
+    ``compiled`` is the graph's
+    :class:`~repro.estimate.compile.CompiledGraph`, whose size table and
+    incidence arrays score moves; one is compiled when none is given.
+    Whoever owns the graph compiles it once and hands it to every
+    estimator of that graph (a session's kernel holds it).  Its nodes,
+    channels, weights and technologies must not change while it is in
+    use; component constraints may.  Moves never remap channels, so
+    each channel's bus is read from the partition once, when the
+    estimator is built.  The cut counts are built on the first I/O
+    query and kept up to date from then on, so a search whose cost has
+    no pin budget never pays for them.
     """
 
     def __init__(
@@ -153,14 +94,16 @@ class IncrementalEstimator:
         slif: Slif,
         partition: Partition,
         mode: FreqMode = FreqMode.AVG,
-        index: Optional[MoveIndex] = None,
+        compiled: Optional[CompiledGraph] = None,
     ) -> None:
         partition.require_complete()
-        if index is not None and index.slif is not slif:
-            raise PartitionError("move index was built for a different graph")
+        if compiled is None:
+            compiled = compile_graph(slif)
+        elif compiled.slif is not slif:
+            raise PartitionError("compiled graph was built for a different graph")
         self.slif = slif
         self.partition = partition
-        self.index = index if index is not None else MoveIndex(slif)
+        self.cg = compiled
         self._chan_bus = partition.channel_mapping()
         self._exec = ExecTimeEstimator(slif, partition, mode)
         self._exec_dirty = False
@@ -174,11 +117,34 @@ class IncrementalEstimator:
     # construction of the tallies
 
     def _rebuild(self) -> None:
-        weight = self.index.weight
-        sizes = self._sizes = {name: 0.0 for name in self.index.components}
+        cg = self.cg
+        node_index, comp_index, size = cg.node_index, cg.comp_index, cg.size
+        sizes = self._sizes = {name: 0.0 for name in cg.comp_names}
         for obj, comp in self.partition.object_mapping().items():
-            sizes[comp] += weight(obj, comp)
+            try:
+                w = size[node_index[obj]][comp_index[comp]]
+            except KeyError:
+                w = None
+            sizes[comp] += w if w is not None else object_size(self.slif, obj, comp)
         self._cut_counts = None
+
+    def _move_weights(self, obj: str, src: str, dst: str) -> Tuple[float, float]:
+        """``GetBvSize`` of ``obj`` on ``src`` and on ``dst``.
+
+        Read off the compiled size table.  A weight the table lacks
+        (never annotated, or an unknown name) is looked up the reference
+        way, ``src`` first, so it raises exactly what
+        :func:`~repro.estimate.size.object_size` raises for it.
+        """
+        cg = self.cg
+        try:
+            row = cg.size[cg.node_index[obj]]
+            w_src, w_dst = row[cg.comp_index[src]], row[cg.comp_index[dst]]
+        except KeyError:
+            w_src = w_dst = None
+        if w_src is None or w_dst is None:
+            return object_size(self.slif, obj, src), object_size(self.slif, obj, dst)
+        return w_src, w_dst
 
     def _counts(self) -> Dict[Tuple[str, str], int]:
         """The cut counts, counted from the partition on first use."""
@@ -274,8 +240,7 @@ class IncrementalEstimator:
         sizes = self._sizes
         if src == component:
             return src, dict(sizes)
-        w_src = self.index.weight(obj, src)
-        w_dst = self.index.weight(obj, component)
+        w_src, w_dst = self._move_weights(obj, src, component)
         after = dict(sizes)
         after[src] = sizes[src] - w_src
         after[component] = sizes[component] + w_dst
@@ -290,12 +255,16 @@ class IncrementalEstimator:
         Only channels incident to ``obj`` can change, and only with
         respect to ``src`` and ``dst``.
         """
+        cg = self.cg
+        node = cg.node_index[obj]
+        names, slot_src, slot_dst = cg.node_names, cg.slot_src, cg.slot_dst
         comp_of = self.partition.maybe_bv_comp
         chan_bus = self._chan_bus
         delta: Dict[Tuple[str, str], int] = {}
-        for other, channel in self.index.incident[obj]:
-            bus = chan_bus[channel]
-            other_comp = comp_of(other)
+        for s in cg.inc_slot[cg.inc_lo[node]:cg.inc_lo[node + 1]]:
+            bus = chan_bus[cg.slot_name[s]]
+            other = slot_dst[s] if slot_src[s] == node else slot_src[s]
+            other_comp = comp_of(names[other]) if other >= 0 else None  # a port
             # leaving src cuts a channel internal to src and un-cuts the rest
             key = (src, bus)
             delta[key] = delta.get(key, 0) + (1 if other_comp == src else -1)
@@ -379,8 +348,7 @@ class IncrementalEstimator:
         Both weights are looked up before anything changes, so a missing
         annotation leaves the tallies intact.
         """
-        w_src = self.index.weight(obj, src)
-        w_dst = self.index.weight(obj, dst)
+        w_src, w_dst = self._move_weights(obj, src, dst)
         self._sizes[src] -= w_src
         self._sizes[dst] += w_dst
         counts = self._cut_counts

@@ -55,12 +55,11 @@ from repro.core.annotations import left_sum
 from repro.core.channels import FreqMode
 from repro.core.graph import Slif
 from repro.core.partition import Partition
-from repro.estimate.compile import CompiledGraph, KernelUnavailable, compile_graph
+from repro.estimate.compile import CompiledGraph, compile_graph
 from repro.obs import OBS, span
 
 __all__ = [
     "BatchKernel",
-    "KernelUnavailable",
     "compile_graph",
     "kernel_backend",
 ]
@@ -111,11 +110,6 @@ class BatchKernel:
             self._perm_values = lambda vals: (vals[0],)
         else:
             self._perm_values = lambda vals: ()
-        #: every (node, comp) size annotated — no per-pair None checks
-        #: needed, the kernel can never abstain on a size lookup
-        self._size_complete = all(
-            w is not None for row in compiled.size for w in row
-        )
         self._size_cols = [
             [row[c] for row in compiled.size]
             for c in range(compiled.n_comps)
@@ -131,9 +125,8 @@ class BatchKernel:
     def for_graph(cls, slif: Slif) -> "BatchKernel":
         """Compile ``slif`` and wrap it in a kernel.
 
-        Raises :class:`KernelUnavailable` when the graph cannot be
-        compiled (a call cycle); the caller then keeps the reference
-        estimators.
+        Every graph compiles; on one with a call cycle the kernel
+        abstains from every candidate (see :meth:`evaluate`).
         """
         kernel = cls(compile_graph(slif))
         if OBS.enabled:
@@ -338,11 +331,11 @@ class BatchKernel:
         for component ``c`` the reference accumulation is exactly the
         insertion-order subsequence of size weights assigned to ``c``
         starting from int 0 — which is what the filtered ``left_sum``
-        below computes, bit for bit.  Requires every size weight annotated
-        (``_size_complete``); otherwise the per-pair None checks of
-        :meth:`_sizes` decide abstention exactly like the reference.
+        below computes, bit for bit.  Requires every size weight
+        annotated (``size_complete``); otherwise the per-pair None checks
+        of :meth:`_sizes` decide abstention exactly like the reference.
         """
-        if not self._size_complete:
+        if not self.cg.size_complete:
             return self._hardware_size(
                 self._sizes(list(enumerate(comp_of))), hw_cis
             )
@@ -374,10 +367,13 @@ class BatchKernel:
         Eq. 4 sizes of the ``hardware`` components — or ``None`` where
         the candidate is unsupported and must be re-evaluated on the
         reference path.  This is the single kernel invocation the
-        exploration engine makes per chunk.
+        exploration engine makes per chunk.  On a graph with a call
+        cycle every candidate is ``None``.
         """
         if not candidates:
             return []
+        if self.cg.order_design is None:
+            return [None] * len(candidates)
         from repro.partition.pareto import DesignPoint
 
         hw_cis = self._hw_components(hardware)
@@ -456,13 +452,15 @@ class BatchKernel:
         costs one Eq. 1 sweep and one bus-load pass, and still gets its
         own dicts and lists.  Unsupported items come back ``None``
         (incomplete partition, missing weight, zero-time bitrate
-        source, call cycle reached) and the caller re-runs them through
-        the reference :class:`~repro.estimate.engine.Estimator`.
+        source, a call cycle in the graph) and the caller re-runs them
+        through the reference :class:`~repro.estimate.engine.Estimator`.
         """
         from repro.estimate.bitrate import BusLoad
         from repro.estimate.engine import EstimateReport
 
         cg = self.cg
+        if cg.order_report is None:
+            return [None] * len(items)
         slot_src = cg.slot_src
         out: List[Optional[Any]] = []
         shared: Dict[int, Optional[tuple]] = {}

@@ -6,7 +6,7 @@ package makes that workload scale across cores.  A
 :class:`~repro.explore.plan.WorkPlan` shards candidate evaluations into
 deterministic chunks, :func:`~repro.explore.engine.run_plan` runs them
 through one in-process runner (``jobs=1``) or fans them across worker
-processes (forked holding the sweep's graph, move index and kernel)
+processes (forked holding the sweep's graph and kernel)
 scheduled by an embedded :mod:`repro.fleet` coordinator, and the merge
 step unions chunk-local Pareto fronts / multi-start outcomes in
 candidate order — so the same seed produces byte-identical results at

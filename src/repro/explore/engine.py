@@ -3,7 +3,7 @@
 :func:`run_plan` executes a :class:`~repro.explore.plan.WorkPlan` in
 one of two ways.  ``jobs=1`` runs :func:`run_chunks`, the in-process
 loop: one :class:`~repro.explore.worker.ChunkRunner` shared by every
-chunk, evaluating on the payload's live graph, move index and kernel.
+chunk, evaluating on the payload's live graph and kernel.
 Anything else goes through
 :func:`repro.fleet.client.run_fleet_chunks` against a fleet
 coordinator: a remote one for ``fleet=`` (``--workers``), or for

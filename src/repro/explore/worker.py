@@ -1,10 +1,10 @@
 """Chunk evaluation: the per-process side of parallel exploration.
 
 A :class:`ChunkRunner` evaluates chunks on the live state its
-:class:`PlanPayload` carries: the annotated graph, the base partition,
-the graph's :class:`~repro.estimate.incremental.MoveIndex` and its
-:class:`~repro.estimate.kernel.BatchKernel`.  A sweep only reads them:
-each candidate's synthetic size budgets go to its descent as an
+:class:`PlanPayload` carries: the annotated graph, the base partition
+and the graph's :class:`~repro.estimate.kernel.BatchKernel`, whose
+compiled graph also scores every descent's moves.  A sweep only reads
+them: each candidate's synthetic size budgets go to its descent as an
 override map, never onto the graph.  So one runner serves ``--jobs 1``
 on the caller's own state (a warm session's, for ``api.explore``), and
 the local worker processes of ``--jobs N`` (see
@@ -61,9 +61,9 @@ class PlanPayload:
 
     The graph comes in one of two forms.  A sweep started in this
     process passes the live ``slif`` and base ``partition`` (and, when
-    it holds them, the graph's ``index`` and ``kernel``); nothing here
-    mutates them.  A payload that crossed the fleet wire carries the
-    plain-dict ``slif_data``/``partition_data`` instead.  Each form is
+    it holds one, the graph's ``kernel``); nothing here mutates them.
+    A payload that crossed the fleet wire carries the plain-dict
+    ``slif_data``/``partition_data`` instead.  Each form is
     built from the other on first need, once: :meth:`plain` for the
     wire and checkpoint fingerprints, :meth:`warm` for evaluation.
     """
@@ -76,8 +76,7 @@ class PlanPayload:
     time_constraint: Optional[float] = None
     slif: Any = field(default=None, repr=False, compare=False)
     partition: Any = field(default=None, repr=False, compare=False)
-    index: Any = field(default=None, repr=False, compare=False)
-    #: the graph's BatchKernel, False when it has none, None until built
+    #: the graph's BatchKernel, None until built
     kernel: Any = field(default=None, repr=False, compare=False)
 
     def plain(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
@@ -92,27 +91,19 @@ class PlanPayload:
     def warm(self) -> "PlanPayload":
         """Build the live state a runner reads; returns ``self``.
 
-        The graph and base partition, the move index, and for a
-        ``"pareto"`` task the batch kernel (``False`` when the graph
-        cannot be compiled, e.g. it has a call cycle: every candidate
-        then stays on the reference estimators).
+        The graph and base partition, and the batch kernel: a
+        ``"pareto"`` task scores its design points on it, and every
+        descent scores its moves on its compiled graph.
         """
         if self.slif is None:
             from repro.core.serialize import partition_from_dict, slif_from_dict
 
             self.slif = slif_from_dict(self.slif_data)
             self.partition = partition_from_dict(self.partition_data, self.slif)
-        if self.index is None:
-            from repro.estimate.incremental import MoveIndex
+        if self.kernel is None:
+            from repro.estimate.kernel import BatchKernel
 
-            self.index = MoveIndex(self.slif)
-        if self.kernel is None and self.task == "pareto":
-            from repro.estimate.kernel import BatchKernel, KernelUnavailable
-
-            try:
-                self.kernel = BatchKernel.for_graph(self.slif)
-            except KernelUnavailable:
-                self.kernel = False
+            self.kernel = BatchKernel.for_graph(self.slif)
         return self
 
 
@@ -205,7 +196,7 @@ class ChunkRunner:
         kwargs = dict(
             weights=self.payload.weights,
             time_constraint=self.payload.time_constraint,
-            index=self.payload.index,
+            compiled=self.payload.kernel.cg,
             budgets=dict(spec.constraints),
         )
         kwargs.update(spec.params)
@@ -243,7 +234,7 @@ class ChunkRunner:
                 partition,
                 self.payload.weights,
                 self.payload.time_constraint,
-                self.payload.index,
+                self.payload.kernel.cg,
                 dict(spec.constraints),
             )
             cost = evaluator.cost()
@@ -303,8 +294,9 @@ class ChunkRunner:
         The descents still run per candidate (each under its spec's
         synthetic size budgets), but the time/area scoring goes through a
         single :meth:`~repro.estimate.kernel.BatchKernel.evaluate` array
-        sweep.  Candidates the kernel abstains from (``None``) are
-        re-scored on the reference ``evaluate_design_point`` — which
+        sweep.  Candidates the kernel abstains from (``None``; all of
+        them on a graph with a call cycle) are re-scored on the
+        reference ``evaluate_design_point`` — which
         either agrees bit-for-bit or raises the precise user-facing
         error, wrapped with the same candidate context as before.
         ``--jobs 1`` and ``--jobs N`` share this code path, which is
@@ -320,14 +312,10 @@ class ChunkRunner:
                 raise
             except SlifError as exc:
                 raise self._wrap(spec, chunk, exc) from None
-        kernel = self.payload.kernel
         hardware = list(self.payload.hardware)
-        if kernel:
-            points = kernel.evaluate(
-                [(partition, spec.label) for spec, partition in staged], hardware
-            )
-        else:
-            points = [None] * len(staged)
+        points = self.payload.kernel.evaluate(
+            [(partition, spec.label) for spec, partition in staged], hardware
+        )
         pairs: List[Tuple[int, Any]] = []
         for (spec, partition), point in zip(staged, points):
             if point is None:

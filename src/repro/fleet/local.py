@@ -10,7 +10,7 @@ leases, timeouts, seeded requeues, first-wins dedupe and exhaustion
 reports.
 
 What differs is the edges.  The parent builds the payload's live
-state (graph, base partition, move index and kernel) before it forks,
+state (graph, base partition and kernel) before it forks,
 so each worker's :class:`~repro.explore.worker.ChunkRunner` reads
 that state as inherited, copy-on-write, and rebuilds nothing.  No
 payload is sent: the sweep carries no wire form, the coordinator

@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 
 from repro.core.graph import Slif
 from repro.core.partition import Partition
-from repro.estimate.incremental import MoveIndex
+from repro.estimate.compile import CompiledGraph
 from repro.obs import OBS, add_event
 from repro.partition.cost import CostWeights, PartitionCost
 from repro.partition.result import PartitionResult
@@ -37,7 +37,7 @@ def simulated_annealing(
     policy=None,
     checkpoint: Optional[str] = None,
     resume: bool = False,
-    index: Optional[MoveIndex] = None,
+    compiled: Optional[CompiledGraph] = None,
     budgets: Optional[Mapping[str, Optional[float]]] = None,
     **_ignored,
 ) -> PartitionResult:
@@ -49,8 +49,8 @@ def simulated_annealing(
     :mod:`repro.explore` engine.  The winning chain is the same for any
     ``jobs`` value (ties break toward the lower seed); the returned
     ``history`` is the winning chain's own improvement trace and
-    ``iterations``/``evaluations`` sum over all chains.  ``index`` and
-    ``budgets`` are as for :func:`~repro.partition.greedy.greedy_improve`.
+    ``iterations``/``evaluations`` sum over all chains.  ``compiled``
+    and ``budgets`` are as for :func:`~repro.partition.greedy.greedy_improve`.
     """
     if restarts > 1 or jobs != 1 or checkpoint or resume:
         from repro.explore.engine import run_multistart
@@ -95,7 +95,7 @@ def simulated_annealing(
     rng = random.Random(seed)
     working = partition.copy(name="annealing")
     evaluator = PartitionCost(
-        slif, working, weights, time_constraint, index, budgets
+        slif, working, weights, time_constraint, compiled, budgets
     )
     current = evaluator.cost()
     best_snapshot = working.copy(name="annealing-best")

@@ -24,7 +24,8 @@ from typing import List, Mapping, Optional, Tuple
 from repro.core.graph import Slif
 from repro.core.partition import Partition
 from repro.errors import PartitionError
-from repro.estimate.incremental import IncrementalEstimator, MoveIndex, MoveRecord
+from repro.estimate.compile import CompiledGraph
+from repro.estimate.incremental import IncrementalEstimator, MoveRecord
 from repro.obs import OBS
 
 
@@ -57,9 +58,9 @@ class PartitionCost:
     """Evaluates (and incrementally re-evaluates) a partition's cost.
 
     The instance owns the partition's mutation during search: use
-    :meth:`apply_move`, :meth:`undo` and :meth:`try_move`.  ``index`` is
-    the graph's :class:`~repro.estimate.incremental.MoveIndex`; pass one
-    to share it across many evaluators of the same graph.
+    :meth:`apply_move`, :meth:`undo` and :meth:`try_move`.  ``compiled``
+    is the graph's :class:`~repro.estimate.compile.CompiledGraph`; pass
+    one to share it across many evaluators of the same graph.
 
     ``budgets`` maps component names to the size budgets to use in
     place of their ``size_constraint`` (``None`` for no budget), so a
@@ -77,19 +78,19 @@ class PartitionCost:
         partition: Partition,
         weights: Optional[CostWeights] = None,
         time_constraint: Optional[float] = None,
-        index: Optional[MoveIndex] = None,
+        compiled: Optional[CompiledGraph] = None,
         budgets: Optional[Mapping[str, Optional[float]]] = None,
     ) -> None:
         self.slif = slif
         self.partition = partition
         self.weights = weights or CostWeights()
         self.time_constraint = time_constraint
-        self.inc = IncrementalEstimator(slif, partition, index=index)
+        self.inc = IncrementalEstimator(slif, partition, compiled=compiled)
         self.evaluations = 0
         budgets = budgets or {}
         self._budgets = [
             (name, budgets.get(name, slif.get_component(name).size_constraint))
-            for name in self.inc.index.components
+            for name in self.inc.cg.comp_names
         ]
         self._behavior_pool = list(slif.processors)
         self._variable_pool = list(slif.processors) + list(slif.memories)
@@ -175,7 +176,7 @@ class PartitionCost:
             return None
         if min(w.size, w.io, w.time, w.balance) < 0:
             return None
-        if not self.inc.index.covers_pools:
+        if not self.inc.cg.covers_pools:
             return None
         if any(limit is not None and limit < 0 for _, limit in self._budgets):
             return None

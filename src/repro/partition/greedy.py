@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 
 from repro.core.graph import Slif
 from repro.core.partition import Partition
-from repro.estimate.incremental import MoveIndex
+from repro.estimate.compile import CompiledGraph
 from repro.obs import OBS
 from repro.partition.cost import CostWeights, PartitionCost
 from repro.partition.result import PartitionResult
@@ -34,19 +34,19 @@ def greedy_improve(
     weights: Optional[CostWeights] = None,
     time_constraint: Optional[float] = None,
     max_passes: int = 50,
-    index: Optional[MoveIndex] = None,
+    compiled: Optional[CompiledGraph] = None,
     budgets: Optional[Mapping[str, Optional[float]]] = None,
     **_ignored,
 ) -> PartitionResult:
     """Hill-climb from ``partition`` (which is copied, not mutated).
 
-    ``index`` is the graph's move index, when the caller shares one
-    across descents; ``budgets`` overrides component size budgets (see
-    :class:`~repro.partition.cost.PartitionCost`).
+    ``compiled`` is the graph's compiled form, when the caller shares
+    one across descents; ``budgets`` overrides component size budgets
+    (see :class:`~repro.partition.cost.PartitionCost`).
     """
     working = partition.copy(name="greedy")
     evaluator = PartitionCost(
-        slif, working, weights, time_constraint, index, budgets
+        slif, working, weights, time_constraint, compiled, budgets
     )
     current = evaluator.cost()
     history = [current]

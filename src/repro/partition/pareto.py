@@ -137,7 +137,6 @@ def explore_pareto(
     resume: bool = False,
     fleet=None,
     on_result=None,
-    index=None,
     kernel=None,
 ) -> ParetoFront:
     """Sweep the time/area trade-off and return the Pareto front.
@@ -146,11 +145,11 @@ def explore_pareto(
     size is the area axis; by default every custom processor counts.
     The sweep gives its descents synthetic CPU size budgets to force
     different offload levels; the caller's graph and partition are
-    only read, never mutated.  ``index`` and ``kernel`` are the graph's
-    :class:`~repro.estimate.incremental.MoveIndex` and
-    :class:`~repro.estimate.kernel.BatchKernel` (``False`` when it has
-    none), when the caller holds them; otherwise the sweep builds them
-    once, in this process, when it first needs them.
+    only read, never mutated.  ``kernel`` is the graph's
+    :class:`~repro.estimate.kernel.BatchKernel`, when the caller holds
+    one; otherwise the sweep builds it once, in this process, when it
+    first needs it.  Its compiled graph also scores every descent's
+    moves.
 
     ``jobs`` controls parallelism: 1 evaluates the whole plan through
     one in-process runner, N > 1 fans chunks across N worker processes,
@@ -212,7 +211,6 @@ def explore_pareto(
             hardware=tuple(hardware_components),
             slif=slif,
             partition=start,
-            index=index,
             kernel=kernel,
         )
         results = run_plan(

@@ -12,7 +12,7 @@ from typing import Optional
 from repro.core.graph import Slif
 from repro.core.partition import Partition
 from repro.errors import PartitionError, SlifNameError
-from repro.estimate.incremental import MoveIndex
+from repro.estimate.compile import compile_graph
 from repro.obs import OBS
 from repro.partition.cost import CostWeights, PartitionCost
 from repro.partition.result import PartitionResult
@@ -107,10 +107,10 @@ def random_restart(
             OBS.inc("partition.random.restarts", restarts)
         return result
 
-    index = MoveIndex(slif)
+    compiled = compile_graph(slif)
 
     def score(candidate: Partition) -> float:
-        evaluator = PartitionCost(slif, candidate, weights, time_constraint, index)
+        evaluator = PartitionCost(slif, candidate, weights, time_constraint, compiled)
         value = evaluator.cost()
         evaluator.publish()
         return value

@@ -133,6 +133,20 @@ def timed_answer(session, algorithm: str, compiled=None, **params) -> Dict[str, 
     }
 
 
+def taking_compiled(algorithms):
+    """The ``algorithms`` whose search takes a compiled graph; passing
+    one to the others changes nothing, since they ignore it."""
+    from inspect import signature
+
+    from repro.partition import ALGORITHMS
+
+    return [
+        algorithm
+        for algorithm in algorithms
+        if "compiled" in signature(ALGORITHMS[algorithm]).parameters
+    ]
+
+
 def timed_answers(session, algorithms, compiled=None, fast=True) -> Dict[str, Any]:
     """:func:`timed_answer` of each algorithm; with :data:`FAST` settings
     when ``fast``."""

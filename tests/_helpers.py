@@ -78,27 +78,22 @@ def same_length_variant(text: str) -> str:
 def kernel_disabled():
     """Keep every estimate inside the block on the reference estimators.
 
-    ``repro.estimate.kernel.compile_graph`` raises
-    :class:`~repro.estimate.compile.KernelUnavailable` there, as it does
-    for a graph with a call cycle, so every ``BatchKernel.for_graph``
-    caller falls back.  A kernel compiled before the block stays in
-    use: a warm ``Session``'s scores its ``api.estimate``,
-    ``api.partition`` and ``api.explore`` calls, and ``--jobs`` workers
-    inherit the sweep's.  Use a session whose kernel was first asked
-    for inside the block.
+    ``BatchKernel.evaluate`` and ``BatchKernel.reports`` abstain from
+    every item there, as they do on a graph with a call cycle, so every
+    caller falls back to the reference.  They are patched on the class,
+    so a kernel compiled before the block abstains too: a warm
+    ``Session``'s, and the one ``--jobs`` workers forked inside the
+    block inherit.
     """
-    import repro.estimate.kernel as kernel
-    from repro.estimate.compile import KernelUnavailable
+    from repro.estimate.kernel import BatchKernel
 
-    def unavailable(slif):
-        raise KernelUnavailable("the batch kernel is disabled")
-
-    compile_graph = kernel.compile_graph
-    kernel.compile_graph = unavailable
+    evaluate, reports = BatchKernel.evaluate, BatchKernel.reports
+    BatchKernel.evaluate = lambda self, candidates, hardware: [None] * len(candidates)
+    BatchKernel.reports = lambda self, items: [None] * len(items)
     try:
         yield
     finally:
-        kernel.compile_graph = compile_graph
+        BatchKernel.evaluate, BatchKernel.reports = evaluate, reports
 
 
 @contextmanager

@@ -2,7 +2,9 @@
 
 import pytest
 
+import _golden
 from repro import api
+from repro.core.channels import FreqMode
 from repro.errors import SlifError
 
 
@@ -189,6 +191,7 @@ class TestOneEstimatePath:
         from repro.core import SlifBuilder
         from repro.core.partition import single_bus_partition
         from repro.errors import RecursionCycleError
+        from repro.estimate.engine import Estimator
 
         slif = (
             SlifBuilder("cycle")
@@ -203,9 +206,17 @@ class TestOneEstimatePath:
         session = self.session_of(
             slif, single_bus_partition(slif, {"A": "CPU", "B": "CPU"}, name="c")
         )
-        assert session.kernel() is None
-        with pytest.raises(RecursionCycleError):
+        items = [
+            (session.partition, mode, concurrent)
+            for mode in FreqMode
+            for concurrent in (False, True)
+        ]
+        assert session.kernel().reports(items) == [None] * len(items)
+        with pytest.raises(RecursionCycleError) as reference:
+            Estimator(slif, session.partition).report()
+        with pytest.raises(RecursionCycleError) as got:
             api.estimate("cycle", session=session)
+        assert str(got.value) == str(reference.value)
 
 
 class TestPartition:
@@ -310,3 +321,112 @@ def test_top_level_reexport_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         from repro import DesignSystem, build_system  # noqa: F401
+
+
+class TestCallCycleAnswers:
+    """A graph with a call cycle compiles and its kernel abstains, so the
+    reference path answers: estimates, an explore sweep and greedy
+    descents give the pinned values or raise the pinned
+    :class:`~repro.errors.RecursionCycleError`.  The cycle either lies
+    on the process's call tree or hangs behind a procedure no process
+    reaches."""
+
+    CYCLE = "recursive access cycle in SLIF graph: "
+    ON_TREE = CYCLE + "b00000 -> b00002 -> b00000"
+    BEHIND = CYCLE + "cycle_b -> cycle_a -> cycle_b"
+    EXPECTED = {
+        "on the call tree": {
+            "estimate": ("error", "RecursionCycleError", ON_TREE),
+            "explore": (
+                "error",
+                "WorkerError",
+                "candidate 'start' (index 0, chunk 0) failed: "
+                "RecursionCycleError: " + ON_TREE,
+            ),
+            "partition": ("error", "RecursionCycleError", ON_TREE),
+            "greedy": ("value", "0.06666666666666667", 2, 31, "fe64378c2ffcbf81"),
+            "timed greedy": ("error", "RecursionCycleError", ON_TREE),
+        },
+        "behind a procedure": {
+            "estimate": ("error", "RecursionCycleError", BEHIND),
+            "explore": ("value", "6277cb82dfa2f734"),
+            "partition": ("error", "RecursionCycleError", BEHIND),
+            "greedy": ("value", "0.06666666666666667", 2, 35, "8b36dd2bfb445e90"),
+            "timed greedy": (
+                "value", "1473.4656266666668", 2, 35, "e76b18007ef6d038"
+            ),
+        },
+    }
+
+    @staticmethod
+    def cycle_session(where):
+        from repro.api.session import DesignSystem, Session
+        from repro.core.channels import AccessKind, Channel
+        from repro.core.nodes import Behavior
+        from repro.core.partition import single_bus_partition
+        from repro.synth.gen import GenConfig, generate_text
+
+        slif = api.load(generate_text(GenConfig(behaviors=12, seed=5))).slif
+        if where == "on the call tree":
+            call = next(c for c in slif.channels.values() if c.dst in slif.behaviors)
+            a, b = call.dst, call.src
+        else:
+            a, b = "cycle_a", "cycle_b"
+            for name in (a, b):
+                weights = {"proc": 1.0, "asic": 1.0}
+                slif.add_behavior(Behavior(name, ict=weights, size=weights))
+            slif.add_channel(Channel(f"{b}->{a}", b, a, kind=AccessKind.CALL))
+        slif.add_channel(Channel(f"{a}->{b}", a, b, kind=AccessKind.CALL))
+        start = single_bus_partition(
+            slif, dict.fromkeys(slif.bv_names(), "CPU"), name="start"
+        )
+        return Session(DesignSystem(slif, start), key="k", spec_name=slif.name)
+
+    @staticmethod
+    def outcome(fn):
+        try:
+            value = fn()
+        except SlifError as exc:
+            return ("error", type(exc).__name__, str(exc))
+        if hasattr(value, "evaluations"):  # a search result
+            return (
+                "value",
+                repr(value.cost),
+                value.iterations,
+                value.evaluations,
+                _golden.digest(value.partition.object_mapping()),
+            )
+        return ("value", _golden.digest(value))
+
+    @pytest.mark.parametrize("where", sorted(EXPECTED))
+    def test_answers_are_unchanged(self, where):
+        from repro.partition import run_algorithm
+
+        session = self.cycle_session(where)
+        slif, start = session.slif, session.partition
+        items = [(start, FreqMode.AVG, False)]
+        assert session.kernel().reports(items) == [None]
+        assert session.kernel().evaluate([(start, "start")], ["HW"]) == [None]
+        outcome = self.outcome
+        got = {
+            "estimate": outcome(lambda: api.estimate(
+                api.EstimateRequest(spec=slif.name, concurrent=True),
+                session=session,
+            ).to_dict()),
+            "explore": outcome(lambda: api.explore(
+                api.ExploreRequest(spec=slif.name, constraint_steps=2, random_starts=1),
+                session=session,
+            ).points),
+        }
+        with _golden.constrained(session):
+            got["partition"] = outcome(lambda: api.partition(
+                api.PartitionRequest(spec=slif.name, algorithm="greedy"),
+                session=session,
+            ).to_dict())
+            got["greedy"] = outcome(lambda: run_algorithm(
+                "greedy", slif, start.copy(), compiled=session.kernel().cg
+            ))
+            got["timed greedy"] = outcome(lambda: run_algorithm(
+                "greedy", slif, start.copy(), time_constraint=1.0
+            ))
+        assert got == self.EXPECTED[where]

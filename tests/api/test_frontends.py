@@ -70,18 +70,24 @@ class TestDispatch:
         assert FRONTENDS.resolve("vol").frontend == "benchmark"
 
 
+def resolved(spec):
+    """``(source, name, profile)`` as the registry resolves ``spec``."""
+    resolved = FRONTENDS.resolve(spec)
+    return resolved.source, resolved.name, resolved.profile
+
+
 class TestBackCompat:
-    """resolve_spec answers must be byte-identical to the old chain."""
+    """Resolved specs must be byte-identical to the old chain."""
 
     def test_bundled_names(self):
         for name in SPEC_NAMES:
-            source, resolved_name, profile = api.resolve_spec(name)
+            source, resolved_name, profile = resolved(name)
             assert source == spec_source(name)
             assert resolved_name == name
             assert profile is not None
 
     def test_inline_vhdl(self):
-        source, name, profile = api.resolve_spec(VHDL_TEXT)
+        source, name, profile = resolved(VHDL_TEXT)
         assert source == VHDL_TEXT
         assert name == "user"
         assert profile is None
@@ -89,7 +95,7 @@ class TestBackCompat:
     def test_path(self, tmp_path):
         path = tmp_path / "box.vhd"
         path.write_text(VHDL_TEXT)
-        source, name, profile = api.resolve_spec(str(path))
+        source, name, profile = resolved(str(path))
         assert source == VHDL_TEXT
         assert name == "box"
         assert profile is None
@@ -100,10 +106,19 @@ class TestBackCompat:
         import hashlib
 
         for spec in list(SPEC_NAMES) + [VHDL_TEXT]:
-            source, name, _ = api.resolve_spec(spec)
+            source, name, _ = resolved(spec)
             blob = "\x00".join([source, name, "CPU", "HW", "16"])
             expected = hashlib.sha256(blob.encode()).hexdigest()[:24]
             assert api.session_key(spec) == expected
+
+    def test_a_file_named_like_a_benchmark_gets_its_own_key(self, tmp_path):
+        """``vol.vhd`` holding ``vol``'s source builds without its branch
+        profile, so it must not share ``vol``'s session."""
+        for name in SPEC_NAMES:
+            path = tmp_path / f"{name}.vhd"
+            path.write_text(spec_source(name))
+            assert resolved(str(path))[:2] == resolved(name)[:2]
+            assert api.session_key(str(path)) != api.session_key(name)
 
     def test_load_still_works_for_every_form(self, tmp_path):
         path = tmp_path / "t.vhd"

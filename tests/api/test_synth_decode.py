@@ -78,3 +78,35 @@ def test_build_without_payload_decodes_source(document):
         FRONTENDS.parse(bare, library).stats()
         == FRONTENDS.parse(resolved, library).stats()
     )
+
+
+def with_field(document, kind, field, value):
+    """``document`` with ``field`` of its first ``kind`` object set."""
+    data = json.loads(document)
+    data[kind][0][field] = value
+    return json.dumps(data)
+
+
+def test_a_weight_map_that_is_no_object_is_a_slif_error(document):
+    from repro.errors import SlifError
+
+    spec = with_field(document, "behaviors", "ict", [1, 2])
+    with pytest.raises(SlifError, match="weight maps objects"):
+        api.estimate(spec)
+
+
+def test_a_number_beyond_float_range_is_a_slif_error(document):
+    from repro.errors import SlifError
+
+    spec = with_field(document, "channels", "bits", 10**400)
+    with pytest.raises(SlifError, match="int too large to convert to float"):
+        api.estimate(spec)
+
+
+def test_a_tag_that_is_no_string_is_a_slif_error(document):
+    from repro.errors import SlifError
+
+    spec = with_field(document, "channels", "tag", ["fork"])
+    with pytest.raises(SlifError, match="tags must be strings"):
+        api.load(spec)
+    assert api.load(with_field(document, "channels", "tag", None)).slif

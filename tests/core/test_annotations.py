@@ -42,6 +42,11 @@ class TestWeightMap:
         with pytest.raises(ValueError):
             WeightMap({"proc": -1.0})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400])
+    def test_weight_beyond_float_range_rejected(self, value):
+        with pytest.raises(ValueError, match="finite number"):
+            WeightMap({"proc": value})
+
     def test_contains_and_iter(self):
         w = WeightMap({"a": 1.0, "b": 2.0})
         assert "a" in w and "c" not in w

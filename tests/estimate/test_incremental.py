@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import EstimationError, PartitionError
-from repro.estimate.incremental import IncrementalEstimator, MoveIndex
+from repro.estimate.compile import compile_graph
+from repro.estimate.incremental import IncrementalEstimator
 from repro.estimate.io import all_component_ios
 from repro.estimate.size import all_component_sizes
 
@@ -182,14 +183,27 @@ def test_self_loop_channels_never_drift(g, p):
 
 
 class TestMoveIndex:
+    """Move scoring on the graph's compiled size table and incidence."""
+
     def test_weights_and_incident_channels(self, g):
-        index = MoveIndex(g)
-        assert index.components == ("CPU", "HW", "RAM")
-        assert index.weights["Sub"] == {"CPU": 60, "HW": 400, "RAM": 0}
-        assert sorted(index.incident["Sub"]) == sorted(
-            (ch.src if ch.dst == "Sub" else ch.dst, ch.name)
-            for ch in g.in_channels("Sub") + g.out_channels("Sub")
-        )
+        from repro.core.channels import AccessKind, Channel
+
+        g.add_channel(Channel("Sub->Sub", "Sub", "Sub", AccessKind.CALL))
+        cg = compile_graph(g)
+        assert cg.comp_names == ["CPU", "HW", "RAM"]
+        assert cg.covers_pools
+        for name in g.bv_names():
+            node = cg.node_index[name]
+            assert cg.size[node] == [
+                g.get_node(name).size.get(tech) for tech in ("proc", "asic", "mem")
+            ]
+            slots = cg.inc_slot[cg.inc_lo[node]:cg.inc_lo[node + 1]]
+            # under its source, under a destination that is no port, no self-loop
+            assert sorted(cg.slot_name[s] for s in slots) == sorted(
+                ch.name
+                for ch in g.channels.values()
+                if name in (ch.src, ch.dst) and ch.src != ch.dst
+            )
 
     def test_missing_weight_raises_the_reference_error(self, g, p):
         from repro.core.annotations import WeightMap
@@ -213,7 +227,7 @@ class TestMoveIndex:
 
     def test_index_of_another_graph_is_rejected(self, g, p):
         with pytest.raises(PartitionError, match="different graph"):
-            IncrementalEstimator(g, p, index=MoveIndex(build_demo_graph()))
+            IncrementalEstimator(g, p, compiled=compile_graph(build_demo_graph()))
 
     def test_preview_changes_nothing_but_rounding(self, g, p):
         inc = IncrementalEstimator(g, p)
@@ -238,7 +252,6 @@ class TestMoveIndex:
     def test_works_without_the_kernel_on_a_call_cycle(self):
         from repro.core import SlifBuilder
         from repro.core.partition import single_bus_partition
-        from repro.estimate.compile import KernelUnavailable, compile_graph
         from repro.partition.greedy import greedy_improve
 
         slif = (
@@ -252,10 +265,10 @@ class TestMoveIndex:
             .bus("b", bitwidth=16, ts=0.1, td=1.0)
             .build()
         )
-        with pytest.raises(KernelUnavailable):
-            compile_graph(slif)
+        compiled = compile_graph(slif)
+        assert compiled.order_design is None  # the kernel abstains
         start = single_bus_partition(slif, {"A": "CPU", "B": "CPU"})
-        shared = greedy_improve(slif, start, index=MoveIndex(slif))
+        shared = greedy_improve(slif, start, compiled=compiled)
         own = greedy_improve(slif, start)
         assert shared.cost == own.cost == 0.0
         assert shared.partition.object_mapping() == own.partition.object_mapping()

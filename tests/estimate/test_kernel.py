@@ -15,8 +15,8 @@ import pytest
 from repro.api import build_system
 from repro.core.channels import FreqMode
 from repro.core.partition import Partition
-from repro.errors import EstimationError, PartitionError
-from repro.estimate.compile import KernelUnavailable, compile_graph
+from repro.errors import EstimationError, PartitionError, RecursionCycleError
+from repro.estimate.compile import compile_graph
 from repro.estimate.engine import Estimator
 from repro.estimate.kernel import BatchKernel
 from repro.partition.pareto import evaluate_design_point
@@ -155,6 +155,7 @@ class TestAbstention:
 
     def test_call_cycle_is_kernel_unavailable(self):
         from repro.core import SlifBuilder
+        from repro.core.partition import single_bus_partition
 
         slif = (
             SlifBuilder("cycle")
@@ -166,17 +167,35 @@ class TestAbstention:
             .bus("b", bitwidth=16, ts=0.1, td=1.0)
             .build()
         )
-        with pytest.raises(KernelUnavailable):
-            compile_graph(slif)
-        with pytest.raises(KernelUnavailable):
-            BatchKernel.for_graph(slif)
+        cg = compile_graph(slif)
+        assert cg.order_design is None and cg.order_report is None
+        kernel = BatchKernel.for_graph(slif)
+        part = single_bus_partition(slif, {"A": "CPU", "B": "CPU"})
+        items = [(part, mode, c) for mode in FreqMode for c in (False, True)]
+        assert kernel.reports(items) == [None] * len(items)
+        assert kernel.evaluate([(part, "a"), (part, "b")], ["CPU"]) == [None] * 2
+        for compute in (
+            lambda: Estimator(slif, part).report(),
+            lambda: evaluate_design_point(slif, part, ["CPU"], "a"),
+        ):
+            with pytest.raises(RecursionCycleError, match="A -> B -> A"):
+                compute()
 
     def test_kernel_disabled_helper(self, systems):
-        slif = systems["fuzzy"].slif
+        system = systems["fuzzy"]
+        kernel = BatchKernel.for_graph(system.slif)
+        items = [(system.partition, FreqMode.AVG, False)]
+        candidates = [(system.partition, "a")]
         with kernel_disabled():
-            with pytest.raises(KernelUnavailable):
-                BatchKernel.for_graph(slif)
-        assert BatchKernel.for_graph(slif) is not None
+            assert kernel.reports(items) == [None]
+            assert kernel.evaluate(candidates, ["HW"]) == [None]
+        assert_reports_identical(
+            kernel.reports(items)[0],
+            Estimator(system.slif, system.partition).report(),
+        )
+        assert kernel.evaluate(candidates, ["HW"]) == [
+            evaluate_design_point(system.slif, system.partition, ["HW"], "a")
+        ]
 
 
 class TestObsCounters:

@@ -1,13 +1,14 @@
-"""A session's sweeps share its graph, move index and kernel.
+"""A session's sweeps share its graph and kernel.
 
-``api.explore`` evaluates on the session's own state: the move index is
-built by the first sweep (never by ``api.load``), the kernel is the one
-estimates compile, and neither is rebuilt or serialized by a later
-sweep, in this process or in a ``--jobs`` worker forked with them.
-That state is read-only during a sweep, so two threads may sweep one
-session at once, and a forked worker never needs the session lock:
-a ``jobs=2`` sweep completes while another thread holds it.  A sweep
-without a session builds its index and kernel once, before it forks.
+``api.explore`` evaluates on the session's own state: the kernel is
+compiled by the first estimate or sweep (never by ``api.load``), its
+compiled graph scores every descent's moves, and it is not rebuilt or
+serialized by a later sweep, in this process or in a ``--jobs`` worker
+forked with it.  That state is read-only during a sweep, so two
+threads may sweep one session at once, and a forked worker never needs
+the session lock: a ``jobs=2`` sweep completes while another thread
+holds it.  A sweep without a session compiles its graph once, before it
+forks.
 """
 
 import os
@@ -58,17 +59,12 @@ def calls(monkeypatch, tmp_path):
         (serialize, "partition_to_dict"),
         (serialize, "partition_from_dict"),
         (kernel, "compile_graph"),
+        (incremental, "compile_graph"),
     ):
         monkeypatch.setattr(module, attr, recording(attr, getattr(module, attr)))
     monkeypatch.setattr(
-        incremental.MoveIndex,
-        "__init__",
-        recording("MoveIndex", incremental.MoveIndex.__init__),
+        Session, "kernel", recording("Session.kernel", Session.kernel)
     )
-    for attr in ("kernel", "move_index"):
-        monkeypatch.setattr(
-            Session, attr, recording(f"Session.{attr}", getattr(Session, attr))
-        )
 
     def read():
         if not log.exists():
@@ -78,15 +74,13 @@ def calls(monkeypatch, tmp_path):
     return read
 
 
-def test_the_first_explore_builds_the_move_index_not_load(session):
-    assert session._index is None
-    api.estimate(api.EstimateRequest(spec=SPEC), session=session)
-    assert session._index is None
+def test_the_first_explore_compiles_the_kernel_not_load(session):
+    assert session._kernel is None
     sweep(session)
-    index = session.move_index()
-    assert index is not None
+    kernel = session.kernel()
+    assert kernel is not None
     sweep(session, jobs=2)
-    assert session.move_index() is index
+    assert session.kernel() is kernel
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -96,17 +90,14 @@ def test_a_warm_sweep_rebuilds_and_serializes_nothing(session, calls, jobs):
     assert sweep(session, jobs) == reference
     parent = str(os.getpid())
     made = calls()[before:]
-    # the parent asks its session for the index and kernel, once each
-    assert sorted(name for pid, name in made) == [
-        "Session.kernel",
-        "Session.move_index",
-    ]
+    # the parent asks its session for the kernel, once
+    assert [name for pid, name in made] == ["Session.kernel"]
     assert all(pid == parent for pid, _ in made)
 
 
 def test_a_direct_sweep_builds_its_state_once_in_the_parent(calls):
     """Without a session, ``explore_pareto`` and ``run_multistart``
-    build the move index (and a sweep its kernel) before they fork."""
+    each compile the graph once, before they fork."""
     from repro.api import build_system
     from repro.partition.greedy import greedy_multistart
 
@@ -114,11 +105,7 @@ def test_a_direct_sweep_builds_its_state_once_in_the_parent(calls):
     system.explore(jobs=2)
     greedy_multistart(system.slif, system.partition, starts=7, jobs=2)
     parent = str(os.getpid())
-    assert sorted(calls()) == [
-        (parent, "MoveIndex"),
-        (parent, "MoveIndex"),
-        (parent, "compile_graph"),
-    ]
+    assert calls() == [(parent, "compile_graph"), (parent, "compile_graph")]
 
 
 def test_two_threads_sweep_one_warm_session(session):

@@ -11,9 +11,9 @@ generated ones; on the bundled specs also the partition results under
 binding size and pin budgets, and searches under a time constraint
 with those budgets, each run both on the session's compiled graph and
 on one of its own.  The partition results and the front are
-also pinned with the batch kernel off, on sessions loaded without one,
-so the reference estimators that score what the kernel abstains from
-give the same bytes.  ``tests/_golden.py`` says how to regenerate the file.
+also pinned with the batch kernel abstaining from everything, so the
+reference estimators that score what the kernel abstains from give the
+same bytes.  ``tests/_golden.py`` says how to regenerate the file.
 """
 
 import json
@@ -39,15 +39,14 @@ def sessions():
     return {name: api.load(_golden.spec_text(name)) for name in SPECS}
 
 
-@pytest.fixture(scope="module")
-def sessions_without_kernel():
-    """Fresh sessions whose kernel was first asked for with it disabled."""
-    from repro import api
+def assert_kernel_abstains(session):
+    """Inside ``kernel_disabled()``: the session's kernel scores nothing."""
+    from repro.core.channels import FreqMode
 
-    with kernel_disabled():
-        loaded = {name: api.load(_golden.spec_text(name)) for name in SPECS}
-        assert all(session.kernel() is None for session in loaded.values())
-    return loaded
+    kernel = session.kernel()
+    partition = session.partition
+    assert kernel.reports([(partition, FreqMode.AVG, False)]) == [None]
+    assert kernel.evaluate([(partition, "start")], []) == [None]
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -59,9 +58,10 @@ def test_partition_answers(spec, sessions, golden):
 
 
 @pytest.mark.parametrize("spec", SPECS)
-def test_partition_answers_kernel_off(spec, sessions_without_kernel, golden):
-    session = sessions_without_kernel[spec]
+def test_partition_answers_kernel_off(spec, sessions, golden):
+    session = sessions[spec]
     with kernel_disabled():
+        assert_kernel_abstains(session)
         for algorithm in _golden.ALGORITHMS:
             got = _golden.partition_answer(session, algorithm)
             assert got == golden[spec]["partition"][algorithm], algorithm
@@ -76,11 +76,10 @@ def test_constrained_partition_answers(spec, sessions, golden):
 
 
 @pytest.mark.parametrize("spec", _golden.BUNDLED)
-def test_constrained_partition_answers_kernel_off(
-    spec, sessions_without_kernel, golden
-):
-    session = sessions_without_kernel[spec]
+def test_constrained_partition_answers_kernel_off(spec, sessions, golden):
+    session = sessions[spec]
     with kernel_disabled(), _golden.constrained(session):
+        assert_kernel_abstains(session)
         for algorithm in _golden.ALGORITHMS:
             got = _golden.partition_answer(session, algorithm)
             assert got == golden[spec]["partition_constrained"][algorithm], algorithm
@@ -90,25 +89,26 @@ def test_constrained_partition_answers_kernel_off(
 def test_timed_partition_answers(spec, sessions, golden):
     session = sessions[spec]
     want = golden["partition_timed"][spec]
+    shared = _golden.taking_compiled(_golden.TIMED[spec])
     with _golden.constrained(session):
         assert _golden.timed_answers(session, _golden.TIMED[spec]) == want
-        compiled = session.kernel().cg
-        assert _golden.timed_answers(session, _golden.TIMED[spec], compiled) == want
+        assert _golden.timed_answers(session, shared, session.kernel().cg) == {
+            algorithm: want[algorithm] for algorithm in shared
+        }
 
 
 @pytest.mark.parametrize("config", ["jobs1", "jobs2", "kernel-off", "fleet"])
 @pytest.mark.parametrize("spec", SPECS)
-def test_explore_front(spec, config, sessions, sessions_without_kernel, golden):
+def test_explore_front(spec, config, sessions, golden):
     if config == "fleet":
         from repro.fleet import FleetCoordinator
 
         with WorkerThreads(FleetCoordinator(), count=2) as workers:
             answer = _golden.explore_answer(sessions[spec], fleet=workers.spec)
     elif config == "kernel-off":
-        # a sweep scores on its session's kernel, so this needs a
-        # session that has none
         with kernel_disabled():
-            answer = _golden.explore_answer(sessions_without_kernel[spec])
+            assert_kernel_abstains(sessions[spec])
+            answer = _golden.explore_answer(sessions[spec])
     else:
         jobs = 2 if config == "jobs2" else 1
         answer = _golden.explore_answer(sessions[spec], jobs)

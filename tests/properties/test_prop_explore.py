@@ -1,6 +1,6 @@
 """Differential test: warm, forked and fleet sweeps against a fresh one.
 
-A session's sweeps evaluate on its own graph, move index and kernel,
+A session's sweeps evaluate on its own graph and kernel,
 which ``--jobs`` workers inherit when they fork and which a fleet
 worker rebuilds from the payload's wire form; each candidate's
 synthetic size budgets reach its descent as an override map, never the
@@ -8,7 +8,7 @@ graph.  None of that may change an answer.  This draws small
 ``slif gen`` specs, sometimes with CPU and HW size budgets that bind,
 and requires byte-identical fronts (points and rendered text) from:
 
-- a warm session's second sweep (the first built its move index);
+- a warm session's second sweep (the first compiled its kernel);
 - a ``jobs=2`` sweep of that session;
 - a sweep on an embedded two-worker fleet (the ``--workers`` wire path);
 - ``explore_pareto`` on a freshly built ``DesignSystem`` of the spec.

@@ -175,3 +175,69 @@ def test_inline_conserves_variable_traffic(source):
     after = traffic(g)
     for var, amount in before.items():
         assert abs(after.get(var, 0.0) - amount) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# slif-synth documents with one field of the wrong type or out of range
+
+#: fields a drawn document may carry, per object list
+SYNTH_FIELDS = {
+    "behaviors": ("name", "process", "ict", "size", "parameter_bits"),
+    "variables": ("name", "bits", "elements", "ict", "size", "concurrent"),
+    "ports": ("name", "direction", "bits"),
+    "channels": (
+        "src", "dst", "kind", "accfreq", "accmin", "accmax", "bits", "tag",
+    ),
+}
+
+json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),  # nan and infinities too
+    st.text(max_size=3),
+    st.lists(st.integers(0, 9), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=2),
+    st.sampled_from([10**400, -(10**400), 1e308, -1, 0]),
+)
+
+
+@st.composite
+def malformed_synth_documents(draw) -> str:
+    """A small ``slif gen`` document with one field's value replaced."""
+    import json
+
+    from repro.synth.gen import GenConfig, generate_text
+
+    config = GenConfig(
+        behaviors=draw(st.integers(2, 6)),
+        seed=draw(st.integers(0, 2**16)),
+        variables=draw(st.integers(0, 3)),
+        ports=draw(st.integers(0, 2)),
+    )
+    data = json.loads(generate_text(config))
+    lists = [key for key in SYNTH_FIELDS if data[key]]
+    kind = draw(st.sampled_from(lists))
+    target = draw(st.sampled_from(data[kind]))
+    field = draw(st.sampled_from(SYNTH_FIELDS[kind]))
+    value = draw(json_values)
+    if field in ("ict", "size") and draw(st.booleans()):
+        target.setdefault(field, {})["proc"] = value  # one weight
+    else:
+        target[field] = value
+    return json.dumps(data)
+
+
+@given(malformed_synth_documents())
+@settings(max_examples=40, deadline=None)
+def test_malformed_synth_documents_estimate_or_raise_slif_error(text):
+    """Every such document estimates in both concurrency modes or raises
+    :class:`~repro.errors.SlifError`; nothing else escapes."""
+    from repro import api
+    from repro.errors import SlifError
+
+    for concurrent in (False, True):
+        try:
+            api.estimate({"spec": text, "concurrent": concurrent})
+        except SlifError:
+            pass

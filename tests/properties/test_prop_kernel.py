@@ -25,7 +25,7 @@ from repro import api
 from repro.core.channels import AccessKind, Channel, FreqMode
 from repro.core.nodes import Behavior
 from repro.errors import SlifError
-from repro.estimate.compile import KernelUnavailable, compile_graph
+from repro.estimate.compile import compile_graph
 from repro.estimate.engine import Estimator, Violation
 from repro.estimate.kernel import BatchKernel
 from repro.partition.pareto import evaluate_design_point
@@ -168,13 +168,18 @@ def test_one_dfs_yields_both_evaluation_orders(config, orphans):
 @given(gen_configs)
 @settings(max_examples=10, deadline=None)
 def test_cycle_behind_a_non_process_source_is_unavailable(config):
-    slif = api.load(generate_text(config)).slif
+    session = api.load(generate_text(config))
+    slif, start = session.slif, session.partition
     # two procedures no process reaches: only the report order visits them
     a, b = "cycle_a", "cycle_b"
     for name in (a, b):
         slif.add_behavior(Behavior(name))
     slif.add_channel(Channel(f"{a}->{b}", a, b, kind=AccessKind.CALL))
-    compile_graph(slif)
+    assert compile_graph(slif).order_report is not None
     slif.add_channel(Channel(f"{b}->{a}", b, a, kind=AccessKind.CALL))
-    with pytest.raises(KernelUnavailable):
-        compile_graph(slif)
+    cg = compile_graph(slif)
+    # the design order alone would exist, yet the kernel scores nothing
+    assert cg.order_design is None and cg.order_report is None
+    kernel = BatchKernel(cg)
+    assert kernel.evaluate([(start, "start")], ["HW"]) == [None]
+    assert kernel.reports([(start, FreqMode.AVG, False)]) == [None]

@@ -215,3 +215,100 @@ def test_floor_exit_matches_full_passes(scenario):
     with floor_exit_disabled():
         full = greedy_outcome(g, start, **kwargs)
     assert greedy_outcome(g, start, **kwargs) == full
+
+
+# ---------------------------------------------------------------------------
+# move scoring on a shared compiled graph, on generated specs
+
+
+@st.composite
+def compiled_scenarios(draw):
+    """A small ``slif gen`` spec and a random start on its bus.
+
+    Sometimes a call edge is reversed into a call cycle, one object
+    lacks its ASIC size weight, the processors have pin budgets or the
+    cost has a time term.
+    """
+    from repro.core.channels import AccessKind, Channel
+
+    config = GenConfig(
+        behaviors=draw(st.integers(2, 30)),
+        seed=draw(st.integers(0, 2**16)),
+        variables=draw(st.integers(0, 8)),
+        ports=draw(st.integers(0, 3)),
+    )
+    slif = build_system(generate_text(config)).slif
+    g = _constrain(slif, draw(st.floats(0.2, 0.9)))
+    calls = [ch for ch in g.channels.values() if ch.dst in g.behaviors]
+    if calls and draw(st.booleans()):
+        call = draw(st.sampled_from(calls))
+        back = Channel(f"{call.dst}->{call.src}", call.dst, call.src, AccessKind.CALL)
+        g.add_channel(back)
+    _drop_asic_weight(g, draw(st.none() | st.sampled_from(g.bv_names())))
+    for proc in g.processors.values():
+        proc.io_constraint = draw(st.none() | st.integers(1, 40))
+    time_constraint = draw(st.none() | st.floats(1.0, 1e4))
+    return g, random_partition(g, seed=draw(st.integers(0, 1000))), time_constraint
+
+
+def _slif_outcome(fn):
+    from repro.errors import SlifError
+
+    try:
+        return ("value", repr(fn()))
+    except SlifError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+@given(compiled_scenarios(), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_try_move_on_the_compiled_graph_matches_apply_cost_undo(scenario, rng):
+    """Trial moves scored on a shared compiled graph equal applying,
+    costing and undoing them, or fail as the reference lookup fails;
+    committed moves keep the tallies consistent."""
+    from repro.estimate.compile import compile_graph
+
+    g, start, time_constraint = scenario
+    compiled = compile_graph(g)
+
+    def twin(shared):
+        return PartitionCost(g, start.copy(), None, time_constraint, shared)
+
+    built = _slif_outcome(lambda: twin(compiled).cost())
+    if built[0] == "error":
+        assert built == _slif_outcome(lambda: twin(None).cost())
+        return
+    scored, reference = twin(compiled), twin(None)
+    objects = scored.movable_objects()
+    for _ in range(20):
+        obj = rng.choice(objects)
+        comp = rng.choice(scored.candidate_components(obj) or [start.get_bv_comp(obj)])
+        got = _slif_outcome(lambda: scored.try_move(obj, comp))
+        assert got == _slif_outcome(lambda: _reference_try(reference, obj, comp))
+        if got[0] == "error" and got[1] != "RecursionCycleError":
+            # only the size lookup can fail: it fails as the reference does
+            sizes = [_slif_outcome(lambda c=c: object_size(g, obj, c))
+                     for c in (start.get_bv_comp(obj), comp)]
+            assert got in sizes
+        assert _tallies(scored) == _tallies(reference)
+        if got[0] == "value" and rng.random() < 0.5:
+            scored.apply_move(obj, comp)
+            reference.apply_move(obj, comp)
+            scored.inc.verify_consistency()
+    assert _tallies(scored) == _tallies(reference)
+
+
+@given(compiled_scenarios())
+@settings(max_examples=25, deadline=None)
+def test_greedy_on_a_shared_compiled_graph_matches_its_own(scenario):
+    """Passing the graph's compiled form changes no answer, error or
+    counter of a descent."""
+    from repro.estimate.compile import compile_graph
+
+    g, start, time_constraint = scenario
+    own = greedy_outcome(g, start, time_constraint=time_constraint, max_passes=3)
+    shared = greedy_outcome(
+        g, start, time_constraint=time_constraint, max_passes=3,
+        compiled=compile_graph(g),
+    )
+    assert shared == own

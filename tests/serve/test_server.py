@@ -423,6 +423,27 @@ class TestAnswerMemo:
         assert stats["answers"] == {"hits": 2 * len(PAIRS)}
         assert stats["batch"]["leaders"] == len(PAIRS)
 
+    @pytest.mark.parametrize("file_first", [False, True])
+    def test_a_file_named_like_a_benchmark_gets_its_own_answer(
+        self, tmp_path, file_first
+    ):
+        from repro.specs import spec_source
+
+        path = tmp_path / "vol.vhd"
+        path.write_text(spec_source("vol"))
+        specs = [str(path), "vol"] if file_first else ["vol", str(path)]
+        expected = [direct(spec) for spec in specs]
+        assert expected[0] != expected[1]
+        srv = SlifServer(ServerConfig(port=0))
+        try:
+            for spec, answer in zip(specs, expected):
+                status, body, _ = srv.handle_request(
+                    "POST", "/v1/estimate", estimate_body(spec, "avg", False)
+                )
+                assert status == 200 and body.encode() == answer
+        finally:
+            srv.close()
+
     def test_a_late_miss_finds_the_answer_inside_the_flight(
         self, tmp_path, computes
     ):
