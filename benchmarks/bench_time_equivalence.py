@@ -7,8 +7,8 @@ section of ``tests/golden/search_answers.json``: group migration and
 greedy multi-start at default settings on ``ether`` under binding size
 and pin budgets, and greedy on the generated ``gen300`` spec under the
 time constraint alone.  Each must give the pinned cost, iterations,
-evaluations, history and mapping, and a search that takes a compiled
-graph must give them on the session's too.
+evaluations, history and mapping, both on a compiled graph of its own
+and on the session's.
 
 The times are printed; none is asserted.  Run with::
 
@@ -34,17 +34,12 @@ def test_slow_timed_searches_match_the_golden_answers(benchmark):
         times = {}
         for name, (algorithms, binding) in _golden.TIMED_SLOW.items():
             session = sessions[name]
-            compiled = session.kernel().cg
-            takers = _golden.taking_compiled(algorithms)
             with _golden.constrained(session) if binding else nullcontext():
-                for label, subset, shared in (
-                    ("own", algorithms, None),
-                    ("shared", takers, compiled),
-                ):
+                for label, shared in (("own", None), ("shared", session.kernel().cg)):
                     started = time.perf_counter()
-                    got = _golden.timed_answers(session, subset, shared, fast=False)
+                    got = _golden.timed_answers(session, algorithms, shared, fast=False)
                     times[f"{name} {label}"] = time.perf_counter() - started
-                    assert got == {a: golden[name][a] for a in subset}, (name, label)
+                    assert got == golden[name], (name, label)
         return times
 
     times = benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -34,6 +34,7 @@ report or raises the precise error.
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Optional, Union
 
 from repro.api.session import Session, load
@@ -52,6 +53,7 @@ from repro.api.types import (
     canonical_json,
 )
 from repro.core.channels import FreqMode
+from repro.errors import EstimationError
 from repro.obs import span
 
 
@@ -73,6 +75,22 @@ def _session_for(request, session: Optional[Session]) -> Session:
     return session if session is not None else load(request.spec)
 
 
+def _require_finite(values) -> None:
+    """Raise :class:`~repro.errors.EstimationError` naming the first
+    ``(metric, owner, value)`` whose value is not a finite number.
+
+    Every answer is served as JSON, which has no NaN or Infinity, and
+    finite inputs can still overflow a float: an access frequency near
+    the float maximum times a transfer time is infinite.
+    """
+    for metric, owner, value in values:
+        if not isfinite(value):
+            raise EstimationError(
+                f"{metric} of {owner} is {value!r}, not a finite number: "
+                "the spec's numbers overflow a float"
+            )
+
+
 def _reports(sess: Session, items: list) -> list:
     """Score ``(partition, mode, concurrent)`` items on ``sess``'s kernel.
 
@@ -81,14 +99,30 @@ def _reports(sess: Session, items: list) -> list:
     the items the kernel abstains from (all of them when the graph has
     a call cycle) run on a fresh reference
     :class:`~repro.estimate.engine.Estimator`, which then returns the
-    identical report or raises the precise error, in item order.
+    identical report or raises the precise error, in item order.  A
+    report holding a number that is not finite raises
+    :class:`~repro.errors.EstimationError`; a process time is a sum of
+    non-negative terms, so it is infinite only if the system time,
+    their maximum, is.
     """
     from repro.estimate.engine import Estimator
 
     reports = sess.kernel().reports(items)
     for i, report in enumerate(reports):
         if report is None:
-            reports[i] = Estimator(sess.slif, *items[i]).report()
+            report = reports[i] = Estimator(sess.slif, *items[i]).report()
+        owner = f"partition {report.partition_name!r}"
+        _require_finite(
+            [("system time", owner, report.system_time)]
+            + [
+                ("size", f"component {name!r}", size)
+                for name, size in report.component_sizes.items()
+            ]
+            + [
+                ("demand", f"bus {name!r}", load.demand)
+                for name, load in report.bus_loads.items()
+            ]
+        )
     return reports
 
 
@@ -188,11 +222,13 @@ def partition(
 
     The run starts from a copy of the session's partition; the session
     itself is never mutated, so cached sessions can serve concurrent
-    partitioning requests.  Greedy and annealing score their moves on
-    the session kernel's compiled graph, and the outcome's report is
-    scored on the kernel like any estimate.  ``policy``/``checkpoint``/
-    ``resume`` pass through to the fault-tolerant exploration engine
-    for the multi-start algorithms.
+    partitioning requests.  Every algorithm scores its moves on the
+    session kernel's compiled graph, and the outcome's report is
+    scored on the kernel like any estimate.  ``jobs`` and
+    ``policy``/``checkpoint``/``resume`` pass through to the
+    fault-tolerant exploration engine, which runs the starts of
+    ``random`` and ``greedy_multistart``; the other algorithms search
+    once, in process.
     """
     from repro.partition import run_algorithm
 
@@ -357,6 +393,14 @@ def explore(
             fleet=fleet,
             on_result=on_result,
         )
+    _require_finite(
+        (metric, f"design point {p.label!r}", value)
+        for p in front.points
+        for metric, value in (
+            ("system time", p.system_time),
+            ("hardware size", p.hardware_size),
+        )
+    )
     return ExploreResult(
         spec=sess.spec_name,
         seed=req.seed,

@@ -54,8 +54,8 @@ class DesignSystem:
     def repartition(self, algorithm: str = "greedy", seed: int = 0, **kwargs):
         """Run a partitioning algorithm; updates and returns the partition.
 
-        ``algorithm`` is one of ``greedy``, ``annealing``,
-        ``group_migration``, ``clustering`` or ``random``.
+        ``algorithm`` is one of ``greedy``, ``greedy_multistart``,
+        ``annealing``, ``group_migration``, ``clustering`` or ``random``.
         """
         from repro.partition import run_algorithm
 

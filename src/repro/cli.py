@@ -61,8 +61,9 @@ any expected failure (bad input, validation, estimation or partition
 errors), 3 when the fault-tolerant runtime exhausted its recovery
 budget (chunk timeouts, worker crashes, injected faults), 130 on SIGINT.
 
-Parallelism: ``partition`` and ``explore`` accept ``--jobs N`` to fan
-candidate evaluation across worker processes (0 = all cores) via
+Parallelism: ``explore``, and ``partition`` with the ``random`` or
+``greedy_multistart`` algorithm, accept ``--jobs N`` to fan candidate
+evaluation across worker processes (0 = all cores) via
 ``repro.explore``; output is byte-identical to ``--jobs 1`` for the
 same seed.  Multi-worker sweeps are fault-tolerant: ``--timeout`` /
 ``--retries`` tune the per-chunk recovery loop, ``--checkpoint PATH``
@@ -745,7 +746,14 @@ def make_parser() -> argparse.ArgumentParser:
     _add_obs_args(p)
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("partition", help="run a partitioning algorithm")
+    p = sub.add_parser(
+        "partition",
+        help="run a partitioning algorithm",
+        description="Run a partitioning algorithm.  --jobs and the fault-"
+        "tolerance flags apply to random and greedy_multistart, whose starts "
+        "run on the exploration engine; the other algorithms run one search "
+        "in process and keep no journal.",
+    )
     p.add_argument("spec")
     p.add_argument(
         "--algorithm",

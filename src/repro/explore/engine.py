@@ -470,13 +470,14 @@ def run_multistart(
     policy: Optional[RetryPolicy] = None,
     checkpoint: Optional[str] = None,
     resume: bool = False,
+    compiled=None,
 ):
     """Run a multi-start candidate list and fold it into one result.
 
-    The engine behind ``random_restart(jobs=...)``,
-    ``greedy_multistart`` and restart-based annealing: evaluate all
-    candidate specs on the caller's graph and partition, read-only (in
-    forked workers when ``jobs > 1``), and return a
+    The one path of ``random_restart``, ``greedy_multistart`` and
+    multi-chain annealing at every ``jobs``: evaluate all candidate
+    specs on the caller's graph and partition, read-only (in forked
+    workers when ``jobs > 1``), and return a
     :class:`~repro.partition.result.PartitionResult` whose partition is
     a copy of ``partition`` carrying the best mapping.
     ``history_mode`` selects the ``history`` semantics:
@@ -484,8 +485,11 @@ def run_multistart(
     candidate costs; ``"best_chain"`` keeps the winning candidate's own
     internal history (annealing chains).
     ``policy``/``checkpoint``/``resume`` pass straight to
-    :func:`run_plan`.
+    :func:`run_plan`.  ``compiled`` is the graph's
+    :class:`~repro.estimate.compile.CompiledGraph`, when the caller
+    holds one; without it the graph is compiled once, before any fork.
     """
+    from repro.estimate.kernel import BatchKernel
     from repro.explore.plan import restart_plan
     from repro.partition.result import PartitionResult
 
@@ -495,6 +499,7 @@ def run_multistart(
         partition=partition,
         weights=weights,
         time_constraint=time_constraint,
+        kernel=None if compiled is None else BatchKernel(compiled),
     )
     plan = restart_plan(specs, chunk_size=chunk_size)
     results = run_plan(

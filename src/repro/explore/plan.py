@@ -156,7 +156,7 @@ def restart_plan(
     """Wrap an explicit candidate list built by a multi-start partitioner.
 
     The restart-based partitioners (``random_restart``,
-    ``greedy_multistart``, parallel annealing) enumerate their own
+    ``greedy_multistart``, multi-chain annealing) enumerate their own
     candidate lists — this helper only pins the chunking so it stays a
     property of the plan, not of the worker count.
     """

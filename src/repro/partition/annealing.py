@@ -44,15 +44,18 @@ def simulated_annealing(
     """Anneal from ``partition`` (copied, not mutated).
 
     ``restarts > 1`` runs that many independent chains (seeds ``seed``
-    through ``seed + restarts - 1``) and keeps the best; with
-    ``jobs > 1`` the chains run across worker processes via the
-    :mod:`repro.explore` engine.  The winning chain is the same for any
-    ``jobs`` value (ties break toward the lower seed); the returned
-    ``history`` is the winning chain's own improvement trace and
-    ``iterations``/``evaluations`` sum over all chains.  ``compiled``
-    and ``budgets`` are as for :func:`~repro.partition.greedy.greedy_improve`.
+    through ``seed + restarts - 1``) as candidates of the
+    :mod:`repro.explore` engine, which ``jobs``, ``policy``,
+    ``checkpoint`` and ``resume`` configure, and keeps the best.  The
+    winning chain is the same for any ``jobs`` value (ties break toward
+    the lower seed); the returned ``history`` is the winning chain's
+    own improvement trace and ``iterations``/``evaluations`` sum over
+    all chains.  One chain is one candidate, which neither a pool nor
+    a journal can split, so it runs here at any ``jobs``.  ``compiled``
+    and ``budgets`` are as for :func:`~repro.partition.greedy.greedy_improve`;
+    ``budgets`` applies to a single chain only.
     """
-    if restarts > 1 or jobs != 1 or checkpoint or resume:
+    if restarts > 1:
         from repro.explore.engine import run_multistart
         from repro.explore.plan import HEAVY_CHUNK, CandidateSpec
 
@@ -71,11 +74,11 @@ def simulated_annealing(
                 seed=seed + i,
                 params=dict(params),
             )
-            for i in range(max(1, restarts))
+            for i in range(restarts)
         ]
         if OBS.enabled:
             OBS.inc("partition.annealing.chains", len(specs))
-        result = run_multistart(
+        return run_multistart(
             slif,
             partition,
             specs,
@@ -89,8 +92,8 @@ def simulated_annealing(
             policy=policy,
             checkpoint=checkpoint,
             resume=resume,
+            compiled=compiled,
         )
-        return result
 
     rng = random.Random(seed)
     working = partition.copy(name="annealing")

@@ -25,8 +25,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.graph import Slif
 from repro.core.partition import Partition
 from repro.errors import PartitionError
+from repro.estimate.compile import CompiledGraph
 from repro.obs import OBS
-from repro.partition.cost import CostWeights
+from repro.partition.cost import CostWeights, PartitionCost
 from repro.partition.greedy import greedy_improve
 from repro.partition.result import PartitionResult
 
@@ -113,12 +114,14 @@ def cluster_partition(
     weights: Optional[CostWeights] = None,
     time_constraint: Optional[float] = None,
     refine: bool = True,
+    compiled: Optional[CompiledGraph] = None,
     **_ignored,
 ) -> PartitionResult:
     """Constructive clustering followed by optional greedy refinement.
 
     ``partition`` supplies the channel-to-bus mapping (and the result's
-    shape); its object mapping is replaced wholesale.
+    shape); its object mapping is replaced wholesale.  ``compiled`` is
+    the graph's compiled form, when the caller holds one.
     """
     component_count = len(slif.processors) + len(slif.memories)
     if component_count < 1:
@@ -129,14 +132,13 @@ def cluster_partition(
 
     if refine:
         result = greedy_improve(
-            slif, working, weights=weights, time_constraint=time_constraint
+            slif, working, weights=weights, time_constraint=time_constraint,
+            compiled=compiled,
         )
         result.algorithm = "clustering"
         return result
 
-    from repro.partition.cost import PartitionCost
-
-    evaluator = PartitionCost(slif, working, weights, time_constraint)
+    evaluator = PartitionCost(slif, working, weights, time_constraint, compiled)
     cost = evaluator.cost()
     evaluator.publish()
     return PartitionResult(

@@ -106,6 +106,7 @@ def greedy_multistart(
     policy=None,
     checkpoint: Optional[str] = None,
     resume: bool = False,
+    compiled: Optional[CompiledGraph] = None,
     **_ignored,
 ) -> PartitionResult:
     """Best of ``starts + 1`` greedy descents: the given partition plus
@@ -120,7 +121,8 @@ def greedy_multistart(
     earlier start.
 
     ``iterations``/``evaluations`` sum over every descent; ``history``
-    is the best-so-far cost over starts in order.
+    is the best-so-far cost over starts in order.  ``compiled`` is the
+    graph's compiled form, when the caller holds one.
     """
     from repro.explore.engine import run_multistart
     from repro.explore.plan import CandidateSpec
@@ -159,4 +161,5 @@ def greedy_multistart(
         policy=policy,
         checkpoint=checkpoint,
         resume=resume,
+        compiled=compiled,
     )

@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.graph import Slif
 from repro.core.partition import Partition
+from repro.estimate.compile import CompiledGraph
 from repro.obs import OBS
 from repro.partition.cost import CostWeights, PartitionCost
 from repro.partition.result import PartitionResult
@@ -27,11 +28,15 @@ def group_migration(
     weights: Optional[CostWeights] = None,
     time_constraint: Optional[float] = None,
     max_passes: int = 10,
+    compiled: Optional[CompiledGraph] = None,
     **_ignored,
 ) -> PartitionResult:
-    """Run KL-style passes from ``partition`` (copied, not mutated)."""
+    """Run KL-style passes from ``partition`` (copied, not mutated).
+
+    ``compiled`` is the graph's compiled form, when the caller holds one.
+    """
     working = partition.copy(name="group-migration")
-    evaluator = PartitionCost(slif, working, weights, time_constraint)
+    evaluator = PartitionCost(slif, working, weights, time_constraint, compiled)
     current = evaluator.cost()
     history = [current]
     passes = 0

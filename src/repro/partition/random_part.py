@@ -12,9 +12,9 @@ from typing import Optional
 from repro.core.graph import Slif
 from repro.core.partition import Partition
 from repro.errors import PartitionError, SlifNameError
-from repro.estimate.compile import compile_graph
+from repro.estimate.compile import CompiledGraph
 from repro.obs import OBS
-from repro.partition.cost import CostWeights, PartitionCost
+from repro.partition.cost import CostWeights
 from repro.partition.result import PartitionResult
 
 
@@ -64,76 +64,47 @@ def random_restart(
     policy=None,
     checkpoint: Optional[str] = None,
     resume: bool = False,
+    compiled: Optional[CompiledGraph] = None,
     **_ignored,
 ) -> PartitionResult:
     """Best of ``restarts`` random partitions (plus the starting one).
 
-    ``jobs > 1`` evaluates the restarts across worker processes through
-    the :mod:`repro.explore` engine; the result (best partition, cost,
-    improvement history) is identical to the sequential sweep for any
-    ``jobs`` value.
+    The starts are candidates of the :mod:`repro.explore` engine,
+    evaluated in process at ``jobs=1`` and across worker processes
+    otherwise; the result (best partition, cost, improvement history)
+    and any error are the same for every ``jobs`` value.  ``compiled``
+    is the graph's compiled form, when the caller holds one.
     """
-    if jobs != 1 or checkpoint or resume:
-        from repro.explore.engine import run_multistart
-        from repro.explore.plan import CandidateSpec
+    from repro.explore.engine import run_multistart
+    from repro.explore.plan import CandidateSpec
 
-        specs = [
-            CandidateSpec(index=0, kind="start", label="start", algorithm="none")
-        ] + [
-            CandidateSpec(
-                index=i + 1,
-                kind="random",
-                label=f"restart.{i}",
-                algorithm="none",
-                seed=seed + i,
-            )
-            for i in range(restarts)
-        ]
-        result = run_multistart(
-            slif,
-            partition,
-            specs,
-            algorithm="random",
-            result_name="random-best",
-            weights=weights,
-            time_constraint=time_constraint,
-            jobs=jobs,
-            policy=policy,
-            checkpoint=checkpoint,
-            resume=resume,
+    specs = [
+        CandidateSpec(index=0, kind="start", label="start", algorithm="none")
+    ] + [
+        CandidateSpec(
+            index=i + 1,
+            kind="random",
+            label=f"restart.{i}",
+            algorithm="none",
+            seed=seed + i,
         )
-        result.iterations = restarts
-        if OBS.enabled:
-            OBS.inc("partition.random.restarts", restarts)
-        return result
-
-    compiled = compile_graph(slif)
-
-    def score(candidate: Partition) -> float:
-        evaluator = PartitionCost(slif, candidate, weights, time_constraint, compiled)
-        value = evaluator.cost()
-        evaluator.publish()
-        return value
-
-    best = partition.copy(name="random-best")
-    best_cost = score(best)
-    evaluations = 1
-    history = [best_cost]
-    for i in range(restarts):
-        if OBS.enabled:
-            OBS.inc("partition.random.restarts")
-        candidate = random_partition(slif, seed=seed + i, name=f"random-{i}")
-        cost = score(candidate)
-        evaluations += 1
-        if cost < best_cost:
-            best, best_cost = candidate, cost
-            history.append(best_cost)
-    best.name = "random-best"
-    return PartitionResult(
-        partition=best,
-        cost=best_cost,
+        for i in range(restarts)
+    ]
+    result = run_multistart(
+        slif,
+        partition,
+        specs,
         algorithm="random",
-        iterations=restarts,
-        evaluations=evaluations,
-        history=history,
+        result_name="random-best",
+        weights=weights,
+        time_constraint=time_constraint,
+        jobs=jobs,
+        policy=policy,
+        checkpoint=checkpoint,
+        resume=resume,
+        compiled=compiled,
     )
+    result.iterations = restarts
+    if OBS.enabled:
+        OBS.inc("partition.random.restarts", restarts)
+    return result

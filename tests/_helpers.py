@@ -74,6 +74,30 @@ def same_length_variant(text: str) -> str:
     return text
 
 
+def overflowing_synth_document() -> str:
+    """A 5-behavior ``slif gen`` document whose numbers are all finite
+    but whose estimate overflows: the first channel that moves bits is
+    accessed 1e308 times."""
+    import json
+
+    from repro.synth.gen import GenConfig, generate_text
+
+    data = json.loads(generate_text(GenConfig(behaviors=5, seed=1)))
+    channel = next(c for c in data["channels"] if c["bits"] > 0)
+    channel["accfreq"] = channel["accmax"] = 1e308
+    return json.dumps(data)
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and the infinities."""
+    import json
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @contextmanager
 def kernel_disabled():
     """Keep every estimate inside the block on the reference estimators.

@@ -3,9 +3,10 @@
 import pytest
 
 import _golden
+from _helpers import overflowing_synth_document
 from repro import api
 from repro.core.channels import FreqMode
-from repro.errors import SlifError
+from repro.errors import EstimationError, SlifError
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +314,31 @@ class TestExplore:
             spec="vol", constraint_steps=2, random_starts=1, seed=0
         )
         assert api.explore(request) == api.explore(request, session=api.load("vol"))
+
+
+class TestNonFiniteAnswers:
+    """Finite inputs whose estimate overflows raise
+    :class:`~repro.errors.EstimationError` naming the metric: JSON, the
+    served form of every answer, has no NaN or Infinity."""
+
+    MESSAGE = "is inf, not a finite number"
+
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_estimate(self, concurrent):
+        request = {"spec": overflowing_synth_document(), "concurrent": concurrent}
+        with pytest.raises(EstimationError, match=f"^system time .* {self.MESSAGE}"):
+            api.estimate(request)
+
+    def test_partition(self):
+        request = {"spec": overflowing_synth_document(), "algorithm": "greedy"}
+        with pytest.raises(EstimationError, match=f"^system time .* {self.MESSAGE}"):
+            api.partition(request)
+
+    def test_explore(self):
+        with pytest.raises(
+            EstimationError, match=f"^system time of design point .* {self.MESSAGE}"
+        ):
+            api.explore(overflowing_synth_document())
 
 
 def test_top_level_reexport_does_not_warn():

@@ -10,7 +10,10 @@ round-trip is float-faithful.
 
 import pytest
 
+from repro.core.annotations import WeightMap
+from repro.core.components import Bus
 from repro.core.serialize import partition_to_dict, slif_to_dict
+from repro.errors import EstimationError, SlifError
 from repro.explore import ChunkRunner, PlanPayload, WorkPlan, pareto_plan
 from repro.partition.pareto import ParetoFront, explore_pareto
 from repro.api import build_system
@@ -128,8 +131,8 @@ class TestMultiStartPartitioners:
         assert result_signature(parallel) == result_signature(sequential)
 
     def test_single_chain_annealing_unchanged_by_jobs_path(self, ether_system):
-        """restarts=1, jobs=2 routes through the engine and must still
-        equal the plain sequential chain."""
+        """One chain runs in process whatever ``jobs`` says, so
+        ``jobs=2`` gives the ``jobs=1`` chain."""
         from repro.partition.annealing import simulated_annealing
 
         slif, part = ether_system.slif, ether_system.partition
@@ -143,3 +146,49 @@ class TestMultiStartPartitioners:
         assert (
             engine.partition.object_mapping() == plain.partition.object_mapping()
         )
+
+
+def error_of(search, *args, **kwargs):
+    with pytest.raises(SlifError) as info:
+        search(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+class TestErrorsDoNotDependOnJobs:
+    """A search's code path depends only on the algorithm and its own
+    parameters, so an input it cannot search fails the same way at any
+    ``jobs`` and with a checkpoint."""
+
+    def test_random_restart_on_two_buses(self):
+        from repro.partition.random_part import random_restart
+
+        system = build_system("fuzzy")
+        system.slif.add_bus(Bus("bus2", bitwidth=8, ts=0.1, td=1.0))
+        errors = [
+            error_of(
+                random_restart, system.slif, system.partition, restarts=3, jobs=jobs
+            )
+            for jobs in (1, 2)
+        ]
+        assert errors[0] == errors[1]
+        assert "graph has 2 buses; specify which to use" in errors[0][1]
+
+    def test_single_chain_annealing_without_a_size_weight(self, tmp_path):
+        from repro.partition.annealing import simulated_annealing
+
+        system = build_system("vol")
+        main = system.slif.get_node("VolMain")
+        main.size = WeightMap({"proc": main.size["proc"]})   # no asic weight
+        kwargs = dict(seed=0, moves_per_temperature=5, cooling=0.5)
+        errors = [
+            error_of(
+                simulated_annealing, system.slif, system.partition, **kwargs, **run
+            )
+            for run in (
+                {"jobs": 1},
+                {"jobs": 2},
+                {"checkpoint": str(tmp_path / "chain.jsonl")},
+            )
+        ]
+        assert errors[0] == errors[1] == errors[2]
+        assert errors[0][0] is EstimationError

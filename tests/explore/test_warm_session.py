@@ -8,7 +8,8 @@ forked with it.  That state is read-only during a sweep, so two
 threads may sweep one session at once, and a forked worker never needs
 the session lock: a ``jobs=2`` sweep completes while another thread
 holds it.  A sweep without a session compiles its graph once, before it
-forks.
+forks.  ``api.partition`` reads the same compiled graph for every
+algorithm, and its multi-start workers inherit it.
 """
 
 import os
@@ -20,6 +21,7 @@ import pytest
 import _golden
 from repro import api
 from repro.api.types import canonical_json
+from repro.partition import ALGORITHMS
 
 SPEC = _golden.spec_text("gen300")
 
@@ -27,6 +29,13 @@ SPEC = _golden.spec_text("gen300")
 @pytest.fixture()
 def session():
     return api.load(SPEC)
+
+
+@pytest.fixture(scope="module")
+def warm_fuzzy():
+    session = api.load("fuzzy")
+    session.kernel()
+    return session
 
 
 def sweep(session, jobs=1):
@@ -39,9 +48,9 @@ def calls(monkeypatch, tmp_path):
     """Record, in every process, each call of what a warm sweep must
     not redo; returns a reader of ``(pid, name)`` pairs."""
     import repro.core.serialize as serialize
-    import repro.estimate.incremental as incremental
-    import repro.estimate.kernel as kernel
+    import repro.partition  # noqa: F401 - imports every search module
     from repro.api.session import Session
+    from repro.estimate.compile import compile_graph
 
     log = tmp_path / "calls.log"
 
@@ -53,15 +62,20 @@ def calls(monkeypatch, tmp_path):
 
         return wrapper
 
-    for module, attr in (
-        (serialize, "slif_to_dict"),
-        (serialize, "slif_from_dict"),
-        (serialize, "partition_to_dict"),
-        (serialize, "partition_from_dict"),
-        (kernel, "compile_graph"),
-        (incremental, "compile_graph"),
+    for attr in (
+        "slif_to_dict",
+        "slif_from_dict",
+        "partition_to_dict",
+        "partition_from_dict",
     ):
-        monkeypatch.setattr(module, attr, recording(attr, getattr(module, attr)))
+        monkeypatch.setattr(serialize, attr, recording(attr, getattr(serialize, attr)))
+    # in every module that binds it, so no compile goes unseen
+    ours = [module for name, module in sys.modules.items() if name.startswith("repro.")]
+    for module in ours:
+        if vars(module).get("compile_graph") is compile_graph:
+            monkeypatch.setattr(
+                module, "compile_graph", recording("compile_graph", compile_graph)
+            )
     monkeypatch.setattr(
         Session, "kernel", recording("Session.kernel", Session.kernel)
     )
@@ -106,6 +120,21 @@ def test_a_direct_sweep_builds_its_state_once_in_the_parent(calls):
     greedy_multistart(system.slif, system.partition, starts=7, jobs=2)
     parent = str(os.getpid())
     assert calls() == [(parent, "compile_graph"), (parent, "compile_graph")]
+
+
+@pytest.mark.parametrize(
+    "algorithm, jobs",
+    [(algorithm, 1) for algorithm in sorted(ALGORITHMS)]
+    + [("random", 2), ("greedy_multistart", 2)],
+)
+def test_a_warm_partition_compiles_nothing(warm_fuzzy, calls, algorithm, jobs):
+    """Every search scores its moves on the session's compiled graph,
+    in this process and in a worker forked with it."""
+    api.partition(
+        api.PartitionRequest(spec="fuzzy", algorithm=algorithm, jobs=jobs),
+        session=warm_fuzzy,
+    )
+    assert "compile_graph" not in {name for _, name in calls()}
 
 
 def test_two_threads_sweep_one_warm_session(session):

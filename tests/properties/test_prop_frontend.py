@@ -232,12 +232,16 @@ def malformed_synth_documents(draw) -> str:
 @settings(max_examples=40, deadline=None)
 def test_malformed_synth_documents_estimate_or_raise_slif_error(text):
     """Every such document estimates in both concurrency modes or raises
-    :class:`~repro.errors.SlifError`; nothing else escapes."""
+    :class:`~repro.errors.SlifError`; nothing else escapes, and every
+    answer encodes as strict JSON."""
+    from _helpers import strict_json
     from repro import api
+    from repro.api.types import canonical_json
     from repro.errors import SlifError
 
     for concurrent in (False, True):
         try:
-            api.estimate({"spec": text, "concurrent": concurrent})
+            result = api.estimate({"spec": text, "concurrent": concurrent})
         except SlifError:
-            pass
+            continue
+        strict_json(canonical_json(result.to_dict()))

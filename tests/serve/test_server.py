@@ -20,7 +20,7 @@ from repro.api.types import canonical_json
 from repro.serve.app import ServerConfig, SlifServer
 from repro.synth.gen import GenConfig, generate_text
 
-from _helpers import same_length_variant
+from _helpers import overflowing_synth_document, same_length_variant, strict_json
 
 #: every (mode, concurrent) pair, the six answers one session can give
 PAIRS = [(m, c) for m in ("avg", "min", "max") for c in (False, True)]
@@ -120,6 +120,13 @@ class TestBasics:
         )
         assert status == 400
         assert "neither a bundled benchmark" in json.loads(body)["error"]
+
+    def test_overflowing_estimate_400(self, server):
+        status, _, body = http_request(
+            server, "POST", "/v1/estimate", body={"spec": overflowing_synth_document()}
+        )
+        assert status == 400
+        assert "is inf, not a finite number" in strict_json(body)["error"]
 
 
 class TestEstimate:
@@ -524,6 +531,7 @@ class TestAnswerMemo:
         )
         assert status == 400
         assert str(path) in json.loads(body)["error"]
+
 
 
 class TestAnswerMemoStress:
