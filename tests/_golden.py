@@ -4,7 +4,8 @@ The optimisations of the partitioning inner loop must not move a single
 answer: costs, iteration and evaluation counts, improvement histories,
 mappings and Pareto fronts all stay byte-identical.  This module
 computes those answers on the four bundled specs and two generated
-ones (clustering's on the bundled specs only);
+ones (clustering's on the bundled specs only), plus the explore front
+alone of a generated gen-1k spec;
 ``tests/partition/test_golden_answers.py`` compares them with the
 checked-in ``tests/golden/search_answers.json``.
 
@@ -35,6 +36,11 @@ GENERATED = {
     "gen300": {"behaviors": 300, "seed": 3},
     "gen300-deep": {"behaviors": 300, "seed": 4, "depth": 5, "concurrency": 0.5},
 }
+#: name -> (GenConfig keyword arguments, explore seed) of the generated
+#: specs whose explore front alone is pinned, since searches on 1,250
+#: objects are slow: ``gen1k`` is the input of perfbench's
+#: ``explore-gen1k-*`` workloads
+EXPLORE_ONLY = {"gen1k": ({"behaviors": 1000, "seed": 1}, 1)}
 ALGORITHMS = ("greedy", "group_migration", "annealing", "greedy_multistart", "random")
 #: every registered algorithm: clustering is pinned on the bundled specs
 #: only, since its ``build_clusters`` is cubic in the object count
@@ -73,11 +79,17 @@ def digest(value: Any) -> str:
 
 def spec_text(name: str) -> str:
     """The spec argument ``api.load`` takes for golden spec ``name``."""
-    if name in GENERATED:
+    if name in GENERATED or name in EXPLORE_ONLY:
         from repro.synth.gen import GenConfig, generate_text
 
-        return generate_text(GenConfig(**GENERATED[name]))
+        config = GENERATED.get(name) or EXPLORE_ONLY[name][0]
+        return generate_text(GenConfig(**config))
     return name
+
+
+def explore_seed(name: str) -> int:
+    """The seed of spec ``name``'s pinned explore sweep."""
+    return EXPLORE_ONLY[name][1] if name in EXPLORE_ONLY else 0
 
 
 def partition_answer(session, algorithm: str) -> Dict[str, Any]:
@@ -185,12 +197,12 @@ def constrained(session):
             proc.io_constraint = io
 
 
-def explore_answer(session, jobs: int = 1, fleet=None) -> Dict[str, Any]:
+def explore_answer(session, jobs: int = 1, fleet=None, seed: int = 0) -> Dict[str, Any]:
     """The default sweep's front: canonical points plus rendered text."""
     from repro import api
 
     result = api.explore(
-        api.ExploreRequest(spec=session.spec_name, jobs=jobs),
+        api.ExploreRequest(spec=session.spec_name, seed=seed, jobs=jobs),
         session=session,
         fleet=fleet,
     )
@@ -240,6 +252,9 @@ def collect() -> Dict[str, Any]:
                     algorithm: partition_answer(session, algorithm)
                     for algorithm in BUNDLED_ALGORITHMS
                 }
+    for name in EXPLORE_ONLY:
+        session = api.load(spec_text(name))
+        answers[name] = {"explore": explore_answer(session, seed=explore_seed(name))}
     return answers
 
 

@@ -8,7 +8,8 @@ for five algorithms (six on the bundled specs, with clustering), and
 the default explore front at ``jobs=1``,
 ``jobs=2``, without the batch kernel and on a two-worker fleet (the
 ``--workers`` wire path, in-process), on the four bundled specs and two
-generated ones; on the bundled specs also the partition results under
+generated ones, and the front alone on the gen-1k spec perfbench's
+explore workloads sweep; on the bundled specs also the partition results under
 binding size and pin budgets, and searches under a time constraint
 with those budgets, each run both on the session's compiled graph and
 on one of its own.  The partition results and the front are
@@ -25,6 +26,7 @@ import _golden
 from _helpers import WorkerThreads, kernel_disabled
 
 SPECS = _golden.BUNDLED + tuple(_golden.GENERATED)
+EXPLORED = SPECS + tuple(_golden.EXPLORE_ONLY)
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +39,7 @@ def golden():
 def sessions():
     from repro import api
 
-    return {name: api.load(_golden.spec_text(name)) for name in SPECS}
+    return {name: api.load(_golden.spec_text(name)) for name in EXPLORED}
 
 
 def assert_kernel_abstains(session):
@@ -97,18 +99,21 @@ def test_timed_partition_answers(spec, sessions, golden):
 
 
 @pytest.mark.parametrize("config", ["jobs1", "jobs2", "kernel-off", "fleet"])
-@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("spec", EXPLORED)
 def test_explore_front(spec, config, sessions, golden):
+    seed = _golden.explore_seed(spec)
     if config == "fleet":
         from repro.fleet import FleetCoordinator
 
         with WorkerThreads(FleetCoordinator(), count=2) as workers:
-            answer = _golden.explore_answer(sessions[spec], fleet=workers.spec)
+            answer = _golden.explore_answer(
+                sessions[spec], fleet=workers.spec, seed=seed
+            )
     elif config == "kernel-off":
         with kernel_disabled():
             assert_kernel_abstains(sessions[spec])
-            answer = _golden.explore_answer(sessions[spec])
+            answer = _golden.explore_answer(sessions[spec], seed=seed)
     else:
         jobs = 2 if config == "jobs2" else 1
-        answer = _golden.explore_answer(sessions[spec], jobs)
+        answer = _golden.explore_answer(sessions[spec], jobs, seed=seed)
     assert answer == golden[spec]["explore"]
