@@ -13,6 +13,10 @@ Each of these fronts must be byte-equal, points and rendered text, to
 ``explore_pareto`` on a freshly built ``DesignSystem`` of the spec:
 
 - two sweeps of one session at ``jobs=1`` and one at ``jobs=2``;
+- a sweep of the session at ``jobs=1`` with the batch kernel abstaining
+  (``_helpers.kernel_disabled()``), so every design point is scored by
+  the reference Eq. 1 recursion instead of the kernel's channel-table
+  sweep;
 - two ``POST /v1/explore`` requests, naming the spec by path, to an
   in-process ``slif serve`` (the first loads the session, the second
   finds it warm in the server's graph cache).
@@ -29,6 +33,7 @@ import json
 import threading
 import time
 
+from _helpers import kernel_disabled
 from conftest import report
 from repro import api
 from repro.api import build_system
@@ -111,6 +116,9 @@ def test_warm_and_served_sweeps_match_a_fresh_one(benchmark, tmp_path):
         lambda: timed(lambda: sweep(2)), rounds=1, iterations=1
     )
     assert got == expected, "jobs2"
+    with kernel_disabled():
+        got, times["jobs1 kernel off"] = timed(lambda: sweep(1))
+    assert got == expected, "jobs1 kernel off"
     assert (budgets(session.slif), session.partition.object_mapping()) == before
 
     server = SlifServer(ServerConfig(port=0))

@@ -202,9 +202,39 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
+#: the partition algorithms whose starts run on the exploration engine,
+#: the only ones ``--jobs`` and the fault-tolerance flags act on
+ENGINE_ALGORITHMS = ("random", "greedy_multistart")
+
+
+def _reject_engine_flags(args: argparse.Namespace) -> None:
+    """Refuse engine flags an in-process search would silently ignore."""
+    if args.algorithm in ENGINE_ALGORITHMS:
+        return
+    given = [
+        flag
+        for flag, value in (
+            ("--jobs", args.jobs != 1),
+            ("--timeout", args.timeout is not None),
+            ("--retries", args.retries != 2),
+            ("--checkpoint", args.checkpoint is not None),
+            ("--resume", args.resume is not None),
+        )
+        if value
+    ]
+    if given:
+        raise SlifError(
+            f"--algorithm {args.algorithm} runs one search in process and "
+            f"would ignore {', '.join(given)}: --jobs and the fault-tolerance "
+            f"flags apply only to {' and '.join(ENGINE_ALGORITHMS)}, whose "
+            "starts run on the exploration engine"
+        )
+
+
 def cmd_partition(args: argparse.Namespace) -> int:
     from repro import api
 
+    _reject_engine_flags(args)
     session = api.load(args.spec)
     request = api.PartitionRequest(
         spec=args.spec,
@@ -752,7 +782,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="Run a partitioning algorithm.  --jobs and the fault-"
         "tolerance flags apply to random and greedy_multistart, whose starts "
         "run on the exploration engine; the other algorithms run one search "
-        "in process and keep no journal.",
+        "in process, keep no journal and refuse them.",
     )
     p.add_argument("spec")
     p.add_argument(

@@ -192,21 +192,27 @@ class Partition:
 
     def is_complete(self) -> bool:
         """True when every object and channel is mapped (proper partition)."""
-        return not self.unmapped_objects() and not self.unmapped_channels()
+        slif, mapped = self.slif, self._bv_comp.keys()
+        return (
+            slif.behaviors.keys() <= mapped
+            and slif.variables.keys() <= mapped
+            and slif.channels.keys() <= self._chan_bus.keys()
+        )
 
     def require_complete(self) -> None:
         """Raise :class:`PartitionError` unless the partition is proper."""
+        if self.is_complete():
+            return
         missing_bv = self.unmapped_objects()
         missing_ch = self.unmapped_channels()
-        if missing_bv or missing_ch:
-            parts = []
-            if missing_bv:
-                parts.append(f"unmapped objects: {sorted(missing_bv)[:5]}")
-            if missing_ch:
-                parts.append(f"unmapped channels: {sorted(missing_ch)[:5]}")
-            raise PartitionError(
-                f"partition {self.name!r} is not proper ({'; '.join(parts)})"
-            )
+        parts = []
+        if missing_bv:
+            parts.append(f"unmapped objects: {sorted(missing_bv)[:5]}")
+        if missing_ch:
+            parts.append(f"unmapped channels: {sorted(missing_ch)[:5]}")
+        raise PartitionError(
+            f"partition {self.name!r} is not proper ({'; '.join(parts)})"
+        )
 
     def validate(self) -> List[str]:
         """Return a list of rule violations (empty when proper).

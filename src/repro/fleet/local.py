@@ -44,6 +44,10 @@ import time
 from multiprocessing.connection import wait
 from typing import Any, Dict, Iterator
 
+# FleetWorker._process imports repro.faults on a worker's first chunk;
+# importing it here, before the fork, keeps that off every sweep's
+# critical path
+import repro.faults  # noqa: F401
 from repro.errors import FleetError
 from repro.explore.worker import ChunkRunner, PlanPayload
 from repro.fleet.coordinator import FleetConfig, FleetCoordinator

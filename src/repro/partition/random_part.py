@@ -7,7 +7,7 @@ starting points.  Everything is seeded for reproducibility.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.graph import Slif
 from repro.core.partition import Partition
@@ -16,6 +16,29 @@ from repro.estimate.compile import CompiledGraph
 from repro.obs import OBS
 from repro.partition.cost import CostWeights
 from repro.partition.result import PartitionResult
+
+
+def draw_choices(rng: random.Random, pool: Sequence, count: int) -> list:
+    """``[rng.choice(pool) for _ in range(count)]``, draw for draw.
+
+    ``Random.choice`` picks an index by rejection sampling on
+    ``getrandbits(len(pool).bit_length())`` (CPython 3.9-3.13); this
+    repeats that loop inline, without choice's two Python frames per
+    draw, so it returns the same picks and leaves ``rng`` in the same
+    state.
+    """
+    n = len(pool)
+    if count > 0 and not n:
+        raise IndexError("Cannot choose from an empty sequence")
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    picks = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        picks.append(pool[r])
+    return picks
 
 
 def random_partition(
@@ -42,11 +65,10 @@ def random_partition(
         bus = next(iter(slif.buses))
     # names taken from the graph need none of assign()'s checks.  Seeded
     # starts depend on the draw order: behaviors, then variables
-    choice = rng.choice
-    var_pool = processors + memories
+    picks = draw_choices(rng, processors, len(slif.behaviors))
+    picks += draw_choices(rng, processors + memories, len(slif.variables))
     part = Partition(slif, name)
-    part._bv_comp = {b: choice(processors) for b in slif.behaviors}
-    part._bv_comp.update((v, choice(var_pool)) for v in slif.variables)
+    part._bv_comp = dict(zip(slif.bv_names(), picks))
     if slif.channels and bus not in slif.buses:
         raise SlifNameError(f"no bus named {bus!r}")
     part._chan_bus = dict.fromkeys(slif.channels, bus)

@@ -125,6 +125,30 @@ class TestCompleteness:
         with pytest.raises(PartitionError):
             p.require_complete()
 
+    def test_require_complete_message(self, g):
+        p = Partition(g, "half")
+        p.assign("Main", "CPU")
+        p.assign_channel("Main->Sub", "sysbus")
+        with pytest.raises(PartitionError) as excinfo:
+            p.require_complete()
+        assert str(excinfo.value) == (
+            "partition 'half' is not proper (unmapped objects: "
+            "['Sub', 'buf', 'flag']; unmapped channels: ['Main->flag', "
+            "'Main->in1', 'Main->out1', 'Sub->buf'])"
+        )
+        for obj, comp in (("Sub", "HW"), ("buf", "RAM"), ("flag", "CPU")):
+            p.assign(obj, comp)
+        with pytest.raises(PartitionError) as excinfo:
+            p.require_complete()
+        assert str(excinfo.value) == (
+            "partition 'half' is not proper (unmapped channels: "
+            "['Main->flag', 'Main->in1', 'Main->out1', 'Sub->buf'])"
+        )
+        for channel in g.channels:
+            p.assign_channel(channel, "sysbus")
+        p.require_complete()
+        assert p.is_complete()
+
     def test_validate_lists_issues(self, g):
         p = Partition(g)
         issues = p.validate()

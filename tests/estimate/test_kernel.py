@@ -198,6 +198,149 @@ class TestAbstention:
         ]
 
 
+def table_graph():
+    """A graph with every kind of channel-table entry.
+
+    ``Main`` makes a 0-bit call, reads and writes ports, makes a
+    zero-frequency call into ``Hot`` (whose time overflows to inf) and
+    writes two tagged variables; two buses, one with per-pair times.
+    """
+    from repro.core import SlifBuilder
+
+    weights = {"proc": 1.0, "asic": 2.0, "mem": 0.5}
+    slif = (
+        SlifBuilder("table")
+        .process("Main", ict={"proc": 50.0, "asic": 8.0},
+                 size={"proc": 120, "asic": 900})
+        .procedure("Sub", ict={"proc": 20.0, "asic": 3.0},
+                   size={"proc": 60, "asic": 400})
+        .procedure(
+            "Hot",
+            ict={"proc": 1.7e308, "asic": 1.7e308},
+            size={"proc": 5, "asic": 50},
+            parameter_bits=8,
+        )
+        .variable("buf", bits=8, elements=64, ict=weights, size=weights)
+        .variable("flag", bits=1, ict=weights, size=weights)
+        .port("in1", "in", 8)
+        .port("out1", "out", 8)
+        .call("Main", "Sub", freq=2)                  # 0 bits
+        .read("Main", "in1", freq=1)                  # a port
+        .write("Main", "out1", freq=0.0, accmax=3.0)  # a port, 0 at avg
+        .call("Main", "Hot", freq=0.0)                # into an inf callee
+        .write("Main", "buf", freq=4, tag="t")
+        .write("Main", "flag", freq=3, tag="t", accmin=0.0)
+        .read("Sub", "buf", freq=64)
+        .read("Hot", "flag", freq=1e307)              # Hot's time: inf
+        .processor("CPU", "proc")
+        .asic("HW", "asic")
+        .memory("RAM", "mem")
+        .bus("wide", bitwidth=16, ts=0.1, td=1.0)
+        .bus("narrow", bitwidth=4, ts=0.3, td=2.5)
+        .build()
+    )
+    slif.get_bus("narrow").pair_times = {("proc", "asic"): 0.7}
+    return slif
+
+
+def table_partition(slif, bus_of=lambda channel: "wide", name="p"):
+    part = Partition(slif, name)
+    for obj, comp in (("Main", "CPU"), ("Sub", "HW"), ("Hot", "CPU"),
+                      ("buf", "RAM"), ("flag", "HW")):
+        part.assign(obj, comp)
+    for channel in slif.channels:
+        bus = bus_of(channel)
+        if bus is not None:
+            part.assign_channel(channel, bus)
+    return part
+
+
+def assert_kernel_matches_reference(kernel, slif, part):
+    """The design point and all six reports of ``part``: each is the
+    reference's bit for bit, or ``None`` exactly where it raises."""
+    from repro.errors import SlifError
+
+    [point] = kernel.evaluate([(part, "p")], ["HW"])
+    try:
+        ref = evaluate_design_point(slif, part, ["HW"], "p")
+    except SlifError:
+        assert point is None
+    else:
+        assert point is not None and repr(point) == repr(ref)
+    items = [(part, mode, c) for mode in FreqMode for c in (False, True)]
+    for report, (_, mode, c) in zip(kernel.reports(items), items):
+        try:
+            ref = Estimator(slif, part, mode, c).report()
+        except SlifError:
+            assert report is None, (mode, c)
+        else:
+            assert_reports_identical(report, ref)
+
+
+class TestChannelTable:
+    """The sweep reads a per-mapping channel table; every entry kind
+    scores as the reference does."""
+
+    def test_every_entry_kind_matches_the_reference(self):
+        slif = table_graph()
+        kernel = BatchKernel.for_graph(slif)
+        part = table_partition(slif)
+        assert_kernel_matches_reference(kernel, slif, part)
+        # Hot's inf never reaches Main through the zero-frequency call
+        [point] = kernel.evaluate([(part, "p")], ["HW"])
+        assert point.system_time < float("inf")
+
+    def test_zero_frequency_channel_on_an_unmapped_bus(self):
+        slif = table_graph()
+        kernel = BatchKernel.for_graph(slif)
+        # the 0-bit call and the zero-frequency port write have no bus:
+        # Eq. 1 never asks for either, so design points are scored
+        part = table_partition(
+            slif, lambda ch: None if ch in ("Main->Sub", "Main->out1") else "wide"
+        )
+        assert set(part.unmapped_channels()) == {"Main->Sub", "Main->out1"}
+        [point] = kernel.evaluate([(part, "p")], ["HW"])
+        assert point is not None
+        assert_kernel_matches_reference(kernel, slif, part)
+        # a channel Eq. 1 does use, left without a bus: both refuse
+        part = table_partition(
+            slif, lambda ch: None if ch == "Main->in1" else "wide"
+        )
+        assert kernel.evaluate([(part, "p")], ["HW"]) == [None]
+        with pytest.raises(PartitionError, match="Main->in1"):
+            evaluate_design_point(slif, part, ["HW"], "p")
+
+    def test_zero_frequency_call_into_an_overflowing_callee(self):
+        from repro.estimate.exectime import ExecTimeEstimator
+
+        slif = table_graph()
+        kernel = BatchKernel.for_graph(slif)
+        part = table_partition(slif)
+        assert ExecTimeEstimator(slif, part).exectime("Hot") == float("inf")
+        # 0 * inf would be nan: the call is skipped, as the reference does
+        items = [(part, mode, c) for mode in FreqMode for c in (False, True)]
+        for report in kernel.reports(items):
+            assert report.process_times["Main"] < float("inf")
+        assert_kernel_matches_reference(kernel, slif, part)
+
+    def test_two_mappings_alternating_on_one_kernel(self, monkeypatch):
+        slif = table_graph()
+        kernel = BatchKernel.for_graph(slif)
+        built = []
+        build = kernel._channel_table
+        monkeypatch.setattr(
+            kernel, "_channel_table",
+            lambda bus_of: built.append(1) or build(bus_of),
+        )
+        wide = table_partition(slif, name="wide")
+        mixed = table_partition(
+            slif, lambda ch: "narrow" if ch.startswith("Main") else "wide", "mixed"
+        )
+        for part in (wide, mixed, wide, mixed, wide):
+            assert_kernel_matches_reference(kernel, slif, part)
+        assert len(built) == 2  # one table per distinct mapping
+
+
 class TestObsCounters:
     def test_compile_and_batch_counters(self, systems):
         from repro import obs

@@ -12,7 +12,7 @@ from repro.partition.annealing import simulated_annealing
 from repro.partition.cost import PartitionCost
 from repro.partition.greedy import greedy_improve
 from repro.partition.group_migration import group_migration
-from repro.partition.random_part import random_partition, random_restart
+from repro.partition.random_part import draw_choices, random_partition, random_restart
 from repro.errors import EstimationError, PartitionError
 
 from _helpers import build_demo_graph, build_demo_partition, floor_exit_disabled
@@ -209,6 +209,32 @@ class TestRandom:
         g = SlifBuilder("x").process("P").bus("b").build()
         with pytest.raises(PartitionError):
             random_partition(g)
+
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_draws_are_random_choice_draws(self, size):
+        """Every seeded start depends on draw_choices repeating
+        Random.choice draw for draw, and leaving the generator where
+        choice would."""
+        import random
+
+        pool = [f"c{i}" for i in range(size)]
+        for seed in range(60):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            count = 1 + seed % 40
+            assert draw_choices(ours, pool, count) == [
+                theirs.choice(pool) for _ in range(count)
+            ]
+            assert ours.getstate() == theirs.getstate()
+
+    def test_no_draws_from_an_empty_pool(self):
+        import random
+
+        rng = random.Random(0)
+        assert draw_choices(rng, [], 0) == []
+        with pytest.raises(IndexError):
+            draw_choices(rng, [], 1)
+        with pytest.raises(IndexError):
+            rng.choice([])
 
 
 class TestDispatcher:

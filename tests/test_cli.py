@@ -34,6 +34,62 @@ def test_partition(capsys):
     assert "greedy" in out
 
 
+class TestPartitionEngineFlags:
+    """--jobs and the fault-tolerance flags act only on the algorithms
+    whose starts run on the exploration engine; the others refuse them
+    rather than ignore them."""
+
+    @pytest.mark.parametrize(
+        "algorithm", ["greedy", "annealing", "group_migration", "clustering"]
+    )
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--jobs", "2"], "--jobs"),
+            (["--jobs", "0"], "--jobs"),
+            (["--timeout", "5"], "--timeout"),
+            (["--retries", "0"], "--retries"),
+            (["--checkpoint", "run.jsonl"], "--checkpoint"),
+            (["--resume", "run.jsonl"], "--resume"),
+        ],
+    )
+    def test_in_process_search_refuses(
+        self, algorithm, flags, named, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["partition", "vol", "--algorithm", algorithm] + flags
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert named in err and algorithm in err
+        assert "random" in err and "greedy_multistart" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []  # no journal written
+
+    def test_every_flag_given_is_named(self, capsys):
+        argv = ["partition", "vol", "--algorithm", "annealing",
+                "--jobs", "2", "--checkpoint", "ann.jsonl"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--jobs, --checkpoint" in err
+
+    def test_default_values_are_accepted(self, capsys):
+        argv = ["partition", "vol", "--algorithm", "greedy",
+                "--jobs", "1", "--retries", "2"]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("algorithm", ["random", "greedy_multistart"])
+    def test_engine_algorithms_accept_them(
+        self, algorithm, tmp_path, capsys
+    ):
+        journal = tmp_path / "run.jsonl"
+        argv = ["partition", "vol", "--algorithm", algorithm, "--jobs", "2",
+                "--timeout", "60", "--retries", "1",
+                "--checkpoint", str(journal)]
+        assert main(argv) == 0
+        assert journal.exists()
+
+
 def test_stats_shows_figure4_shape(capsys):
     assert main(["stats", "fuzzy"]) == 0
     out = capsys.readouterr().out
