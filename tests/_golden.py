@@ -5,7 +5,7 @@ answer: costs, iteration and evaluation counts, improvement histories,
 mappings and Pareto fronts all stay byte-identical.  This module
 computes those answers on the four bundled specs and two generated
 ones (clustering's on the bundled specs only), plus the explore front
-alone of a generated gen-1k spec;
+of a generated gen-1k spec and every greedy descent its sweep runs;
 ``tests/partition/test_golden_answers.py`` compares them with the
 checked-in ``tests/golden/search_answers.json``.
 
@@ -26,7 +26,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "search_answers.json")
 
@@ -37,9 +37,9 @@ GENERATED = {
     "gen300-deep": {"behaviors": 300, "seed": 4, "depth": 5, "concurrency": 0.5},
 }
 #: name -> (GenConfig keyword arguments, explore seed) of the generated
-#: specs whose explore front alone is pinned, since searches on 1,250
-#: objects are slow: ``gen1k`` is the input of perfbench's
-#: ``explore-gen1k-*`` workloads
+#: specs whose explore front and sweep descents alone are pinned, since
+#: searches on 1,250 objects are slow: ``gen1k`` is the input of
+#: perfbench's ``explore-gen1k-*`` workloads
 EXPLORE_ONLY = {"gen1k": ({"behaviors": 1000, "seed": 1}, 1)}
 ALGORITHMS = ("greedy", "group_migration", "annealing", "greedy_multistart", "random")
 #: every registered algorithm: clustering is pinned on the bundled specs
@@ -221,6 +221,40 @@ def explore_answer(session, jobs: int = 1, fleet=None, seed: int = 0) -> Dict[st
     }
 
 
+def descent_answers(session, seed: int = 0) -> List[Dict[str, Any]]:
+    """Every greedy descent of the default sweep at ``jobs=1``, in plan
+    order.
+
+    The front only shows the non-dominated points, so a descent whose
+    partition changed but stayed dominated would leave it as it was;
+    this records each descent's own result on the way through.
+    """
+    import repro.partition.greedy
+
+    seen = []
+    greedy_improve = repro.partition.greedy.greedy_improve
+
+    def recording(*args, **kwargs):
+        seen.append(greedy_improve(*args, **kwargs))
+        return seen[-1]
+
+    repro.partition.greedy.greedy_improve = recording
+    try:
+        explore_answer(session, seed=seed)
+    finally:
+        repro.partition.greedy.greedy_improve = greedy_improve
+    return [
+        {
+            "cost": repr(result.cost),
+            "iterations": result.iterations,
+            "evaluations": result.evaluations,
+            "history": [repr(value) for value in result.history],
+            "mapping": digest(result.partition.object_mapping()),
+        }
+        for result in seen
+    ]
+
+
 def collect() -> Dict[str, Any]:
     """Every golden answer, keyed by spec."""
     from repro import api
@@ -254,7 +288,10 @@ def collect() -> Dict[str, Any]:
                 }
     for name in EXPLORE_ONLY:
         session = api.load(spec_text(name))
-        answers[name] = {"explore": explore_answer(session, seed=explore_seed(name))}
+        answers[name] = {
+            "explore": explore_answer(session, seed=explore_seed(name)),
+            "descents": descent_answers(session, explore_seed(name)),
+        }
     return answers
 
 

@@ -8,8 +8,9 @@ for five algorithms (six on the bundled specs, with clustering), and
 the default explore front at ``jobs=1``,
 ``jobs=2``, without the batch kernel and on a two-worker fleet (the
 ``--workers`` wire path, in-process), on the four bundled specs and two
-generated ones, and the front alone on the gen-1k spec perfbench's
-explore workloads sweep; on the bundled specs also the partition results under
+generated ones, and on the gen-1k spec perfbench's explore workloads
+sweep the front and each of the sweep's greedy descents; on the bundled
+specs also the partition results under
 binding size and pin budgets, and searches under a time constraint
 with those budgets, each run both on the session's compiled graph and
 on one of its own.  The partition results and the front are
@@ -117,3 +118,13 @@ def test_explore_front(spec, config, sessions, golden):
         jobs = 2 if config == "jobs2" else 1
         answer = _golden.explore_answer(sessions[spec], jobs, seed=seed)
     assert answer == golden[spec]["explore"]
+
+
+@pytest.mark.parametrize("spec", sorted(_golden.EXPLORE_ONLY))
+def test_explore_descents(spec, sessions, golden):
+    """Each descent of the sweep, not only the front it leaves."""
+    got = _golden.descent_answers(sessions[spec], _golden.explore_seed(spec))
+    want = golden[spec]["descents"]
+    assert len(got) == len(want)
+    for index, (answer, pinned) in enumerate(zip(got, want)):
+        assert answer == pinned, f"descent {index + 1} of the plan"
