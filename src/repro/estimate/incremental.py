@@ -6,18 +6,26 @@ object.  Recomputing Eqs. 4–6 from scratch per move costs O(objects);
 this module maintains the per-component size tallies and per-(component,
 bus) cut-channel counts so a move costs O(degree of the moved object).
 
+The tallies live on the graph's
+:class:`~repro.estimate.compile.CompiledGraph` indices: :attr:`sizes`
+is a list with one entry per component index, and :attr:`comp_of` holds
+each node's current component index.  The name-keyed methods
+(:meth:`~IncrementalEstimator.apply_move`,
+:meth:`~IncrementalEstimator.component_sizes`, ...) translate names once
+per call; a search's inner loop reads and previews the lists directly.
+
 The execution-time metric is inherently global (Eq. 1 recurses through
 the call structure), so it is recomputed lazily — the memoized evaluator
-is invalidated on each move and only re-run when a caller asks for a
-time.  Cost functions that only need size/IO (the common inner loop)
-never pay for it.
+is built on the first time query, invalidated on each move and only
+re-run when a caller asks for a time.  Cost functions that only need
+size/IO (the common inner loop) never pay for it.
 
 A search that only asks what a move *would* do need not make it:
-:meth:`IncrementalEstimator.preview_sizes` and
+:meth:`IncrementalEstimator.preview` (and its name-keyed form
+:meth:`~IncrementalEstimator.preview_sizes`) and
 :meth:`IncrementalEstimator.cut_delta` answer from the tallies plus the
-moved object's size weights and incident channels in the graph's
-:class:`~repro.estimate.compile.CompiledGraph`, leaving the partition
-alone.
+moved object's size weights and incident channels in the compiled
+graph, leaving the partition alone.
 
 Usage::
 
@@ -30,7 +38,7 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.channels import FreqMode
 from repro.core.graph import Slif
@@ -42,8 +50,7 @@ from repro.estimate.size import object_size
 from repro.obs import OBS
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     """Undo token for one applied move."""
 
     obj: str
@@ -83,10 +90,11 @@ class IncrementalEstimator:
     estimator of that graph (a session's kernel holds it).  Its nodes,
     channels, weights and technologies must not change while it is in
     use; component constraints may.  Moves never remap channels, so
-    each channel's bus is read from the partition once, when the
-    estimator is built.  The cut counts are built on the first I/O
-    query and kept up to date from then on, so a search whose cost has
-    no pin budget never pays for them.
+    each channel's bus is read from the partition once, on the first
+    I/O query, when the cut counts are built; they are kept up to date
+    from then on, so a search whose cost has no pin budget never pays
+    for them.  Likewise the execution-time evaluator is built on the
+    first time query.
     """
 
     def __init__(
@@ -104,11 +112,15 @@ class IncrementalEstimator:
         self.slif = slif
         self.partition = partition
         self.cg = compiled
-        self._chan_bus = partition.channel_mapping()
-        self._exec = ExecTimeEstimator(slif, partition, mode)
-        self._exec_dirty = False
+        self.mode = mode
         self.stats = IncrementalStats()
-        self._sizes: Dict[str, float] = {}
+        #: Eq. 4/5 size of each component, by component index
+        self.sizes: List[float] = []
+        #: the component index each node is mapped to, by node index
+        self.comp_of: List[int] = []
+        self._exec: Optional[ExecTimeEstimator] = None
+        self._exec_dirty = False
+        self._chan_bus: Optional[Dict[str, str]] = None
         # cut channel counts: (component, bus) -> number of cut channels
         self._cut_counts: Optional[Dict[Tuple[str, str], int]] = None
         self._rebuild()
@@ -117,46 +129,55 @@ class IncrementalEstimator:
     # construction of the tallies
 
     def _rebuild(self) -> None:
+        """Fill :attr:`sizes` and :attr:`comp_of` in one pass over the
+        mapping, adding each component's weights in mapping order."""
         cg = self.cg
         node_index, comp_index, size = cg.node_index, cg.comp_index, cg.size
-        sizes = self._sizes = {name: 0.0 for name in cg.comp_names}
+        sizes = self.sizes = [0.0] * cg.n_comps
+        comp_of = self.comp_of = [0] * cg.n_nodes
         for obj, comp in self.partition.object_mapping().items():
-            try:
-                w = size[node_index[obj]][comp_index[comp]]
-            except KeyError:
-                w = None
-            sizes[comp] += w if w is not None else object_size(self.slif, obj, comp)
+            node = node_index[obj]
+            c = comp_of[node] = comp_index[comp]
+            w = size[node][c]
+            sizes[c] += w if w is not None else object_size(self.slif, obj, comp)
         self._cut_counts = None
 
-    def _move_weights(self, obj: str, src: str, dst: str) -> Tuple[float, float]:
-        """``GetBvSize`` of ``obj`` on ``src`` and on ``dst``.
+    def _reference_weights(
+        self, node: int, src: int, dst: int
+    ) -> Tuple[float, float]:
+        """``GetBvSize`` of node ``node`` on components ``src`` and
+        ``dst``, looked up the reference way.
 
-        Read off the compiled size table.  A weight the table lacks
-        (never annotated, or an unknown name) is looked up the reference
-        way, ``src`` first, so it raises exactly what
+        A move reads both weights off the compiled size table and comes
+        here when the table lacks one (never annotated); ``src`` is
+        looked up first, so this raises exactly what
         :func:`~repro.estimate.size.object_size` raises for it.
         """
         cg = self.cg
-        try:
-            row = cg.size[cg.node_index[obj]]
-            w_src, w_dst = row[cg.comp_index[src]], row[cg.comp_index[dst]]
-        except KeyError:
-            w_src = w_dst = None
-        if w_src is None or w_dst is None:
-            return object_size(self.slif, obj, src), object_size(self.slif, obj, dst)
-        return w_src, w_dst
+        obj = cg.node_names[node]
+        return (
+            object_size(self.slif, obj, cg.comp_names[src]),
+            object_size(self.slif, obj, cg.comp_names[dst]),
+        )
+
+    def _channel_buses(self) -> Dict[str, str]:
+        """Each channel's bus, read from the partition on first use."""
+        if self._chan_bus is None:
+            self._chan_bus = self.partition.channel_mapping()
+        return self._chan_bus
 
     def _counts(self) -> Dict[Tuple[str, str], int]:
         """The cut counts, counted from the partition on first use."""
         if self._cut_counts is None:
             counts: Dict[Tuple[str, str], int] = {}
             comp_of = self.partition.object_mapping().get  # ports: None
+            chan_bus = self._channel_buses()
             for ch in self.slif.channels.values():
                 src_comp = comp_of(ch.src)
                 dst_comp = comp_of(ch.dst)
                 if src_comp == dst_comp:
                     continue  # internal (or a self-loop): cut for no component
-                bus = self._chan_bus[ch.name]
+                bus = chan_bus[ch.name]
                 for comp in (src_comp, dst_comp):
                     if comp is not None:
                         key = (comp, bus)
@@ -170,12 +191,13 @@ class IncrementalEstimator:
     def component_size(self, component: str) -> float:
         """Current Eq. 4/5 size of ``component`` (O(1))."""
         try:
-            return self._sizes[component]
+            return self.sizes[self.cg.comp_index[component]]
         except KeyError:
             raise PartitionError(f"unknown component {component!r}") from None
 
     def component_sizes(self) -> Dict[str, float]:
-        return dict(self._sizes)
+        """Every component's current size, in component order."""
+        return dict(zip(self.cg.comp_names, self.sizes))
 
     def component_io(
         self,
@@ -199,35 +221,40 @@ class IncrementalEstimator:
         return total
 
     def component_ios(self) -> Dict[str, int]:
-        return {name: self.component_io(name) for name in self._sizes}
+        return {name: self.component_io(name) for name in self.cg.comp_names}
+
+    def _estimator(self) -> ExecTimeEstimator:
+        """The memoized Eq. 1 evaluator, built on first use."""
+        if self._exec is None:
+            self._exec = ExecTimeEstimator(self.slif, self.partition, self.mode)
+        return self._exec
 
     @property
     def exec_stats(self):
         """Memo telemetry of the lazily-refreshed exectime evaluator."""
-        return self._exec.stats
+        return self._estimator().stats
 
-    def _refresh_exec(self) -> None:
+    def _refresh_exec(self) -> ExecTimeEstimator:
+        estimator = self._estimator()
         if self._exec_dirty:
-            self._exec.invalidate()
+            estimator.invalidate()
             self._exec_dirty = False
             self.stats.recomputes += 1
+        return estimator
 
     def execution_time(self, behavior: str) -> float:
         """Eq. 1, recomputed lazily after moves."""
-        self._refresh_exec()
-        return self._exec.exectime(behavior)
+        return self._refresh_exec().exectime(behavior)
 
     def system_time(self) -> float:
-        self._refresh_exec()
-        return self._exec.system_time()
+        return self._refresh_exec().system_time()
 
     # ------------------------------------------------------------------
     # move previews (the partition is left alone)
 
-    def preview_sizes(
-        self, obj: str, component: str
-    ) -> Tuple[str, Dict[str, float]]:
-        """``(current component, sizes after the move)`` of moving ``obj``.
+    def preview(self, node: int, src: int, dst: int) -> List[float]:
+        """:attr:`sizes` after moving node ``node`` from component
+        ``src`` to ``dst`` (indices, ``src != dst``).
 
         Neither the partition nor the cut counts change.  The two
         touched size tallies are left as :meth:`apply_move` followed by
@@ -236,17 +263,34 @@ class IncrementalEstimator:
         must see the same floats as one that applied and undid each
         trial move.
         """
+        row = self.cg.size[node]
+        w_src, w_dst = row[src], row[dst]
+        if w_src is None or w_dst is None:
+            w_src, w_dst = self._reference_weights(node, src, dst)
+        sizes = self.sizes
+        after = sizes[:]
+        after[src] = left = sizes[src] - w_src
+        after[dst] = right = sizes[dst] + w_dst
+        sizes[src] = left + w_src
+        sizes[dst] = right - w_dst
+        return after
+
+    def preview_sizes(
+        self, obj: str, component: str
+    ) -> Tuple[str, Dict[str, float]]:
+        """``(current component, sizes after the move)`` of moving ``obj``;
+        :meth:`preview` by name."""
         src = self.partition.get_bv_comp(obj)
-        sizes = self._sizes
         if src == component:
-            return src, dict(sizes)
-        w_src, w_dst = self._move_weights(obj, src, component)
-        after = dict(sizes)
-        after[src] = sizes[src] - w_src
-        after[component] = sizes[component] + w_dst
-        sizes[src] = after[src] + w_src
-        sizes[component] = after[component] - w_dst
-        return src, after
+            return src, self.component_sizes()
+        cg = self.cg
+        try:
+            dst = cg.comp_index[component]
+        except KeyError:
+            object_size(self.slif, obj, component)  # an unknown name raises there
+            raise
+        after = self.preview(cg.node_index[obj], cg.comp_index[src], dst)
+        return src, dict(zip(cg.comp_names, after))
 
     def cut_delta(self, obj: str, src: str, dst: str) -> Dict[Tuple[str, str], int]:
         """Cut-count changes, per ``(component, bus)``, of moving ``obj``
@@ -257,14 +301,14 @@ class IncrementalEstimator:
         """
         cg = self.cg
         node = cg.node_index[obj]
-        names, slot_src, slot_dst = cg.node_names, cg.slot_src, cg.slot_dst
-        comp_of = self.partition.maybe_bv_comp
-        chan_bus = self._chan_bus
+        names, slot_src, slot_dst = cg.comp_names, cg.slot_src, cg.slot_dst
+        comp_of = self.comp_of
+        chan_bus = self._channel_buses()
         delta: Dict[Tuple[str, str], int] = {}
         for s in cg.inc_slot[cg.inc_lo[node]:cg.inc_lo[node + 1]]:
             bus = chan_bus[cg.slot_name[s]]
             other = slot_dst[s] if slot_src[s] == node else slot_src[s]
-            other_comp = comp_of(names[other]) if other >= 0 else None  # a port
+            other_comp = names[comp_of[other]] if other >= 0 else None  # a port
             # leaving src cuts a channel internal to src and un-cuts the rest
             key = (src, bus)
             delta[key] = delta.get(key, 0) + (1 if other_comp == src else -1)
@@ -280,7 +324,12 @@ class IncrementalEstimator:
         """Move ``obj`` to ``component``, updating all tallies.
 
         Returns an undo token.  Moving an object to its current
-        component is a no-op move (still returns a valid token).
+        component is a no-op move (still returns a valid token).  A
+        target ``obj`` may not be mapped to raises what
+        :meth:`~repro.core.partition.Partition.assign` raises, and a
+        missing size weight what
+        :func:`~repro.estimate.size.object_size` raises, both before
+        anything changes.
 
         >>> from repro.api import build_system
         >>> from repro.estimate.incremental import IncrementalEstimator
@@ -296,15 +345,11 @@ class IncrementalEstimator:
         >>> inc.component_sizes() == before
         True
         """
-        part = self.partition
-        src = part.get_bv_comp(obj)
+        src = self.partition.get_bv_comp(obj)
         record = MoveRecord(obj, src, component)
-        if src == component:
-            return record
-        self._shift(obj, src, component)
-        part.move(obj, component)
-        self._mark_dirty()
-        self.stats.moves_applied += 1
+        if src != component:
+            self._move(obj, src, component)
+            self.stats.moves_applied += 1
         return record
 
     def undo(self, record: MoveRecord) -> None:
@@ -318,14 +363,39 @@ class IncrementalEstimator:
         >>> system.partition.get_bv_comp("Median3")
         'CPU'
         """
-        if record.src == record.dst:
-            return
-        self._shift(record.obj, record.dst, record.src)
-        self.partition.move(record.obj, record.src)
-        self._mark_dirty()
-        self.stats.moves_undone += 1
+        if record.src != record.dst:
+            self._move(record.obj, record.dst, record.src)
+            self.stats.moves_undone += 1
 
-    def _mark_dirty(self) -> None:
+    def _move(self, obj: str, src: str, dst: str) -> None:
+        """Move ``obj`` from ``src`` to ``dst`` in the partition and the
+        tallies.
+
+        :meth:`~repro.core.partition.Partition.move` checks the target
+        before any tally changes; a missing size weight then puts the
+        mapping back.  Only the two involved components' tallies
+        change: sizes move the object's weight; cut counts change as
+        :meth:`cut_delta` says.
+        """
+        self.partition.move(obj, dst)
+        cg = self.cg
+        node, s, d = cg.node_index[obj], cg.comp_index[src], cg.comp_index[dst]
+        row = cg.size[node]
+        w_src, w_dst = row[s], row[d]
+        if w_src is None or w_dst is None:
+            try:
+                w_src, w_dst = self._reference_weights(node, s, d)
+            except BaseException:
+                self.partition.move(obj, src)
+                raise
+        sizes = self.sizes
+        sizes[s] -= w_src
+        sizes[d] += w_dst
+        self.comp_of[node] = d
+        counts = self._cut_counts
+        if counts is not None:
+            for key, change in self.cut_delta(obj, src, dst).items():
+                counts[key] = counts.get(key, 0) + change
         if self._exec_dirty:
             # an invalidation is already pending; this move rides along
             self.stats.recomputes_avoided += 1
@@ -340,22 +410,6 @@ class IncrementalEstimator:
                 if count:
                     OBS.inc(f"estimate.incremental.{name}", count)
 
-    def _shift(self, obj: str, src: str, dst: str) -> None:
-        """Update tallies for moving ``obj`` from ``src`` to ``dst``.
-
-        Only the two involved components' tallies can change: sizes move
-        the object's weight; cut counts change as :meth:`cut_delta` says.
-        Both weights are looked up before anything changes, so a missing
-        annotation leaves the tallies intact.
-        """
-        w_src, w_dst = self._move_weights(obj, src, dst)
-        self._sizes[src] -= w_src
-        self._sizes[dst] += w_dst
-        counts = self._cut_counts
-        if counts is not None:
-            for key, change in self.cut_delta(obj, src, dst).items():
-                counts[key] = counts.get(key, 0) + change
-
     # ------------------------------------------------------------------
     # verification (used by property tests)
 
@@ -364,9 +418,19 @@ class IncrementalEstimator:
         from repro.estimate.io import all_component_ios
         from repro.estimate.size import all_component_sizes
 
+        cg = self.cg
+        mapping = self.partition.object_mapping()
+        for node, obj in enumerate(cg.node_names):
+            got = cg.comp_names[self.comp_of[node]]
+            if got != mapping[obj]:
+                raise AssertionError(
+                    f"component drift on {obj!r}: incremental {got!r}, "
+                    f"partition {mapping[obj]!r}"
+                )
+        sizes = self.component_sizes()
         fresh_sizes = all_component_sizes(self.slif, self.partition)
         for comp, size in fresh_sizes.items():
-            got = self._sizes.get(comp, 0.0)
+            got = sizes.get(comp, 0.0)
             if abs(got - size) > 1e-6:
                 raise AssertionError(
                     f"size tally drift on {comp!r}: incremental {got}, "

@@ -6,20 +6,24 @@ budget has cost contribution zero from those terms — plus optional
 optimisation objectives (system execution time, component balance).
 
 The function is evaluated through an
-:class:`~repro.estimate.incremental.IncrementalEstimator`.  Scoring a
-candidate move with :meth:`PartitionCost.try_move` does not make it:
-the size terms come from the tallies plus the moved object's weights,
-and the I/O terms from its cut-count delta, which is only computed when
+:class:`~repro.estimate.incremental.IncrementalEstimator`, on the
+compiled graph's integer node and component indices.  One function,
+:meth:`PartitionCost.score_move`, scores every trial move:
+:meth:`PartitionCost.try_move` calls it by name, and
+:meth:`PartitionCost.best_move` over one object's candidates, as a
+greedy descent asks.  A trial does not make its move: the size terms
+come from the tallies previewed with the moved object's weights, and
+the I/O terms from its cut-count delta, which is only computed when
 some processor has a pin budget.  Execution time is a global metric; it
 is only folded in when ``weights.time > 0`` and a time constraint is
-set, and then ``try_move`` applies the move, evaluates and undoes it,
+set, and then a trial applies the move, evaluates and undoes it,
 because Eq. 1 needs the moved partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.graph import Slif
 from repro.core.partition import Partition
@@ -65,11 +69,31 @@ class PartitionCost:
     ``budgets`` maps component names to the size budgets to use in
     place of their ``size_constraint`` (``None`` for no budget), so a
     search can run under synthetic budgets without touching the graph.
-    Budgets are read once, here.
+    Size and pin budgets are read once, here.
 
-    Evaluations are counted in :attr:`evaluations`; :meth:`publish`
-    adds them to the ``partition.cost.evaluations`` counter, once per
-    search rather than once per evaluation.
+    Evaluations are counted in :attr:`evaluations`, one per
+    :meth:`cost` and one per trial move; :meth:`publish` adds them to
+    the ``partition.cost.evaluations`` counter, once per search rather
+    than once per evaluation.
+
+    On ``fuzzy``, :meth:`best_move` picks the best of :meth:`try_move`
+    over :meth:`candidate_components`, the first in pool order on a tie:
+
+    >>> from repro.api import build_system
+    >>> system = build_system("fuzzy")
+    >>> system.slif.processors["CPU"].size_constraint = 500
+    >>> evaluator = PartitionCost(system.slif, system.partition)
+    >>> current = evaluator.cost()
+    >>> obj = evaluator.movable_objects()[0]
+    >>> scores = [
+    ...     (evaluator.try_move(obj, comp), comp)
+    ...     for comp in evaluator.candidate_components(obj)
+    ... ]
+    >>> cost, comp = evaluator.best_move(evaluator.inc.cg.node_index[obj], current)
+    >>> (cost, evaluator.inc.cg.comp_names[comp]) == min(scores, key=lambda s: s[0])
+    True
+    >>> cost < current
+    True
     """
 
     def __init__(
@@ -87,22 +111,34 @@ class PartitionCost:
         self.time_constraint = time_constraint
         self.inc = IncrementalEstimator(slif, partition, compiled=compiled)
         self.evaluations = 0
+        cg = self.inc.cg
         budgets = budgets or {}
         self._budgets = [
-            (name, budgets.get(name, slif.get_component(name).size_constraint))
-            for name in self.inc.cg.comp_names
+            budgets.get(name, slif.get_component(name).size_constraint)
+            for name in cg.comp_names
         ]
+        #: (component index, budget) of each component whose budget counts
+        self._limits = [(c, limit) for c, limit in enumerate(self._budgets) if limit]
+        #: (processor name, budget) of each processor with a pin budget
+        self._pins = [
+            (name, proc.io_constraint)
+            for name, proc in slif.processors.items()
+            if proc.io_constraint is not None
+        ]
+        self._timed = bool(self.weights.time) and time_constraint is not None
         self._behavior_pool = list(slif.processors)
         self._variable_pool = list(slif.processors) + list(slif.memories)
+        # the same pools as component indices: processors come first
+        self._pools = (range(len(self._behavior_pool)), range(cg.n_comps))
 
     # ------------------------------------------------------------------
 
     def cost(self) -> float:
         """Cost of the current partition state."""
         self.evaluations += 1
-        total = self._terms(self.inc.component_sizes())
-        w = self.weights
-        if w.time and self.time_constraint is not None:
+        total = self._terms(self.inc.sizes)
+        if self._timed:
+            w = self.weights
             time = self.inc.system_time()
             if time > self.time_constraint:
                 _require_positive(self.time_constraint, "the time constraint")
@@ -111,35 +147,29 @@ class PartitionCost:
 
     def _terms(
         self,
-        sizes: Mapping[str, float],
-        move: Optional[Tuple[str, str, str]] = None,
+        sizes: Sequence[float],
+        move: Optional[Tuple[int, int, int]] = None,
     ) -> float:
-        """Size, balance and I/O terms; of ``move``'s result when given."""
+        """Size, balance and I/O terms of the component ``sizes``; the
+        I/O after ``move`` = (node, src, dst) when given."""
         w = self.weights
         total = 0.0
         if w.size or w.balance:
-            total += self._size_terms(sizes)
-        if w.io:
-            total += w.io * self._io_violations(move)
-        return total
-
-    def _size_terms(self, sizes: Mapping[str, float]) -> float:
-        w = self.weights
-        total = 0.0
-        utilisations: List[float] = []
-        for name, limit in self._budgets:
-            used = sizes[name]
-            if limit:
+            terms = 0.0
+            for comp, limit in self._limits:
+                used = sizes[comp]
                 if used > limit:
-                    total += w.size * (used - limit) / limit
-                utilisations.append(used / limit)
-        if w.balance and len(utilisations) > 1:
-            spread = max(utilisations) - min(utilisations)
-            total += w.balance * spread
+                    terms += w.size * (used - limit) / limit
+            if w.balance and len(self._limits) > 1:
+                utilisations = [sizes[comp] / limit for comp, limit in self._limits]
+                terms += w.balance * (max(utilisations) - min(utilisations))
+            total += terms
+        if w.io:
+            total += w.io * (self._io_violations(move) if self._pins else 0.0)
         return total
 
-    def _io_violations(self, move: Optional[Tuple[str, str, str]] = None) -> float:
-        """Normalized Eq. 6 violations; after ``move`` = (obj, src, dst).
+    def _io_violations(self, move: Optional[Tuple[int, int, int]] = None) -> float:
+        """Normalized Eq. 6 violations; after ``move`` = (node, src, dst).
 
         The move's cut-count delta is only computed once a processor
         with a pin budget needs it.
@@ -147,12 +177,11 @@ class PartitionCost:
         inc = self.inc
         delta = None
         total = 0.0
-        for name, proc in self.slif.processors.items():
-            budget = proc.io_constraint
-            if budget is None:
-                continue
+        for name, budget in self._pins:
             if move is not None and delta is None:
-                delta = inc.cut_delta(*move)
+                node, src, dst = move
+                names = inc.cg.comp_names
+                delta = inc.cut_delta(inc.cg.node_names[node], names[src], names[dst])
             used = inc.component_io(name, delta)
             if used > budget:
                 _require_positive(budget, f"the I/O constraint of processor {name!r}")
@@ -172,18 +201,15 @@ class PartitionCost:
         or some object lacks a size weight for a component it may move to.
         """
         w = self.weights
-        if w.time and self.time_constraint is not None:
+        if self._timed:
             return None
         if min(w.size, w.io, w.time, w.balance) < 0:
             return None
         if not self.inc.cg.covers_pools:
             return None
-        if any(limit is not None and limit < 0 for _, limit in self._budgets):
+        if any(limit is not None and limit < 0 for limit in self._budgets):
             return None
-        if w.io and any(
-            proc.io_constraint is not None and proc.io_constraint <= 0
-            for proc in self.slif.processors.values()
-        ):
+        if w.io and any(budget <= 0 for _, budget in self._pins):
             return None
         return 0.0
 
@@ -204,32 +230,67 @@ class PartitionCost:
     def undo(self, record: MoveRecord) -> None:
         self.inc.undo(record)
 
+    def score_move(self, node: int, src: int, dst: int) -> float:
+        """Cost the partition would have after moving node ``node`` from
+        component ``src`` to ``dst`` (compiled-graph indices, ``src``
+        its current component and ``dst`` another it may move to); no
+        net change.
+
+        Every trial move is scored here.  Without a time term the move
+        is previewed on the tallies; with one it is applied, evaluated
+        and undone.  Either way the result is the same float, and one
+        evaluation is counted once the size weights are found.
+        """
+        inc = self.inc
+        if self._timed:
+            cg = inc.cg
+            record = inc.apply_move(cg.node_names[node], cg.comp_names[dst])
+            try:
+                return self.cost()
+            finally:
+                inc.undo(record)
+        after = inc.preview(node, src, dst)
+        self.evaluations += 1
+        return self._terms(after, (node, src, dst))
+
     def try_move(self, obj: str, component: str) -> float:
         """Cost the partition would have after moving ``obj``; no net change.
 
-        Without a time term the move is scored read-only from the
-        tallies; with one it is applied, evaluated and undone.  Either
-        way the result is the same float, and a target ``obj`` may not
-        be mapped to raises what
-        :meth:`~repro.core.partition.Partition.assign` raises.
+        :meth:`score_move` by name.  A target ``obj`` may not be mapped
+        to raises what :meth:`~repro.core.partition.Partition.assign`
+        raises; moving ``obj`` to its own component costs the current
+        partition.
         """
         self.partition.require_assignable(obj, component)
-        if self.weights.time and self.time_constraint is not None:
-            record = self.apply_move(obj, component)
-            value = self.cost()
-            self.undo(record)
-            return value
-        src, sizes = self.inc.preview_sizes(obj, component)
-        if src == component:
+        cg = self.inc.cg
+        node, dst = cg.node_index[obj], cg.comp_index[component]
+        src = self.inc.comp_of[node]
+        if src == dst:
             return self.cost()
-        self.evaluations += 1
-        return self._terms(sizes, (obj, src, component))
+        return self.score_move(node, src, dst)
+
+    def best_move(self, node: int, bound: float) -> Tuple[float, int]:
+        """The best trial move of node ``node``, as ``(cost, component
+        index)``; ``(bound, -1)`` when none scores below ``bound``.
+
+        Every other component of the node's pool is scored with
+        :meth:`score_move`, in pool order, and a candidate wins when it
+        scores more than 1e-12 below the best so far.
+        """
+        src = self.inc.comp_of[node]
+        best, best_comp = bound, -1
+        for dst in self._pools[node >= self.inc.cg.n_behaviors]:
+            if dst != src:
+                cost = self.score_move(node, src, dst)
+                if cost < best - 1e-12:
+                    best, best_comp = cost, dst
+        return best, best_comp
 
     # ------------------------------------------------------------------
     # move-generation helpers shared by the algorithms
 
     def movable_objects(self) -> List[str]:
-        """Every behavior and variable, in graph order."""
+        """Every behavior and variable, in graph order (node index order)."""
         return self.slif.bv_names()
 
     def candidate_components(self, obj: str) -> List[str]:

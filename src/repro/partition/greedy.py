@@ -2,8 +2,10 @@
 
 Repeated passes over every functional object; each object is offered
 every legal alternative component and takes the best strictly-improving
-move.  Terminates when a full pass improves nothing — a local minimum
-under the single-move neighbourhood — or after ``max_passes`` passes.
+move, found by one :meth:`PartitionCost.best_move` call that scores its
+candidates on the compiled graph's indices.  Terminates when a full
+pass improves nothing — a local minimum under the single-move
+neighbourhood — or after ``max_passes`` passes.
 
 Once the cost reaches :meth:`PartitionCost.floor`, no trial move can
 improve it, so the descent ends there: the trials left in the pass and
@@ -51,6 +53,7 @@ def greedy_improve(
     current = evaluator.cost()
     history = [current]
     floor = evaluator.floor()
+    names, comps = evaluator.inc.cg.node_names, evaluator.inc.cg.comp_names
     passes = 0
 
     improved = True
@@ -63,22 +66,17 @@ def greedy_improve(
             # the confirming pass: no trial can score below the floor
             evaluator.evaluations += evaluator.pass_trials()
             break
-        for position, obj in enumerate(evaluator.movable_objects()):
-            best_cost = current
-            best_comp = None
-            for comp in evaluator.candidate_components(obj):
-                cost = evaluator.try_move(obj, comp)
-                if cost < best_cost - 1e-12:
-                    best_cost = cost
-                    best_comp = comp
-            if best_comp is not None:
-                evaluator.apply_move(obj, best_comp)
+        # movable_objects() in node index order
+        for node, obj in enumerate(names):
+            best_cost, best_comp = evaluator.best_move(node, current)
+            if best_comp >= 0:
+                evaluator.apply_move(obj, comps[best_comp])
                 current = best_cost
                 history.append(current)
                 improved = True
                 if current == floor:
                     # nor can any trial left in this pass
-                    evaluator.evaluations += evaluator.pass_trials(position + 1)
+                    evaluator.evaluations += evaluator.pass_trials(node + 1)
                     break
 
     if OBS.enabled and len(history) > 1:

@@ -102,6 +102,29 @@ def test_unknown_component_query_raises(g, p):
         inc.component_size("ghost")
 
 
+@pytest.mark.parametrize("failure", ["illegal target", "missing weight"])
+def test_failed_move_changes_nothing(g, p, failure):
+    """A move that raises leaves the tallies and the mapping as they were:
+    a behavior never lands on a memory, and a missing size weight is
+    found before anything changes."""
+    from repro.core.annotations import WeightMap
+
+    if failure == "illegal target":
+        obj, comp, error = "Main", "RAM", PartitionError
+        match = "behavior 'Main' may only be mapped to a processor; 'RAM' is not one"
+    else:
+        g.behaviors["Sub"].size = WeightMap({"proc": 60})
+        obj, comp, error, match = "Sub", "HW", EstimationError, "'asic'"
+    inc = IncrementalEstimator(g, p)
+    inc.component_ios()  # build the cut counts now, so a move would update them
+    before = (inc.component_sizes(), inc.component_ios(), p.object_mapping())
+    with pytest.raises(error, match=match):
+        inc.apply_move(obj, comp)
+    assert (inc.component_sizes(), inc.component_ios(), p.object_mapping()) == before
+    assert inc.stats.moves_applied == 0
+    inc.verify_consistency()
+
+
 class TestMoveStats:
     """Move/undo telemetry stays consistent with the tallies."""
 

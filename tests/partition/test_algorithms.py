@@ -78,15 +78,15 @@ class TestFloorExit:
     def _descend(g, p, monkeypatch, **kwargs):
         """Greedy with the exit, the trials it scored, and greedy without it."""
         scored = []
-        try_move = PartitionCost.try_move
+        score_move = PartitionCost.score_move
 
-        def counted(self, obj, comp):
-            scored.append(obj)
-            return try_move(self, obj, comp)
+        def counted(self, node, src, dst):
+            scored.append(self.inc.cg.node_names[node])
+            return score_move(self, node, src, dst)
 
         with floor_exit_disabled():
             full = greedy_improve(g, p, **kwargs)
-        monkeypatch.setattr(PartitionCost, "try_move", counted)
+        monkeypatch.setattr(PartitionCost, "score_move", counted)
         result = greedy_improve(g, p, **kwargs)
         assert repr(result) == repr(full)
         assert result.partition.object_mapping() == full.partition.object_mapping()

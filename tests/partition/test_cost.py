@@ -158,6 +158,18 @@ def test_try_move_rejects_an_illegal_target(g, time_constraint):
     pc.inc.verify_consistency()
 
 
+def test_timed_try_move_that_raises_undoes_its_move(g):
+    """A trial whose cost raises still leaves no net change."""
+    p = build_demo_partition(g)
+    pc = PartitionCost(g, p, time_constraint=0.0)
+    before = (p.object_mapping(), pc.inc.component_sizes())
+    with pytest.raises(PartitionError, match="must be positive"):
+        pc.try_move("Main", "HW")
+    assert (p.object_mapping(), pc.inc.component_sizes()) == before
+    assert (pc.inc.stats.moves_applied, pc.inc.stats.moves_undone) == (1, 1)
+    pc.inc.verify_consistency()
+
+
 class TestZeroBudgets:
     """A budget of zero (or below) is a PartitionError, not a crash."""
 

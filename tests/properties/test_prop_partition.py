@@ -167,6 +167,72 @@ def test_try_move_matches_apply_cost_undo(scenario, rng):
     scored.inc.verify_consistency()
 
 
+def _reference_best(evaluator, obj, bound):
+    """Greedy's per-object choice made the plain way: apply, cost and
+    undo each candidate in pool order."""
+    best, best_comp = bound, None
+    for comp in evaluator.candidate_components(obj):
+        cost = _reference_try(evaluator, obj, comp)
+        if cost < best - 1e-12:
+            best, best_comp = cost, comp
+    return best, best_comp
+
+
+def _attempt(fn):
+    """``("value", result)``, or ``("error", message)`` when a size
+    weight is missing."""
+    try:
+        return "value", fn()
+    except EstimationError as exc:
+        return "error", str(exc)
+
+
+def _best_move(evaluator, node, bound):
+    """:meth:`PartitionCost.best_move` with the component by name."""
+    cost, comp = evaluator.best_move(node, bound)
+    return cost, evaluator.inc.cg.comp_names[comp] if comp >= 0 else None
+
+
+@given(cost_scenarios(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_best_move_matches_the_best_apply_cost_undo(scenario, rng):
+    """Greedy's per-object call equals, by repr, the best of a twin's
+    apply/cost/undo over the object's candidates, or fails with the same
+    error; both twins hold the same tallies, mapping and evaluation
+    count after every object.  Each object's best move, or else a random
+    candidate, is committed, so the tallies accumulate the round-trip
+    rounding of non-integral weights."""
+    g, weights, time_constraint, seed = scenario
+    start = random_partition(g, seed=seed)
+
+    def twin():
+        return PartitionCost(g, start.copy(), weights, time_constraint)
+
+    if _outcome(lambda: twin().cost())[0] == "error":
+        return  # the start mapping itself uses the missing weight
+    scored, reference = twin(), twin()
+    bound = scored.cost()
+    assert repr(reference.cost()) == repr(bound)
+    for node, obj in enumerate(scored.movable_objects()):
+        got = _attempt(lambda: _best_move(scored, node, bound))
+        want = _attempt(lambda: _reference_best(reference, obj, bound))
+        assert repr(got) == repr(want), obj
+        assert _tallies(scored) == _tallies(reference)
+        if got[0] == "error":
+            continue
+        commit = got[1][1]
+        if commit is None:
+            commit = rng.choice(scored.candidate_components(obj))
+            if _outcome(lambda: object_size(g, obj, commit))[0] == "error":
+                continue
+        scored.apply_move(obj, commit)
+        reference.apply_move(obj, commit)
+        bound = scored.cost()
+        assert repr(reference.cost()) == repr(bound)
+    assert _tallies(scored) == _tallies(reference)
+    scored.inc.verify_consistency()
+
+
 # ---------------------------------------------------------------------------
 # greedy ending at the cost floor vs running every pass
 
