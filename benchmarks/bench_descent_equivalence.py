@@ -18,6 +18,10 @@ reaches 0 part-way through a pass.
   ``repr``, the best of a twin's apply/cost/undo over the object's
   candidates, for the same sample, with and without a pin budget; the
   tallies, mapping and evaluation count must match after each object.
+- Both move-scoring checks run on the spec's one bus and again on a
+  copy of the graph whose every other channel is on a second bus of
+  another width, so a cut counted on the wrong bus changes a pin term.
+  Each ends in ``verify_consistency`` against the reference estimators.
 
 Both descent times are printed; no timing is asserted.  Run with::
 
@@ -34,6 +38,7 @@ import pytest
 from _helpers import floor_exit_disabled, greedy_outcome
 from conftest import report
 from repro.api import build_system
+from repro.core.components import Bus
 from repro.partition.cost import PartitionCost
 from repro.partition.greedy import greedy_improve
 from repro.synth.gen import GenConfig, generate_text
@@ -44,10 +49,11 @@ SAMPLE = 500
 CPU_SHARE = 0.6
 #: below one bus width, so any cut channel violates it
 PIN_BUDGET = 8
+#: the second bus of the two-bus graph
+SECOND_BUS = "side"
 
 
-@pytest.fixture(scope="module")
-def gen10k():
+def build_gen10k():
     system = build_system(generate_text(GenConfig(behaviors=10_000, seed=SEED)))
     slif = system.slif
     total = sum(
@@ -56,6 +62,31 @@ def gen10k():
     )
     slif.processors["CPU"].size_constraint = total * CPU_SHARE
     return slif, system.partition
+
+
+@pytest.fixture(scope="module")
+def gen10k():
+    return build_gen10k()
+
+
+@pytest.fixture(scope="module")
+def gen10k_two_buses():
+    """A graph and start of its own, with every other channel on a second
+    bus twice as wide as the first."""
+    slif, start = build_gen10k()
+    [first] = slif.buses.values()
+    slif.add_bus(Bus(SECOND_BUS, bitwidth=2 * first.bitwidth))
+    for channel in list(slif.channels)[1::2]:
+        start.assign_channel(channel, SECOND_BUS)
+    return slif, start
+
+
+@pytest.fixture(params=["one bus", "two buses"])
+def graph(request):
+    """The one-bus or the two-bus gen-10k graph and its start."""
+    if request.param == "one bus":
+        return request.getfixturevalue("gen10k")
+    return request.getfixturevalue("gen10k_two_buses")
 
 
 @contextmanager
@@ -111,8 +142,8 @@ def _tallies(evaluator):
 
 
 @pytest.mark.parametrize("pins", [None, PIN_BUDGET])
-def test_try_move_matches_apply_cost_undo(benchmark, gen10k, pins):
-    slif, start = gen10k
+def test_try_move_matches_apply_cost_undo(benchmark, graph, pins):
+    slif, start = graph
     with pin_budgets(slif, pins):
         scored = PartitionCost(slif, start.copy())
         reference = PartitionCost(slif, start.copy())
@@ -142,15 +173,16 @@ def test_try_move_matches_apply_cost_undo(benchmark, gen10k, pins):
         scored.inc.verify_consistency()
     report(
         [
-            f"try_move / gen-10k, pin budget {pins}: {trials} trials over "
-            f"{SAMPLE} objects equal apply/cost/undo",
+            f"try_move / gen-10k, {len(slif.buses)} bus(es), pin budget "
+            f"{pins}: {trials} trials over {SAMPLE} objects equal "
+            "apply/cost/undo",
         ]
     )
 
 
 @pytest.mark.parametrize("pins", [None, PIN_BUDGET])
-def test_best_move_matches_the_best_apply_cost_undo(benchmark, gen10k, pins):
-    slif, start = gen10k
+def test_best_move_matches_the_best_apply_cost_undo(benchmark, graph, pins):
+    slif, start = graph
     with pin_budgets(slif, pins):
         scored = PartitionCost(slif, start.copy())
         reference = PartitionCost(slif, start.copy())
@@ -189,7 +221,8 @@ def test_best_move_matches_the_best_apply_cost_undo(benchmark, gen10k, pins):
         scored.inc.verify_consistency()
     report(
         [
-            f"best_move / gen-10k, pin budget {pins}: {SAMPLE} objects equal "
-            f"the best apply/cost/undo ({improved} with an improving move)",
+            f"best_move / gen-10k, {len(slif.buses)} bus(es), pin budget "
+            f"{pins}: {SAMPLE} objects equal the best apply/cost/undo "
+            f"({improved} with an improving move)",
         ]
     )

@@ -50,8 +50,10 @@ The package is organised as:
     that the CLI, the HTTP server and library users all share.
 ``repro.serve``
     The HTTP serving layer: a stdlib-only threaded JSON server over
-    the facade, with an LRU graph cache, request micro-batching and
-    bounded-in-flight backpressure (``slif serve``).
+    the facade, with an LRU graph cache that a warm request finds by
+    matching its spec's content with ``==`` (no hashing), memoized
+    estimate answers that identical requests share one flight of (no
+    batch window), and bounded-in-flight backpressure (``slif serve``).
 
 Quickstart::
 

@@ -32,6 +32,14 @@ touching a single graph object:
   moves (:mod:`repro.estimate.incremental`): another CSR layout over
   the same slots.
 
+A partition enters the compiled side as two vectors: each node's
+component index (:attr:`CompiledGraph.comp_index` of its component, then
+the port sentinel's ``-1``) and each slot's bus index
+(:meth:`CompiledGraph.bus_vector`).  Eq. 6 is one tally over them,
+:meth:`CompiledGraph.cut_counts`, read by :meth:`CompiledGraph.io`; the
+kernel's reports count it afresh and the incremental estimator keeps it
+up to date across moves.
+
 Evaluation order is resolved at compile time too: a reverse-topological
 order over the nodes reachable from the system's processes (and, for
 full reports, from every channel source), callees before callers, so a
@@ -49,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.graph import Slif
 
@@ -94,9 +102,6 @@ class CompiledGraph:
     slot_tag: List[Optional[str]] = field(default_factory=list)
     slot_name: List[str] = field(default_factory=list)
     slot_of_channel: Dict[str, int] = field(default_factory=dict)
-    #: slot index of every channel in ``slif.channels`` insertion order
-    #: (the order ``all_channel_bitrates`` and the report path walk)
-    report_slots: List[int] = field(default_factory=list)
 
     # per-mode per-slot vectors
     freq: Dict[str, List[float]] = field(default_factory=dict)
@@ -110,6 +115,7 @@ class CompiledGraph:
     #: transfers[slot][bus] = ceil(bits / bitwidth); 0 rows for 0-bit slots
     transfers: List[List[int]] = field(default_factory=list)
     bus_capacity: List[float] = field(default_factory=list)
+    bus_width: List[int] = field(default_factory=list)
 
     # incidence: inc_slot[inc_lo[n]:inc_lo[n + 1]] are the slots of node
     # n's channels but self-loops, each under its source and under a
@@ -141,6 +147,45 @@ class CompiledGraph:
     @property
     def n_slots(self) -> int:
         return len(self.slot_dst)
+
+    def bus_vector(self, chan_bus: Mapping[str, str]) -> Optional[List[int]]:
+        """Each slot's bus index under the channel mapping ``chan_bus``
+        (``-1`` where it maps none); ``None`` when it names a channel or
+        bus the graph lacks."""
+        bus_of = [-1] * self.n_slots
+        slot_of, bus_index = self.slot_of_channel, self.bus_index
+        for chan, bus in chan_bus.items():
+            slot = slot_of.get(chan)
+            bi = bus_index.get(bus)
+            if slot is None or bi is None:
+                return None
+            bus_of[slot] = bi
+        return bus_of
+
+    def cut_counts(
+        self, comp_of: Sequence[int], bus_of: Sequence[int]
+    ) -> List[List[int]]:
+        """Eq. 6's cut tally of a complete partition: ``counts[c][b]``
+        channels on bus ``b`` are cut for component ``c``.
+
+        ``comp_of`` is each node's component index followed by the port
+        sentinel's ``-1``, which a port destination (``-1``) reads as
+        ``comp_of[-1]``.  A channel is cut for each endpoint's component
+        when the two differ; a port is inside none.
+        """
+        counts = [[0] * len(self.bus_names) for _ in self.comp_names]
+        for a, d, b in zip(self.slot_src, self.slot_dst, bus_of):
+            src, dst = comp_of[a], comp_of[d]
+            if src != dst:
+                counts[src][b] += 1
+                if dst >= 0:
+                    counts[dst][b] += 1
+        return counts
+
+    def io(self, cuts: Sequence[int]) -> int:
+        """Eq. 6: the summed widths of the buses one component's
+        :meth:`cut_counts` row counts a cut channel on."""
+        return sum(w for w, n in zip(self.bus_width, cuts) if n > 0)
 
 
 def _evaluation_order(cg: CompiledGraph) -> Optional[Tuple[List[int], int]]:
@@ -279,7 +324,6 @@ def compile_graph(slif: Slif) -> CompiledGraph:
         mode: [f * bits for f, bits in zip(freqs, cg.slot_bits)]
         for mode, freqs in cg.freq.items()
     }
-    cg.report_slots = [cg.slot_of_channel[name] for name in slif.channels]
     _incidence(cg)
 
     # per-bus transfer-time matrices over (src comp, dst comp) incl. the
@@ -305,9 +349,9 @@ def compile_graph(slif: Slif) -> CompiledGraph:
             float("inf") if bus.td == 0.0 else bus.bitwidth / bus.td
         )
     # slots of one bit width share their (read-only) row
-    widths = [slif.get_bus(name).bitwidth for name in cg.bus_names]
+    cg.bus_width = [slif.get_bus(name).bitwidth for name in cg.bus_names]
     rows = {
-        bits: [0 if bits == 0 else math.ceil(bits / w) for w in widths]
+        bits: [0 if bits == 0 else math.ceil(bits / w) for w in cg.bus_width]
         for bits in set(cg.slot_bits)
     }
     cg.transfers = [rows[bits] for bits in cg.slot_bits]

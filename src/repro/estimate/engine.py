@@ -22,8 +22,8 @@ from repro.core.graph import Slif
 from repro.core.partition import Partition
 from repro.estimate.bitrate import BusLoad, all_bus_loads, channel_bitrate
 from repro.estimate.exectime import ExecTimeEstimator
-from repro.estimate.io import all_component_ios, io_violation
-from repro.estimate.size import all_component_sizes, size_violation
+from repro.estimate.io import all_component_ios
+from repro.estimate.size import all_component_sizes
 from repro.obs import span
 
 
@@ -52,6 +52,26 @@ class Violation:
             f"{self.component}: {self.metric} {self.used:g} exceeds "
             f"limit {self.limit:g} by {self.excess:g}"
         )
+
+
+def budget_violations(
+    slif: Slif, sizes: Dict[str, float], ios: Dict[str, int]
+) -> List[Violation]:
+    """Every exceeded size and pin budget of ``slif``'s components, in
+    component order, given their Eq. 4–5 ``sizes`` and Eq. 6 ``ios``.
+
+    The one violation rule: :meth:`Estimator.violations` and the batch
+    kernel's reports both call it, and it reads each budget live.
+    """
+    found: List[Violation] = []
+    for name in list(slif.processors) + list(slif.memories):
+        comp = slif.get_component(name)
+        if comp.size_constraint is not None and sizes[name] > comp.size_constraint:
+            found.append(Violation(name, "size", sizes[name], comp.size_constraint))
+        limit = getattr(comp, "io_constraint", None)
+        if limit is not None and ios[name] > limit:
+            found.append(Violation(name, "io", ios[name], limit))
+    return found
 
 
 @dataclass
@@ -178,22 +198,12 @@ class Estimator:
         sizes: Optional[Dict[str, float]] = None,
         ios: Optional[Dict[str, int]] = None,
     ) -> List[Violation]:
-        """All exceeded size and I/O constraints."""
-        found: List[Violation] = []
-        sizes = sizes if sizes is not None else self.component_sizes()
-        ios = ios if ios is not None else self.component_ios()
-        for name in list(self.slif.processors) + list(self.slif.memories):
-            comp = self.slif.get_component(name)
-            if comp.size_constraint is not None:
-                used = sizes[name]
-                if used > comp.size_constraint:
-                    found.append(Violation(name, "size", used, comp.size_constraint))
-            limit = getattr(comp, "io_constraint", None)
-            if limit is not None:
-                used_io = ios[name]
-                if used_io > limit:
-                    found.append(Violation(name, "io", used_io, limit))
-        return found
+        """All exceeded size and I/O constraints (:func:`budget_violations`)."""
+        return budget_violations(
+            self.slif,
+            sizes if sizes is not None else self.component_sizes(),
+            ios if ios is not None else self.component_ios(),
+        )
 
     def report(self) -> EstimateReport:
         """Compute everything at once (the partitioning inner-loop call).

@@ -7,9 +7,12 @@ this module maintains the per-component size tallies and per-(component,
 bus) cut-channel counts so a move costs O(degree of the moved object).
 
 The tallies live on the graph's
-:class:`~repro.estimate.compile.CompiledGraph` indices: :attr:`sizes`
-is a list with one entry per component index, and :attr:`comp_of` holds
-each node's current component index.  The name-keyed methods
+:class:`~repro.estimate.compile.CompiledGraph` indices and hold a
+partition the way the batch kernel reads one: :attr:`comp_of` is each
+node's component index (then the port sentinel's ``-1``), the cut counts
+are :meth:`~repro.estimate.compile.CompiledGraph.cut_counts` over it and
+each slot's bus index, kept up to date from the first I/O query on, and
+:attr:`sizes` has one entry per component index.  The name-keyed methods
 (:meth:`~IncrementalEstimator.apply_move`,
 :meth:`~IncrementalEstimator.component_sizes`, ...) translate names once
 per call; a search's inner loop reads and previews the lists directly.
@@ -23,9 +26,9 @@ size/IO (the common inner loop) never pay for it.
 A search that only asks what a move *would* do need not make it:
 :meth:`IncrementalEstimator.preview` (and its name-keyed form
 :meth:`~IncrementalEstimator.preview_sizes`) and
-:meth:`IncrementalEstimator.cut_delta` answer from the tallies plus the
-moved object's size weights and incident channels in the compiled
-graph, leaving the partition alone.
+:meth:`IncrementalEstimator.cut_delta` answer on indices from the
+tallies plus the moved object's size weights and incident channels in
+the compiled graph, leaving the partition alone.
 
 Usage::
 
@@ -90,11 +93,11 @@ class IncrementalEstimator:
     estimator of that graph (a session's kernel holds it).  Its nodes,
     channels, weights and technologies must not change while it is in
     use; component constraints may.  Moves never remap channels, so
-    each channel's bus is read from the partition once, on the first
-    I/O query, when the cut counts are built; they are kept up to date
-    from then on, so a search whose cost has no pin budget never pays
-    for them.  Likewise the execution-time evaluator is built on the
-    first time query.
+    each slot's bus index is read from the partition once, on the first
+    I/O query, when the cut counts are tallied; they are kept up to
+    date from then on, so a search whose cost has no pin budget never
+    pays for them.  Likewise the execution-time evaluator is built on
+    the first time query.
     """
 
     def __init__(
@@ -116,13 +119,15 @@ class IncrementalEstimator:
         self.stats = IncrementalStats()
         #: Eq. 4/5 size of each component, by component index
         self.sizes: List[float] = []
-        #: the component index each node is mapped to, by node index
+        #: the component index each node is mapped to, by node index,
+        #: then the port sentinel's -1
         self.comp_of: List[int] = []
         self._exec: Optional[ExecTimeEstimator] = None
         self._exec_dirty = False
-        self._chan_bus: Optional[Dict[str, str]] = None
-        # cut channel counts: (component, bus) -> number of cut channels
-        self._cut_counts: Optional[Dict[Tuple[str, str], int]] = None
+        # each slot's bus index, and the cut counts by component and bus
+        # index (CompiledGraph.cut_counts); both None until an I/O query
+        self._bus_of: Optional[List[int]] = None
+        self._cuts: Optional[List[List[int]]] = None
         self._rebuild()
 
     # ------------------------------------------------------------------
@@ -134,13 +139,12 @@ class IncrementalEstimator:
         cg = self.cg
         node_index, comp_index, size = cg.node_index, cg.comp_index, cg.size
         sizes = self.sizes = [0.0] * cg.n_comps
-        comp_of = self.comp_of = [0] * cg.n_nodes
+        comp_of = self.comp_of = [0] * cg.n_nodes + [-1]
         for obj, comp in self.partition.object_mapping().items():
             node = node_index[obj]
             c = comp_of[node] = comp_index[comp]
             w = size[node][c]
             sizes[c] += w if w is not None else object_size(self.slif, obj, comp)
-        self._cut_counts = None
 
     def _reference_weights(
         self, node: int, src: int, dst: int
@@ -160,68 +164,53 @@ class IncrementalEstimator:
             object_size(self.slif, obj, cg.comp_names[dst]),
         )
 
-    def _channel_buses(self) -> Dict[str, str]:
-        """Each channel's bus, read from the partition on first use."""
-        if self._chan_bus is None:
-            self._chan_bus = self.partition.channel_mapping()
-        return self._chan_bus
-
-    def _counts(self) -> Dict[Tuple[str, str], int]:
-        """The cut counts, counted from the partition on first use."""
-        if self._cut_counts is None:
-            counts: Dict[Tuple[str, str], int] = {}
-            comp_of = self.partition.object_mapping().get  # ports: None
-            chan_bus = self._channel_buses()
-            for ch in self.slif.channels.values():
-                src_comp = comp_of(ch.src)
-                dst_comp = comp_of(ch.dst)
-                if src_comp == dst_comp:
-                    continue  # internal (or a self-loop): cut for no component
-                bus = chan_bus[ch.name]
-                for comp in (src_comp, dst_comp):
-                    if comp is not None:
-                        key = (comp, bus)
-                        counts[key] = counts.get(key, 0) + 1
-            self._cut_counts = counts
-        return self._cut_counts
+    def _cut_counts(self) -> List[List[int]]:
+        """The cut counts, tallied on first use, when each slot's bus
+        index is read from the partition."""
+        if self._cuts is None:
+            cg = self.cg
+            self._bus_of = cg.bus_vector(self.partition.channel_mapping())
+            self._cuts = cg.cut_counts(self.comp_of, self._bus_of)
+        return self._cuts
 
     # ------------------------------------------------------------------
     # queries
 
-    def component_size(self, component: str) -> float:
-        """Current Eq. 4/5 size of ``component`` (O(1))."""
+    def _component_index(self, component: str) -> int:
         try:
-            return self.sizes[self.cg.comp_index[component]]
+            return self.cg.comp_index[component]
         except KeyError:
             raise PartitionError(f"unknown component {component!r}") from None
+
+    def component_size(self, component: str) -> float:
+        """Current Eq. 4/5 size of ``component`` (O(1))."""
+        return self.sizes[self._component_index(component)]
 
     def component_sizes(self) -> Dict[str, float]:
         """Every component's current size, in component order."""
         return dict(zip(self.cg.comp_names, self.sizes))
 
-    def component_io(
-        self,
-        component: str,
-        delta: Optional[Mapping[Tuple[str, str], int]] = None,
+    def io(
+        self, comp: int, delta: Optional[Mapping[Tuple[int, int], int]] = None
     ) -> int:
-        """Current Eq. 6 I/O of ``component`` (O(buses)).
+        """Current Eq. 6 I/O of component index ``comp`` (O(buses)).
 
         With ``delta`` from :meth:`cut_delta`, the I/O it would have
         after that move.
         """
-        counts = self._counts()
-        total = 0
-        for bus_name, bus in self.slif.buses.items():
-            key = (component, bus_name)
-            count = counts.get(key, 0)
-            if delta:
-                count += delta.get(key, 0)
-            if count > 0:
-                total += bus.bitwidth
-        return total
+        cuts = self._cut_counts()[comp]
+        if delta:
+            cuts = [n + delta.get((comp, b), 0) for b, n in enumerate(cuts)]
+        return self.cg.io(cuts)
+
+    def component_io(self, component: str) -> int:
+        """Current Eq. 6 I/O of ``component``; :meth:`io` by name."""
+        return self.io(self._component_index(component))
 
     def component_ios(self) -> Dict[str, int]:
-        return {name: self.component_io(name) for name in self.cg.comp_names}
+        """Every component's current I/O, in component order."""
+        cg = self.cg
+        return dict(zip(cg.comp_names, map(cg.io, self._cut_counts())))
 
     def _estimator(self) -> ExecTimeEstimator:
         """The memoized Eq. 1 evaluator, built on first use."""
@@ -292,29 +281,28 @@ class IncrementalEstimator:
         after = self.preview(cg.node_index[obj], cg.comp_index[src], dst)
         return src, dict(zip(cg.comp_names, after))
 
-    def cut_delta(self, obj: str, src: str, dst: str) -> Dict[Tuple[str, str], int]:
-        """Cut-count changes, per ``(component, bus)``, of moving ``obj``
-        from ``src`` to ``dst``.
+    def cut_delta(self, node: int, src: int, dst: int) -> Dict[Tuple[int, int], int]:
+        """Cut-count changes, per ``(component, bus)`` index pair, of
+        moving node ``node`` from component ``src`` to ``dst`` (indices).
 
-        Only channels incident to ``obj`` can change, and only with
+        Only channels incident to the node can change, and only with
         respect to ``src`` and ``dst``.
         """
         cg = self.cg
-        node = cg.node_index[obj]
-        names, slot_src, slot_dst = cg.comp_names, cg.slot_src, cg.slot_dst
-        comp_of = self.comp_of
-        chan_bus = self._channel_buses()
-        delta: Dict[Tuple[str, str], int] = {}
+        self._cut_counts()
+        comp_of, bus_of = self.comp_of, self._bus_of
+        slot_src, slot_dst = cg.slot_src, cg.slot_dst
+        delta: Dict[Tuple[int, int], int] = {}
         for s in cg.inc_slot[cg.inc_lo[node]:cg.inc_lo[node + 1]]:
-            bus = chan_bus[cg.slot_name[s]]
-            other = slot_dst[s] if slot_src[s] == node else slot_src[s]
-            other_comp = names[comp_of[other]] if other >= 0 else None  # a port
+            bus = bus_of[s]
+            # the far endpoint's component; a port reads the sentinel's -1
+            other = comp_of[slot_dst[s] if slot_src[s] == node else slot_src[s]]
             # leaving src cuts a channel internal to src and un-cuts the rest
             key = (src, bus)
-            delta[key] = delta.get(key, 0) + (1 if other_comp == src else -1)
+            delta[key] = delta.get(key, 0) + (1 if other == src else -1)
             # arriving at dst makes a channel to dst internal and cuts the rest
             key = (dst, bus)
-            delta[key] = delta.get(key, 0) + (-1 if other_comp == dst else 1)
+            delta[key] = delta.get(key, 0) + (-1 if other == dst else 1)
         return delta
 
     # ------------------------------------------------------------------
@@ -324,11 +312,14 @@ class IncrementalEstimator:
         """Move ``obj`` to ``component``, updating all tallies.
 
         Returns an undo token.  Moving an object to its current
-        component is a no-op move (still returns a valid token).  A
-        target ``obj`` may not be mapped to raises what
-        :meth:`~repro.core.partition.Partition.assign` raises, and a
+        component is a no-op move (still returns a valid token).  An
+        object the graph lacks, or a target it may not be mapped to,
+        raises what
+        :meth:`~repro.core.partition.Partition.require_assignable`
+        raises (as :meth:`PartitionCost.try_move
+        <repro.partition.cost.PartitionCost.try_move>` does), and a
         missing size weight what
-        :func:`~repro.estimate.size.object_size` raises, both before
+        :func:`~repro.estimate.size.object_size` raises, all before
         anything changes.
 
         >>> from repro.api import build_system
@@ -345,6 +336,9 @@ class IncrementalEstimator:
         >>> inc.component_sizes() == before
         True
         """
+        if obj not in self.cg.node_index:
+            # a name the graph lacks: SlifNameError, as try_move raises
+            self.partition.require_assignable(obj, component)
         src = self.partition.get_bv_comp(obj)
         record = MoveRecord(obj, src, component)
         if src != component:
@@ -392,10 +386,10 @@ class IncrementalEstimator:
         sizes[s] -= w_src
         sizes[d] += w_dst
         self.comp_of[node] = d
-        counts = self._cut_counts
-        if counts is not None:
-            for key, change in self.cut_delta(obj, src, dst).items():
-                counts[key] = counts.get(key, 0) + change
+        cuts = self._cuts
+        if cuts is not None:
+            for (c, b), change in self.cut_delta(node, s, d).items():
+                cuts[c][b] += change
         if self._exec_dirty:
             # an invalidation is already pending; this move rides along
             self.stats.recomputes_avoided += 1
@@ -443,6 +437,10 @@ class IncrementalEstimator:
                 raise AssertionError(
                     f"io tally drift on {comp!r}: incremental {got}, fresh {io}"
                 )
-        for key, count in self._counts().items():
-            if count < 0:
-                raise AssertionError(f"negative cut count for {key}: {count}")
+        fresh = cg.cut_counts(
+            self.comp_of, cg.bus_vector(self.partition.channel_mapping())
+        )
+        if self._cut_counts() != fresh:
+            raise AssertionError(
+                f"cut count drift: incremental {self._cuts}, fresh {fresh}"
+            )

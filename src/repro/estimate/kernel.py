@@ -16,10 +16,14 @@ the identity holds on every Python.
 
 The division of labour with :mod:`repro.estimate.exectime` and friends:
 
-* the kernel handles the **common fast path** — complete, well-annotated
-  candidates on an acyclic graph;
-* anything else (a call cycle, a missing weight, an unmapped object the
-  sweep actually reaches) is *unsupported*: the kernel returns ``None``
+* the kernel scores a partition that maps **every node, in node order**
+  (behaviors, then variables, as :attr:`CompiledGraph.node_names
+  <repro.estimate.compile.CompiledGraph.node_names>` lists them), the
+  shape a built system's partition, a seeded random draw and every
+  move keep: one C-level ``map`` turns its mapping into the component
+  vector that every equation reads;
+* anything else (another mapping shape, a call cycle, a missing weight,
+  an unmapped channel) is *unsupported*: the kernel returns ``None``
   for that candidate and the caller re-evaluates it on the reference
   estimators, which either succeed or raise the precise, user-facing
   error.  The reference path therefore remains the oracle — the kernel
@@ -95,8 +99,8 @@ class BatchKernel:
 
     Construct through :meth:`for_graph`; instances are cheap to keep and
     safe to reuse for any number of batches, but hold no partition state
-    — every candidate is converted fresh from its
-    :class:`~repro.core.partition.Partition`.
+    — every candidate is read fresh from its
+    :class:`~repro.core.partition.Partition` (see :meth:`_components`).
 
     Thread safety: evaluation only reads the compiled arrays, so one
     kernel may serve concurrent callers (a session's concurrent sweeps
@@ -110,12 +114,12 @@ class BatchKernel:
 
     def __init__(self, compiled: CompiledGraph) -> None:
         self.cg = compiled
-        # Exploration candidates share almost all their structure: the
-        # object-mapping keys are the node names in graph order, the
-        # channel mapping is one of very few distinct vectors, and the
-        # sorted mapping tuple always uses the same key permutation.
-        # Precompute what is candidate-invariant so the per-candidate
-        # work is a handful of C-level passes (see _design_point).
+        # Candidates share almost all their structure: the object-mapping
+        # keys are the node names in graph order, the channel mapping is
+        # one of very few distinct vectors, and the sorted mapping tuple
+        # always uses the same key permutation.  Precompute what is
+        # candidate-invariant so the per-candidate work is a handful of
+        # C-level passes (see _components and _design_point).
         names = compiled.node_names
         self._n_nodes = compiled.n_nodes
         self._node_names = names
@@ -157,29 +161,29 @@ class BatchKernel:
     # ------------------------------------------------------------------
     # candidate conversion
 
-    def _convert(
-        self, partition: Partition
-    ) -> Tuple[List[Tuple[int, int]], List[int]]:
-        """Partition → (assignment pairs, comp-of-node).
+    def _components(self, partition: Partition) -> Tuple[List[str], List[int]]:
+        """``(component names, comp_of)`` of a partition that maps every
+        node in node order; raises :class:`_Unsupported` for any other.
 
-        ``pairs`` preserves the partition's assignment insertion order —
-        the order Eqs. 4–5 sum sizes in.  ``comp_of`` has one more entry
-        than there are nodes: the port sentinel's ``-1`` (see
-        :meth:`_sweep`).
+        The kernel's one reading of an object mapping: the names are the
+        mapping's values, and ``comp_of`` their component indices from
+        one C-level ``map``, then the port sentinel's ``-1`` (see
+        :meth:`_sweep`).  Node order is the insertion order Eqs. 4–5 sum
+        sizes in, so ``comp_of`` also gives the assignment order.  This
+        reads the partition's internal dict directly (no
+        ``object_mapping()`` copy), a read-only peek under the same
+        no-mutation-mid-call contract the estimators already have.
         """
-        cg = self.cg
-        node_index = cg.node_index
-        comp_index = cg.comp_index
-        pairs: List[Tuple[int, int]] = []
-        comp_of = [-1] * (cg.n_nodes + 1)
-        for obj, comp in partition.object_mapping().items():
-            ni = node_index.get(obj)
-            ci = comp_index.get(comp)
-            if ni is None or ci is None:
-                raise _Unsupported
-            pairs.append((ni, ci))
-            comp_of[ni] = ci
-        return pairs, comp_of
+        bv = partition._bv_comp
+        if len(bv) != self._n_nodes or list(bv) != self._node_names:
+            raise _Unsupported
+        names = list(bv.values())
+        try:
+            comp_of = list(map(self.cg.comp_index.__getitem__, names))
+        except KeyError:
+            raise _Unsupported from None
+        comp_of.append(-1)  # the port sentinel
+        return names, comp_of
 
     def _bus_vector(self, chan_bus: Dict[str, str]) -> Tuple[List[int], list]:
         """Channel→bus dict to its per-slot bus vector and channel table.
@@ -198,17 +202,8 @@ class BatchKernel:
             cache_key = (tuple(chan_bus), tuple(chan_bus.values()))
             entry = self._bus_cache.get(cache_key)
             if entry is None:
-                cg = self.cg
-                bus_of = [-1] * cg.n_slots
-                for chan, bus in chan_bus.items():
-                    slot = cg.slot_of_channel.get(chan)
-                    bi = cg.bus_index.get(bus)
-                    if slot is None or bi is None:
-                        entry = False
-                        break
-                    bus_of[slot] = bi
-                else:
-                    entry = (bus_of, self._channel_table(bus_of))
+                bus_of = self.cg.bus_vector(chan_bus)
+                entry = False if bus_of is None else (bus_of, self._channel_table(bus_of))
                 if len(self._bus_cache) >= _TABLES_KEPT:
                     self._bus_cache = {}
                 self._bus_cache[cache_key] = entry
@@ -334,38 +329,32 @@ class BatchKernel:
             times[ni] = w + (seq + gsum)
         return times
 
-    def _sizes(self, pairs: List[Tuple[int, int]]) -> List[Any]:
-        """Per-component summed size weights, assignment insertion order."""
-        size = self.cg.size
+    def _sizes(self, comp_of: List[int]) -> List[Any]:
+        """Per-component summed size weights (Eqs. 4–5), in node order."""
         acc: List[Any] = [0] * self.cg.n_comps  # left_sum starts from int 0
-        for ni, ci in pairs:
-            w = size[ni][ci]
+        for row, ci in zip(self.cg.size, comp_of):
+            w = row[ci]
             if w is None:
                 raise _Unsupported
             acc[ci] = acc[ci] + w
         return acc
 
-    def _hardware_size(self, acc: List[Any], hw_cis: List[Optional[int]]) -> Any:
-        total: Any = 0  # left_sum starts from int 0
-        for ci in hw_cis:
-            total = total + (acc[ci] if ci is not None else 0.0)
-        return total
-
-    def _fast_hw_size(self, comp_of: List[int], hw_cis: List[Optional[int]]) -> Any:
+    def _hw_size(self, comp_of: List[int], hw_cis: List[Optional[int]]) -> Any:
         """Summed hardware size without materialising all components.
 
         Only the hardware components' totals feed a design point, and
         for component ``c`` the reference accumulation is exactly the
-        insertion-order subsequence of size weights assigned to ``c``
+        node-order subsequence of size weights assigned to ``c``
         starting from int 0 — which is what the filtered ``left_sum``
-        below computes, bit for bit.  Requires every size weight
-        annotated (``size_complete``); otherwise the per-pair None checks
-        of :meth:`_sizes` decide abstention exactly like the reference.
+        below computes, bit for bit.  The reference sums every
+        component, so a weight missing anywhere abstains (none is when
+        ``size_complete``).
         """
-        if not self.cg.size_complete:
-            return self._hardware_size(
-                self._sizes(list(zip(range(self._n_nodes), comp_of))), hw_cis
-            )
+        cg = self.cg
+        if not cg.size_complete and any(
+            row[ci] is None for row, ci in zip(cg.size, comp_of)
+        ):
+            raise _Unsupported
         cols = self._size_cols
         total: Any = 0  # left_sum starts from int 0
         for ci in hw_cis:
@@ -420,45 +409,18 @@ class BatchKernel:
         return points
 
     def _design_point(self, partition, label, hw_cis, point_cls):
-        """One candidate's design point; raises :class:`_Unsupported`.
-
-        Exploration candidates assign objects in graph insertion order,
-        so their mapping keys *are* ``node_names``: the component vector
-        is then a single C-level ``map`` over the mapping values and
-        doubles as both the assignment pairs (Eqs. 4–5 order) and
-        ``comp_of``.  That shape reads the partition's internal dicts
-        directly (no ``object_mapping()`` copies), a read-only peek
-        under the same no-mutation-mid-call contract the estimators
-        already have.  Any other shape (an incomplete or reordered
-        mapping) takes the generic per-candidate conversion.
-        """
+        """One candidate's design point; raises :class:`_Unsupported`."""
         cg = self.cg
-        bv = partition._bv_comp
-        if len(bv) == self._n_nodes and list(bv) == self._node_names:
-            values = list(bv.values())
-            try:
-                comp_of = list(map(cg.comp_index.__getitem__, values))
-            except KeyError:
-                raise _Unsupported from None
-            comp_of.append(-1)  # the port sentinel
-            _, table = self._bus_vector(partition._chan_bus)
-            times = self._sweep(comp_of, table, "avg", False, cg.order_design)
-            hardware_size = self._fast_hw_size(comp_of, hw_cis)
-            # the same tuple sorted(mapping.items()) builds, via the
-            # precomputed key permutation
-            mapping = tuple(zip(self._sorted_keys, self._perm_values(values)))
-        else:
-            pairs, comp_of = self._convert(partition)
-            _, table = self._bus_vector(partition._chan_bus)
-            acc = self._sizes(pairs)
-            times = self._sweep(comp_of, table, "avg", False, cg.order_design)
-            hardware_size = self._hardware_size(acc, hw_cis)
-            mapping = tuple(sorted(partition.object_mapping().items()))
+        names, comp_of = self._components(partition)
+        _, table = self._bus_vector(partition._chan_bus)
+        times = self._sweep(comp_of, table, "avg", False, cg.order_design)
         pt = [times[p] for p in cg.processes]
         return point_cls(
             system_time=max(pt) if pt else 0.0,
-            hardware_size=hardware_size,
-            mapping=mapping,
+            hardware_size=self._hw_size(comp_of, hw_cis),
+            # the same tuple sorted(mapping.items()) builds, via the
+            # precomputed key permutation
+            mapping=tuple(zip(self._sorted_keys, self._perm_values(names))),
             label=label,
         )
 
@@ -480,9 +442,10 @@ class BatchKernel:
         once per distinct partition object in the call; each item then
         costs one Eq. 1 sweep and one bus-load pass, and still gets its
         own dicts and lists.  Unsupported items come back ``None``
-        (incomplete partition, missing weight, zero-time bitrate
-        source, a call cycle in the graph) and the caller re-runs them
-        through the reference :class:`~repro.estimate.engine.Estimator`.
+        (a mapping not in node order, an incomplete partition, a
+        missing weight, a zero-time bitrate source, a call cycle in the
+        graph) and the caller re-runs them through the reference
+        :class:`~repro.estimate.engine.Estimator`.
         """
         from repro.estimate.bitrate import BusLoad
         from repro.estimate.engine import EstimateReport
@@ -557,60 +520,24 @@ class BatchKernel:
         channel-mapping insertion order Eq. 3 sums bitrates in.
         Component constraints are read live, as the reference does.
         """
-        from repro.estimate.engine import Violation
+        from repro.estimate.engine import budget_violations
 
         cg = self.cg
         chan_bus = partition._chan_bus
         try:
-            pairs, comp_of = self._convert(partition)
-            if len(pairs) != cg.n_nodes or len(chan_bus) != cg.n_slots:
-                raise _Unsupported  # incomplete: reference raises
+            _, comp_of = self._components(partition)
+            if len(chan_bus) != cg.n_slots:
+                raise _Unsupported  # a channel unmapped: the reference raises
             bus_of, table = self._bus_vector(chan_bus)
-            acc = self._sizes(pairs)
+            acc = self._sizes(comp_of)
         except _Unsupported:
             return None
         sizes = dict(zip(cg.comp_names, acc))
-        ios = self._component_ios(comp_of, bus_of)
-        violations = []
-        for name in cg.comp_names:
-            comp = cg.slif.get_component(name)
-            if comp.size_constraint is not None:
-                used = sizes[name]
-                if used > comp.size_constraint:
-                    violations.append(
-                        Violation(name, "size", used, comp.size_constraint)
-                    )
-            limit = getattr(comp, "io_constraint", None)
-            if limit is not None:
-                used_io = ios[name]
-                if used_io > limit:
-                    violations.append(Violation(name, "io", used_io, limit))
+        ios = dict(zip(cg.comp_names, map(cg.io, cg.cut_counts(comp_of, bus_of))))
+        violations = budget_violations(cg.slif, sizes, ios)
         by_bus: List[List[int]] = [[] for _ in cg.bus_names]
         slot_of = cg.slot_of_channel
         for chan in chan_bus:
             slot = slot_of[chan]
             by_bus[bus_of[slot]].append(slot)
         return comp_of, table, by_bus, sizes, ios, violations
-
-    def _component_ios(
-        self, comp_of: List[int], bus_of: List[int]
-    ) -> Dict[str, int]:
-        """Eq. 6 over the compiled arrays (cut-bus bitwidth sums) of a
-        complete partition."""
-        cg = self.cg
-        cut: List[set] = [set() for _ in range(cg.n_comps)]
-        for slot in cg.report_slots:
-            bi = bus_of[slot]
-            src_comp = comp_of[cg.slot_src[slot]]
-            di = cg.slot_dst[slot]
-            dst_comp = comp_of[di] if di >= 0 else -1
-            if src_comp == dst_comp:
-                continue  # internal (or fully unmapped): cut for no component
-            for comp in (src_comp, dst_comp):
-                if comp >= 0:
-                    cut[comp].add(bi)
-        widths = [cg.slif.get_bus(name).bitwidth for name in cg.bus_names]
-        return {
-            name: sum(widths[bi] for bi in cut[ci])
-            for ci, name in enumerate(cg.comp_names)
-        }

@@ -152,25 +152,20 @@ class ChunkResult:
 def prune_local_front(pairs: List[Tuple[int, Any]]) -> List[Tuple[int, Any]]:
     """Keep the non-dominated subset, preserving candidate-index order.
 
-    Replays :meth:`repro.partition.pareto.ParetoFront.add` semantics
-    (duplicates rejected, dominated points dropped) over indexed pairs.
+    The points go through :meth:`repro.partition.pareto.ParetoFront.add`
+    in pair order (duplicates rejected, dominated points dropped), and
+    the pairs whose point object survives are kept.
     """
-    kept: List[Tuple[int, Any]] = []
-    for index, point in pairs:
-        dominated = any(
-            existing.dominates(point)
-            or (
-                existing.system_time == point.system_time
-                and existing.hardware_size == point.hardware_size
-            )
-            for _, existing in kept
-        )
-        if dominated:
-            continue
-        kept = [(i, p) for i, p in kept if not point.dominates(p)]
-        kept.append((index, point))
-    kept.sort(key=lambda pair: pair[0])
-    return kept
+    from repro.partition.pareto import ParetoFront
+
+    front = ParetoFront()
+    for _, point in pairs:
+        front.add(point)
+    survivors = {id(point) for point in front.points}
+    return sorted(
+        (pair for pair in pairs if id(pair[1]) in survivors),
+        key=lambda pair: pair[0],
+    )
 
 
 class ChunkRunner:

@@ -119,10 +119,11 @@ class PartitionCost:
         ]
         #: (component index, budget) of each component whose budget counts
         self._limits = [(c, limit) for c, limit in enumerate(self._budgets) if limit]
-        #: (processor name, budget) of each processor with a pin budget
+        #: (component index, name, budget) of each processor with a pin
+        #: budget; processors come first in component order
         self._pins = [
-            (name, proc.io_constraint)
-            for name, proc in slif.processors.items()
+            (c, name, proc.io_constraint)
+            for c, (name, proc) in enumerate(slif.processors.items())
             if proc.io_constraint is not None
         ]
         self._timed = bool(self.weights.time) and time_constraint is not None
@@ -169,20 +170,12 @@ class PartitionCost:
         return total
 
     def _io_violations(self, move: Optional[Tuple[int, int, int]] = None) -> float:
-        """Normalized Eq. 6 violations; after ``move`` = (node, src, dst).
-
-        The move's cut-count delta is only computed once a processor
-        with a pin budget needs it.
-        """
+        """Normalized Eq. 6 violations; after ``move`` = (node, src, dst)."""
         inc = self.inc
-        delta = None
+        delta = None if move is None else inc.cut_delta(*move)
         total = 0.0
-        for name, budget in self._pins:
-            if move is not None and delta is None:
-                node, src, dst = move
-                names = inc.cg.comp_names
-                delta = inc.cut_delta(inc.cg.node_names[node], names[src], names[dst])
-            used = inc.component_io(name, delta)
+        for c, name, budget in self._pins:
+            used = inc.io(c, delta)
             if used > budget:
                 _require_positive(budget, f"the I/O constraint of processor {name!r}")
                 total += (used - budget) / budget
@@ -209,7 +202,7 @@ class PartitionCost:
             return None
         if any(limit is not None and limit < 0 for limit in self._budgets):
             return None
-        if w.io and any(budget <= 0 for _, budget in self._pins):
+        if w.io and any(budget <= 0 for _, _, budget in self._pins):
             return None
         return 0.0
 

@@ -102,6 +102,16 @@ def test_unknown_component_query_raises(g, p):
         inc.component_size("ghost")
 
 
+def test_unknown_component_io_query_raises_as_a_size_query(g, p):
+    """The I/O of a component the graph lacks is an error, not 0."""
+    inc = IncrementalEstimator(g, p)
+    with pytest.raises(PartitionError) as size:
+        inc.component_size("ghost")
+    with pytest.raises(PartitionError) as io:
+        inc.component_io("ghost")
+    assert str(io.value) == str(size.value) == "unknown component 'ghost'"
+
+
 @pytest.mark.parametrize("failure", ["illegal target", "missing weight"])
 def test_failed_move_changes_nothing(g, p, failure):
     """A move that raises leaves the tallies and the mapping as they were:
@@ -266,8 +276,10 @@ class TestMoveIndex:
     def test_cut_delta_matches_applied_move(self, g, p):
         inc = IncrementalEstimator(g, p)
         before = inc.component_ios()
-        delta = inc.cut_delta("Sub", "CPU", "HW")
-        predicted = {c: inc.component_io(c, delta) for c in before}
+        cg = inc.cg
+        cpu, hw = cg.comp_index["CPU"], cg.comp_index["HW"]
+        delta = inc.cut_delta(cg.node_index["Sub"], cpu, hw)
+        predicted = {c: inc.io(cg.comp_index[c], delta) for c in before}
         inc.apply_move("Sub", "HW")
         assert inc.component_ios() == predicted
         inc.verify_consistency()

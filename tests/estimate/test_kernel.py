@@ -124,6 +124,30 @@ class TestAbstention:
         with pytest.raises(PartitionError):
             Estimator(slif, incomplete).report()
 
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_mapping_out_of_node_order_is_none(self, systems, spec):
+        """A complete partition that lists its objects out of node order
+        is left to the reference; its node-ordered twin is scored, to the
+        reference's answers."""
+        slif = systems[spec].slif
+        ordered = random_partition(slif, seed=3)
+        reordered = Partition(slif, ordered.name)
+        for obj, comp in reversed(list(ordered.object_mapping().items())):
+            reordered.assign(obj, comp)
+        for chan, bus in ordered.channel_mapping().items():
+            reordered.assign_channel(chan, bus)
+        assert reordered == ordered and reordered.is_complete()
+        assert list(reordered.object_mapping()) != list(ordered.object_mapping())
+        kernel = BatchKernel.for_graph(slif)
+        none, point = kernel.evaluate([(reordered, "r"), (ordered, "r")], ["HW"])
+        assert none is None
+        assert repr(point) == repr(evaluate_design_point(slif, ordered, ["HW"], "r"))
+        none, report = kernel.reports(
+            [(part, FreqMode.AVG, False) for part in (reordered, ordered)]
+        )
+        assert none is None
+        assert_reports_identical(report, Estimator(slif, ordered).report())
+
     def test_unmapped_object_design_point_is_none(self):
         slif = build_demo_graph()
         kernel = BatchKernel.for_graph(slif)

@@ -158,6 +158,31 @@ def test_try_move_rejects_an_illegal_target(g, time_constraint):
     pc.inc.verify_consistency()
 
 
+@pytest.mark.parametrize("owner", ["cost", "estimator"])
+def test_apply_move_of_an_unknown_object_raises_as_try_move(g, owner):
+    """An object the graph lacks fails a move as it fails a trial, and
+    the move changes nothing."""
+    from repro.errors import SlifNameError
+
+    p = build_demo_partition(g)
+    pc = PartitionCost(g, p)
+    pc.inc.component_ios()  # build the cut counts now, so a move would update them
+    before = (p.object_mapping(), pc.inc.component_sizes(), pc.inc.component_ios())
+    with pytest.raises(SlifNameError) as trial:
+        pc.try_move("ghost", "HW")
+    mover = pc if owner == "cost" else pc.inc
+    with pytest.raises(SlifNameError) as move:
+        mover.apply_move("ghost", "HW")
+    assert str(move.value) == str(trial.value) == (
+        "no behavior or variable named 'ghost'"
+    )
+    assert (
+        p.object_mapping(), pc.inc.component_sizes(), pc.inc.component_ios()
+    ) == before
+    assert pc.inc.stats.moves_applied == 0
+    pc.inc.verify_consistency()
+
+
 def test_timed_try_move_that_raises_undoes_its_move(g):
     """A trial whose cost raises still leaves no net change."""
     p = build_demo_partition(g)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.api import build_system
 from repro.core.annotations import WeightMap
+from repro.core.components import Bus
 from repro.errors import EstimationError
 from repro.estimate.size import object_size
 from repro.partition import ALGORITHMS, run_algorithm
@@ -78,12 +79,23 @@ def _drop_asic_weight(g, name):
 
 @st.composite
 def cost_scenarios(draw):
-    """A graph with non-integral weights, random budgets and cost weights.
+    """A graph with non-integral weights, random budgets and cost weights,
+    a seed for its start and the channels a start puts on a second bus.
 
     Sometimes one object lacks its ASIC weight, so scoring a move of it
     onto ``HW`` must fail the way the reference size estimator fails.
+    Sometimes a second bus of another width carries a drawn subset of
+    the channels, so a cut counted on the wrong bus changes an I/O.
     """
     g = draw(slif_graphs())
+    rerouted = {}
+    if draw(st.booleans()):
+        first = g.buses["bus"].bitwidth
+        width = draw(st.sampled_from([w for w in (8, 16, 32, 64) if w != first]))
+        g.add_bus(Bus("bus2", bitwidth=width))
+        rerouted = dict.fromkeys(
+            [name for name in g.channels if draw(st.booleans())], "bus2"
+        )
     weight = st.floats(0.0, 400.0).map(lambda x: round(x, 3))
     for node in list(g.behaviors.values()) + list(g.variables.values()):
         for tech in ("proc", "asic", "mem"):
@@ -100,7 +112,16 @@ def cost_scenarios(draw):
         size=draw(term), io=draw(term), time=draw(term), balance=draw(term)
     )
     time_constraint = draw(st.none() | st.floats(1.0, 1e4))
-    return g, weights, time_constraint, draw(st.integers(0, 1000))
+    return g, weights, time_constraint, draw(st.integers(0, 1000)), rerouted
+
+
+def _start(g, seed, rerouted):
+    """A random start with every channel on the first bus, then the
+    ``rerouted`` ones on theirs."""
+    start = random_partition(g, seed=seed, bus="bus")
+    for channel, bus in rerouted.items():
+        start.assign_channel(channel, bus)
+    return start
 
 
 def _outcome(fn):
@@ -134,8 +155,8 @@ def test_try_move_matches_apply_cost_undo(scenario, rng):
     move, evaluating and undoing it on a twin; afterwards both twins hold
     the same tallies.  Committed moves between rounds let the tallies
     accumulate the round-trip rounding of non-integral weights."""
-    g, weights, time_constraint, seed = scenario
-    start = random_partition(g, seed=seed)
+    g, weights, time_constraint, seed, rerouted = scenario
+    start = _start(g, seed, rerouted)
 
     def twin():
         return PartitionCost(g, start.copy(), weights, time_constraint)
@@ -202,8 +223,8 @@ def test_best_move_matches_the_best_apply_cost_undo(scenario, rng):
     count after every object.  Each object's best move, or else a random
     candidate, is committed, so the tallies accumulate the round-trip
     rounding of non-integral weights."""
-    g, weights, time_constraint, seed = scenario
-    start = random_partition(g, seed=seed)
+    g, weights, time_constraint, seed, rerouted = scenario
+    start = _start(g, seed, rerouted)
 
     def twin():
         return PartitionCost(g, start.copy(), weights, time_constraint)
@@ -247,11 +268,11 @@ def descent_scenarios(draw):
     lacking its ASIC weight.
     """
     if draw(st.booleans()):
-        g, weights, time_constraint, seed = draw(cost_scenarios())
+        g, weights, time_constraint, seed, rerouted = draw(cost_scenarios())
         zero_pins = draw(st.none() | st.sampled_from(sorted(g.processors)))
         if zero_pins is not None:
             g.processors[zero_pins].io_constraint = 0
-        start = random_partition(g, seed=seed)
+        start = _start(g, seed, rerouted)
     else:
         config = GenConfig(
             behaviors=draw(st.integers(2, 40)),
