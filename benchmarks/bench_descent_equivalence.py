@@ -148,7 +148,7 @@ def test_try_move_matches_apply_cost_undo(benchmark, graph, pins):
         scored = PartitionCost(slif, start.copy())
         reference = PartitionCost(slif, start.copy())
         rng = random.Random(SEED)
-        sample = rng.sample(scored.movable_objects(), SAMPLE)
+        sample = rng.sample(scored.inc.cg.node_names, SAMPLE)
 
         def check():
             trials = 0
@@ -187,9 +187,13 @@ def test_best_move_matches_the_best_apply_cost_undo(benchmark, graph, pins):
         scored = PartitionCost(slif, start.copy())
         reference = PartitionCost(slif, start.copy())
         rng = random.Random(SEED)
-        objects = scored.movable_objects()
+        objects = scored.inc.cg.node_names
         sample = sorted(rng.sample(range(len(objects)), SAMPLE))
         names = scored.inc.cg.comp_names
+
+        def candidates(evaluator, node):
+            src = evaluator.inc.comp_of[node]
+            return [names[c] for c in evaluator.pool(node) if c != src]
 
         def check():
             bound = scored.cost()
@@ -199,7 +203,7 @@ def test_best_move_matches_the_best_apply_cost_undo(benchmark, graph, pins):
                 obj = objects[node]
                 cost, comp = scored.best_move(node, bound)
                 want, want_comp = bound, None
-                for candidate in reference.candidate_components(obj):
+                for candidate in candidates(reference, node):
                     record = reference.apply_move(obj, candidate)
                     value = reference.cost()
                     reference.undo(record)
@@ -208,7 +212,7 @@ def test_best_move_matches_the_best_apply_cost_undo(benchmark, graph, pins):
                 got_comp = names[comp] if comp >= 0 else None
                 assert repr((cost, got_comp)) == repr((want, want_comp)), obj
                 assert _tallies(scored) == _tallies(reference), obj
-                commit = got_comp or rng.choice(scored.candidate_components(obj))
+                commit = got_comp or rng.choice(candidates(scored, node))
                 improved += got_comp is not None
                 scored.apply_move(obj, commit)
                 reference.apply_move(obj, commit)

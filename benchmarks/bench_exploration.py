@@ -58,14 +58,16 @@ def test_thousands_of_evaluations_per_second(benchmark, built_systems):
     """The core throughput claim, measured directly on the inner loop."""
     system = constrained(built_systems["ether"])
     evaluator = PartitionCost(system.slif, system.partition.copy())
-    objects = evaluator.movable_objects()
+    inc = evaluator.inc
 
     def sweep():
         n = 0
-        for obj in objects:
-            for comp in evaluator.candidate_components(obj):
-                evaluator.try_move(obj, comp)
-                n += 1
+        for node in range(inc.cg.n_nodes):
+            src = inc.comp_of[node]
+            for dst in evaluator.pool(node):
+                if dst != src:
+                    evaluator.score_move(node, src, dst)
+                    n += 1
         return n
 
     count = 0

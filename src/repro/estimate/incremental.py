@@ -18,14 +18,13 @@ each slot's bus index, kept up to date from the first I/O query on, and
 per call; a search's inner loop reads and previews the lists directly.
 
 The execution-time metric is inherently global (Eq. 1 recurses through
-the call structure), so it is recomputed lazily — the memoized evaluator
-is built on the first time query, invalidated on each move and only
-re-run when a caller asks for a time.  Cost functions that only need
-size/IO (the common inner loop) never pay for it.
+the call structure), so a time query runs a fresh reference
+:class:`~repro.estimate.exectime.ExecTimeEstimator` on the current
+partition.  Cost functions that only need size/IO (the common inner
+loop) never pay for it.
 
 A search that only asks what a move *would* do need not make it:
-:meth:`IncrementalEstimator.preview` (and its name-keyed form
-:meth:`~IncrementalEstimator.preview_sizes`) and
+:meth:`IncrementalEstimator.preview` and
 :meth:`IncrementalEstimator.cut_delta` answer on indices from the
 tallies plus the moved object's size weights and incident channels in
 the compiled graph, leaving the partition alone.
@@ -43,7 +42,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.core.channels import FreqMode
 from repro.core.graph import Slif
 from repro.core.partition import Partition
 from repro.errors import PartitionError
@@ -63,19 +61,12 @@ class MoveRecord(NamedTuple):
 
 @dataclass
 class IncrementalStats:
-    """Telemetry for the move/undo inner loop.
-
-    ``recomputes`` counts the times the lazy execution-time memo was
-    actually rebuilt; ``recomputes_avoided`` counts moves whose
-    invalidation piggybacked on one already pending — the savings the
-    laziness exists for.  :meth:`IncrementalEstimator.publish` adds
-    them to the global ``estimate.incremental.*`` counters.
-    """
+    """Telemetry for the move/undo inner loop:
+    :meth:`IncrementalEstimator.publish` adds it to the global
+    ``estimate.incremental.*`` counters."""
 
     moves_applied: int = 0
     moves_undone: int = 0
-    recomputes: int = 0
-    recomputes_avoided: int = 0
 
 
 class IncrementalEstimator:
@@ -96,15 +87,13 @@ class IncrementalEstimator:
     each slot's bus index is read from the partition once, on the first
     I/O query, when the cut counts are tallied; they are kept up to
     date from then on, so a search whose cost has no pin budget never
-    pays for them.  Likewise the execution-time evaluator is built on
-    the first time query.
+    pays for them.
     """
 
     def __init__(
         self,
         slif: Slif,
         partition: Partition,
-        mode: FreqMode = FreqMode.AVG,
         compiled: Optional[CompiledGraph] = None,
     ) -> None:
         partition.require_complete()
@@ -115,15 +104,12 @@ class IncrementalEstimator:
         self.slif = slif
         self.partition = partition
         self.cg = compiled
-        self.mode = mode
         self.stats = IncrementalStats()
         #: Eq. 4/5 size of each component, by component index
         self.sizes: List[float] = []
         #: the component index each node is mapped to, by node index,
         #: then the port sentinel's -1
         self.comp_of: List[int] = []
-        self._exec: Optional[ExecTimeEstimator] = None
-        self._exec_dirty = False
         # each slot's bus index, and the cut counts by component and bus
         # index (CompiledGraph.cut_counts); both None until an I/O query
         self._bus_of: Optional[List[int]] = None
@@ -166,11 +152,21 @@ class IncrementalEstimator:
 
     def _cut_counts(self) -> List[List[int]]:
         """The cut counts, tallied on first use, when each slot's bus
-        index is read from the partition."""
+        index is read from the partition.
+
+        A channel mapping that names a channel or bus the graph lacks
+        raises the graph's :class:`~repro.errors.SlifNameError` for the
+        first such name, before anything is tallied.
+        """
         if self._cuts is None:
-            cg = self.cg
-            self._bus_of = cg.bus_vector(self.partition.channel_mapping())
-            self._cuts = cg.cut_counts(self.comp_of, self._bus_of)
+            chan_bus = self.partition.channel_mapping()
+            bus_of = self.cg.bus_vector(chan_bus)
+            if bus_of is None:
+                for chan, bus in chan_bus.items():
+                    self.slif.get_channel(chan)
+                    self.slif.get_bus(bus)
+            self._bus_of = bus_of
+            self._cuts = self.cg.cut_counts(self.comp_of, bus_of)
         return self._cuts
 
     # ------------------------------------------------------------------
@@ -212,31 +208,13 @@ class IncrementalEstimator:
         cg = self.cg
         return dict(zip(cg.comp_names, map(cg.io, self._cut_counts())))
 
-    def _estimator(self) -> ExecTimeEstimator:
-        """The memoized Eq. 1 evaluator, built on first use."""
-        if self._exec is None:
-            self._exec = ExecTimeEstimator(self.slif, self.partition, self.mode)
-        return self._exec
-
-    @property
-    def exec_stats(self):
-        """Memo telemetry of the lazily-refreshed exectime evaluator."""
-        return self._estimator().stats
-
-    def _refresh_exec(self) -> ExecTimeEstimator:
-        estimator = self._estimator()
-        if self._exec_dirty:
-            estimator.invalidate()
-            self._exec_dirty = False
-            self.stats.recomputes += 1
-        return estimator
-
     def execution_time(self, behavior: str) -> float:
-        """Eq. 1, recomputed lazily after moves."""
-        return self._refresh_exec().exectime(behavior)
+        """Eq. 1 of ``behavior`` on the current partition."""
+        return ExecTimeEstimator(self.slif, self.partition).exectime(behavior)
 
     def system_time(self) -> float:
-        return self._refresh_exec().system_time()
+        """The system's execution time on the current partition."""
+        return ExecTimeEstimator(self.slif, self.partition).system_time()
 
     # ------------------------------------------------------------------
     # move previews (the partition is left alone)
@@ -263,23 +241,6 @@ class IncrementalEstimator:
         sizes[src] = left + w_src
         sizes[dst] = right - w_dst
         return after
-
-    def preview_sizes(
-        self, obj: str, component: str
-    ) -> Tuple[str, Dict[str, float]]:
-        """``(current component, sizes after the move)`` of moving ``obj``;
-        :meth:`preview` by name."""
-        src = self.partition.get_bv_comp(obj)
-        if src == component:
-            return src, self.component_sizes()
-        cg = self.cg
-        try:
-            dst = cg.comp_index[component]
-        except KeyError:
-            object_size(self.slif, obj, component)  # an unknown name raises there
-            raise
-        after = self.preview(cg.node_index[obj], cg.comp_index[src], dst)
-        return src, dict(zip(cg.comp_names, after))
 
     def cut_delta(self, node: int, src: int, dst: int) -> Dict[Tuple[int, int], int]:
         """Cut-count changes, per ``(component, bus)`` index pair, of
@@ -390,11 +351,6 @@ class IncrementalEstimator:
         if cuts is not None:
             for (c, b), change in self.cut_delta(node, s, d).items():
                 cuts[c][b] += change
-        if self._exec_dirty:
-            # an invalidation is already pending; this move rides along
-            self.stats.recomputes_avoided += 1
-        else:
-            self._exec_dirty = True
 
     def publish(self) -> None:
         """Add :attr:`stats` to the ``estimate.incremental.*`` counters;

@@ -6,6 +6,13 @@ Metropolis criterion under a geometrically cooling temperature.  Fully
 seeded; the default schedule is sized so a run costs a few thousand
 cost evaluations — the workload the paper's estimation speed argument
 is about.
+
+A move is drawn on the compiled graph's indices: a node, in graph
+order, then one of the other components of its
+:meth:`~repro.partition.cost.PartitionCost.pool`, in pool order.  A
+trial applies the move, evaluates it and undoes it on rejection, so an
+accepted move keeps the applied tallies: a preview followed by a commit
+does not always leave the same floats.
 """
 
 from __future__ import annotations
@@ -105,19 +112,20 @@ def simulated_annealing(
     best_cost = current
     history = [current]
 
-    objects = evaluator.movable_objects()
+    cg, comp_of = evaluator.inc.cg, evaluator.inc.comp_of
+    nodes = range(cg.n_nodes)
     temperature = initial_temperature
     iterations = accepted = rejected = improvements = 0
 
     while temperature > min_temperature:
         for _ in range(moves_per_temperature):
             iterations += 1
-            obj = rng.choice(objects)
-            candidates = evaluator.candidate_components(obj)
+            node = rng.choice(nodes)
+            candidates = [c for c in evaluator.pool(node) if c != comp_of[node]]
             if not candidates:
                 continue
-            comp = rng.choice(candidates)
-            record = evaluator.apply_move(obj, comp)
+            dst = rng.choice(candidates)
+            record = evaluator.apply_move(cg.node_names[node], cg.comp_names[dst])
             cost = evaluator.cost()
             delta = cost - current
             if delta <= 0 or rng.random() < math.exp(-delta / temperature):

@@ -7,7 +7,9 @@ optimisation objectives (system execution time, component balance).
 
 The function is evaluated through an
 :class:`~repro.estimate.incremental.IncrementalEstimator`, on the
-compiled graph's integer node and component indices.  One function,
+compiled graph's integer node and component indices, which are the
+move vocabulary of every search: :meth:`PartitionCost.pool` gives the
+components a node may move to.  One function,
 :meth:`PartitionCost.score_move`, scores every trial move:
 :meth:`PartitionCost.try_move` calls it by name, and
 :meth:`PartitionCost.best_move` over one object's candidates, as a
@@ -23,7 +25,7 @@ because Eq. 1 needs the moved partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.core.graph import Slif
 from repro.core.partition import Partition
@@ -69,28 +71,32 @@ class PartitionCost:
     ``budgets`` maps component names to the size budgets to use in
     place of their ``size_constraint`` (``None`` for no budget), so a
     search can run under synthetic budgets without touching the graph.
-    Size and pin budgets are read once, here.
+    Size and pin budgets are read once, here.  A term that would divide
+    by a budget of zero or below raises :class:`~repro.errors.PartitionError`
+    naming the component.
 
     Evaluations are counted in :attr:`evaluations`, one per
     :meth:`cost` and one per trial move; :meth:`publish` adds them to
     the ``partition.cost.evaluations`` counter, once per search rather
     than once per evaluation.
 
-    On ``fuzzy``, :meth:`best_move` picks the best of :meth:`try_move`
-    over :meth:`candidate_components`, the first in pool order on a tie:
+    On ``fuzzy``, :meth:`best_move` picks the best of :meth:`score_move`
+    over the node's :meth:`pool` but its own component, the first in
+    pool order on a tie:
 
     >>> from repro.api import build_system
     >>> system = build_system("fuzzy")
     >>> system.slif.processors["CPU"].size_constraint = 500
     >>> evaluator = PartitionCost(system.slif, system.partition)
     >>> current = evaluator.cost()
-    >>> obj = evaluator.movable_objects()[0]
+    >>> src = evaluator.inc.comp_of[0]
     >>> scores = [
-    ...     (evaluator.try_move(obj, comp), comp)
-    ...     for comp in evaluator.candidate_components(obj)
+    ...     (evaluator.score_move(0, src, dst), dst)
+    ...     for dst in evaluator.pool(0)
+    ...     if dst != src
     ... ]
-    >>> cost, comp = evaluator.best_move(evaluator.inc.cg.node_index[obj], current)
-    >>> (cost, evaluator.inc.cg.comp_names[comp]) == min(scores, key=lambda s: s[0])
+    >>> cost, comp = evaluator.best_move(0, current)
+    >>> (cost, comp) == min(scores, key=lambda s: s[0])
     True
     >>> cost < current
     True
@@ -113,12 +119,14 @@ class PartitionCost:
         self.evaluations = 0
         cg = self.inc.cg
         budgets = budgets or {}
-        self._budgets = [
+        limits = (
             budgets.get(name, slif.get_component(name).size_constraint)
             for name in cg.comp_names
+        )
+        #: (component index, budget) of each component with a size budget
+        self._limits = [
+            (c, limit) for c, limit in enumerate(limits) if limit is not None
         ]
-        #: (component index, budget) of each component whose budget counts
-        self._limits = [(c, limit) for c, limit in enumerate(self._budgets) if limit]
         #: (component index, name, budget) of each processor with a pin
         #: budget; processors come first in component order
         self._pins = [
@@ -127,10 +135,8 @@ class PartitionCost:
             if proc.io_constraint is not None
         ]
         self._timed = bool(self.weights.time) and time_constraint is not None
-        self._behavior_pool = list(slif.processors)
-        self._variable_pool = list(slif.processors) + list(slif.memories)
-        # the same pools as component indices: processors come first
-        self._pools = (range(len(self._behavior_pool)), range(cg.n_comps))
+        # a behavior's pool and a variable's: processors come first
+        self._pools = (range(len(slif.processors)), range(cg.n_comps))
 
     # ------------------------------------------------------------------
 
@@ -160,14 +166,25 @@ class PartitionCost:
             for comp, limit in self._limits:
                 used = sizes[comp]
                 if used > limit:
+                    if limit <= 0:
+                        self._require_positive_budget(comp, limit)
                     terms += w.size * (used - limit) / limit
             if w.balance and len(self._limits) > 1:
+                for comp, limit in self._limits:
+                    if limit <= 0:
+                        self._require_positive_budget(comp, limit)
                 utilisations = [sizes[comp] / limit for comp, limit in self._limits]
                 terms += w.balance * (max(utilisations) - min(utilisations))
             total += terms
         if w.io:
             total += w.io * (self._io_violations(move) if self._pins else 0.0)
         return total
+
+    def _require_positive_budget(self, comp: int, limit: float) -> None:
+        """:func:`_require_positive` for the size budget ``limit`` of
+        component index ``comp``."""
+        name = self.inc.cg.comp_names[comp]
+        _require_positive(limit, f"the size budget of component {name!r}")
 
     def _io_violations(self, move: Optional[Tuple[int, int, int]] = None) -> float:
         """Normalized Eq. 6 violations; after ``move`` = (node, src, dst)."""
@@ -186,12 +203,13 @@ class PartitionCost:
         below it or raise; otherwise ``None``.
 
         Every size and I/O term is a violation and the balance term a
-        spread, so none is negative while the cost weights and size
-        budgets are not.  The floor is unknown (``None``) when a time
-        term is on (a trial then applies and undoes its move), a cost
-        weight or size budget is negative, a pin budget is at most 0
-        while ``weights.io`` counts (a trial that cuts a channel raises),
-        or some object lacks a size weight for a component it may move to.
+        spread, so none is negative while the cost weights are not.  The
+        floor is unknown (``None``) when a time term is on (a trial then
+        applies and undoes its move), a cost weight is negative, a size
+        budget is at most 0 while ``weights.size`` or ``weights.balance``
+        counts, or a pin budget while ``weights.io`` does (a trial that
+        overfills the component then raises), or some object lacks a size
+        weight for a component it may move to.
         """
         w = self.weights
         if self._timed:
@@ -200,7 +218,7 @@ class PartitionCost:
             return None
         if not self.inc.cg.covers_pools:
             return None
-        if any(limit is not None and limit < 0 for limit in self._budgets):
+        if (w.size or w.balance) and any(limit <= 0 for _, limit in self._limits):
             return None
         if w.io and any(budget <= 0 for _, _, budget in self._pins):
             return None
@@ -266,12 +284,13 @@ class PartitionCost:
         """The best trial move of node ``node``, as ``(cost, component
         index)``; ``(bound, -1)`` when none scores below ``bound``.
 
-        Every other component of the node's pool is scored with
+        Every other component of the node's :meth:`pool` is scored with
         :meth:`score_move`, in pool order, and a candidate wins when it
         scores more than 1e-12 below the best so far.
         """
         src = self.inc.comp_of[node]
         best, best_comp = bound, -1
+        # pool(node), looked up inline on the hot path
         for dst in self._pools[node >= self.inc.cg.n_behaviors]:
             if dst != src:
                 cost = self.score_move(node, src, dst)
@@ -280,28 +299,20 @@ class PartitionCost:
         return best, best_comp
 
     # ------------------------------------------------------------------
-    # move-generation helpers shared by the algorithms
+    # the legal targets of a move, shared by the algorithms
 
-    def movable_objects(self) -> List[str]:
-        """Every behavior and variable, in graph order (node index order)."""
-        return self.slif.bv_names()
-
-    def candidate_components(self, obj: str) -> List[str]:
-        """Components ``obj`` may legally move to (excluding its current)."""
-        current = self.partition.get_bv_comp(obj)
-        if obj in self.slif.behaviors:
-            pool = self._behavior_pool
-        else:
-            pool = self._variable_pool
-        return [c for c in pool if c != current]
+    def pool(self, node: int) -> range:
+        """The component indices node ``node`` may be mapped to,
+        processors first: the processors for a behavior, every component
+        for a variable.  Its own component is among them."""
+        return self._pools[node >= self.inc.cg.n_behaviors]
 
     def pass_trials(self, start: int = 0) -> int:
-        """How many trial moves a pass over ``movable_objects()[start:]``
-        scores, in O(1): ``movable_objects()`` lists the behaviors first,
-        and each object has one candidate per component of its pool but
-        its own."""
-        behaviors = len(self.slif.behaviors)
-        objects = behaviors + len(self.slif.variables)
-        return max(behaviors - start, 0) * (len(self._behavior_pool) - 1) + (
-            objects - max(behaviors, start)
-        ) * (len(self._variable_pool) - 1)
+        """How many trial moves a pass over the nodes from ``start`` on
+        scores, in O(1): the behaviors come first, and each node has one
+        candidate per component of its :meth:`pool` but its own."""
+        cg = self.inc.cg
+        behaviors = cg.n_behaviors
+        return max(behaviors - start, 0) * (len(self.pool(0)) - 1) + (
+            cg.n_nodes - max(behaviors, start)
+        ) * (len(self.pool(behaviors)) - 1)

@@ -66,7 +66,7 @@ def greedy_improve(
             # the confirming pass: no trial can score below the floor
             evaluator.evaluations += evaluator.pass_trials()
             break
-        # movable_objects() in node index order
+        # every behavior and variable, in node index order
         for node, obj in enumerate(names):
             best_cost, best_comp = evaluator.best_move(node, current)
             if best_comp >= 0:

@@ -8,11 +8,17 @@ the algorithm climb out of the local minima that trap pure greedy
 descent; at the end of the pass the partition rolls back to the best
 prefix of the move sequence.  Passes repeat until one yields no net
 improvement.
+
+Moves are named by the compiled graph's node and component indices:
+each trial is scored with :meth:`PartitionCost.score_move
+<repro.partition.cost.PartitionCost.score_move>` over the node's
+:meth:`~repro.partition.cost.PartitionCost.pool`, and the chosen move
+and the rollback are applied by name.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.core.graph import Slif
 from repro.core.partition import Partition
@@ -37,6 +43,7 @@ def group_migration(
     """
     working = partition.copy(name="group-migration")
     evaluator = PartitionCost(slif, working, weights, time_constraint, compiled)
+    cg, comp_of = evaluator.inc.cg, evaluator.inc.comp_of
     current = evaluator.cost()
     history = [current]
     passes = 0
@@ -46,27 +53,27 @@ def group_migration(
         if OBS.enabled:
             OBS.inc("partition.group_migration.passes")
         pass_start_cost = current
-        locked: set = set()
-        # the sequence of applied moves: (obj, from, to, cost after move)
-        trail: List[Tuple[str, str, str, float]] = []
+        locked: Set[int] = set()
+        # the sequence of applied moves: (node, from, to, cost after move)
+        trail: List[Tuple[int, int, int, float]] = []
 
-        objects = evaluator.movable_objects()
-        while len(locked) < len(objects):
-            best: Optional[Tuple[float, str, str]] = None
-            for obj in objects:
-                if obj in locked:
+        while len(locked) < cg.n_nodes:
+            best: Optional[Tuple[float, int, int]] = None
+            for node in range(cg.n_nodes):
+                if node in locked:
                     continue
-                for comp in evaluator.candidate_components(obj):
-                    cost = evaluator.try_move(obj, comp)
-                    if best is None or cost < best[0]:
-                        best = (cost, obj, comp)
+                src = comp_of[node]
+                for dst in evaluator.pool(node):
+                    if dst != src:
+                        cost = evaluator.score_move(node, src, dst)
+                        if best is None or cost < best[0]:
+                            best = (cost, node, dst)
             if best is None:
                 break
-            cost, obj, comp = best
-            src = working.get_bv_comp(obj)
-            evaluator.apply_move(obj, comp)
-            locked.add(obj)
-            trail.append((obj, src, comp, cost))
+            cost, node, dst = best
+            trail.append((node, comp_of[node], dst, cost))
+            evaluator.apply_move(cg.node_names[node], cg.comp_names[dst])
+            locked.add(node)
             current = cost
             if OBS.enabled:
                 OBS.inc("partition.group_migration.moves")
@@ -78,8 +85,8 @@ def group_migration(
             if cost < best_cost - 1e-12:
                 best_cost = cost
                 best_idx = idx
-        for obj, src, _comp, _cost in reversed(trail[best_idx + 1:]):
-            evaluator.apply_move(obj, src)
+        for node, src, _dst, _cost in reversed(trail[best_idx + 1:]):
+            evaluator.apply_move(cg.node_names[node], cg.comp_names[src])
             if OBS.enabled:
                 OBS.inc("partition.group_migration.rollback_moves")
         current = best_cost

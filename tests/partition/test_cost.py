@@ -84,15 +84,35 @@ def test_try_move_predicts_applied_cost(g):
 
 
 def test_candidate_components_respect_kinds(g):
+    """A behavior may move to the processors, a variable to every
+    component, processors first; a node's candidates are its pool but
+    its own component."""
     p = build_demo_partition(g)
     pc = PartitionCost(g, p)
-    assert set(pc.candidate_components("Main")) == {"HW"}  # behaviors: processors only
-    assert set(pc.candidate_components("buf")) == {"CPU", "HW"}  # currently on RAM
+    cg = pc.inc.cg
+    pools = {
+        obj: [cg.comp_names[c] for c in pc.pool(node)]
+        for node, obj in enumerate(cg.node_names)
+    }
+    assert pools == {
+        "Main": ["CPU", "HW"],
+        "Sub": ["CPU", "HW"],
+        "buf": ["CPU", "HW", "RAM"],
+        "flag": ["CPU", "HW", "RAM"],
+    }
+    mapping = p.object_mapping()
+    assert set(pools["Main"]) - {mapping["Main"]} == {"HW"}  # behaviors: processors only
+    assert set(pools["buf"]) - {mapping["buf"]} == {"CPU", "HW"}  # currently on RAM
+    # a pass scores one trial per candidate component
+    for start in range(cg.n_nodes + 1):
+        assert pc.pass_trials(start) == sum(
+            len(pc.pool(node)) - 1 for node in range(start, cg.n_nodes)
+        )
 
 
 def test_movable_objects_are_all_bv(g):
     p = build_demo_partition(g)
-    assert set(PartitionCost(g, p).movable_objects()) == {
+    assert set(PartitionCost(g, p).inc.cg.node_names) == {
         "Main",
         "Sub",
         "buf",
@@ -242,4 +262,64 @@ class TestZeroBudgets:
         assert slif.processors["HW"].io_constraint == 0
         start = single_bus_partition(slif, system.partition.object_mapping())
         with pytest.raises(PartitionError, match="processor 'HW'"):
+            greedy_improve(slif, start)
+
+    def test_zero_size_budget_of_a_filled_component(self, g):
+        g.processors["HW"].size_constraint = 0
+        p = build_demo_partition(g, sub_on="HW")
+        with pytest.raises(PartitionError, match="size budget of component 'HW' is 0"):
+            PartitionCost(g, p).cost()
+
+    def test_zero_size_budget_reached_by_a_trial_move(self, g):
+        g.processors["HW"].size_constraint = 0
+        p = build_demo_partition(g)
+        pc = PartitionCost(g, p)
+        assert pc.cost() == 0.0  # HW is empty
+        assert pc.floor() is None  # a trial onto HW raises
+        before = (p.object_mapping(), pc.inc.component_sizes())
+        with pytest.raises(PartitionError, match="component 'HW'"):
+            pc.try_move("Sub", "HW")
+        assert (p.object_mapping(), pc.inc.component_sizes()) == before
+
+    @pytest.mark.parametrize("via", ["attribute", "budgets"])
+    def test_negative_size_budget(self, g, via):
+        p = build_demo_partition(g)
+        if via == "attribute":
+            g.processors["HW"].size_constraint = -5
+            pc = PartitionCost(g, p)
+        else:
+            pc = PartitionCost(g, p, budgets={"HW": -5})
+        with pytest.raises(PartitionError, match="component 'HW' is -5"):
+            pc.cost()
+
+    def test_balance_term_divides_by_every_size_budget(self, g):
+        g.processors["HW"].size_constraint = 0
+        weights = CostWeights(size=0.0, io=0.0, time=0.0, balance=1.0)
+        pc = PartitionCost(g, build_demo_partition(g), weights)
+        assert pc.floor() is None
+        with pytest.raises(PartitionError, match="component 'HW' is 0"):
+            pc.cost()
+
+    def test_size_budget_no_term_reads(self, g):
+        """Without a size or balance weight, a budget of 0 counts nowhere."""
+        g.processors["HW"].size_constraint = 0
+        weights = CostWeights(size=0.0, balance=0.0)
+        pc = PartitionCost(g, build_demo_partition(g, sub_on="HW"), weights)
+        assert (pc.cost(), pc.floor()) == (0.0, 0.0)
+
+    def test_greedy_on_fuzzy_with_zero_size_budget(self):
+        """The text format accepts ``size<=0``; greedy must then fail
+        cleanly, not drop the budget."""
+        from repro.api import build_system
+        from repro.core.partition import single_bus_partition
+        from repro.core.textfmt import dumps, loads
+        from repro.partition.greedy import greedy_improve
+
+        system = build_system("fuzzy")
+        system.slif.processors["CPU"].size_constraint = 500
+        system.slif.processors["HW"].size_constraint = 0
+        slif = loads(dumps(system.slif))
+        assert slif.processors["HW"].size_constraint == 0
+        start = single_bus_partition(slif, system.partition.object_mapping())
+        with pytest.raises(PartitionError, match="component 'HW'"):
             greedy_improve(slif, start)

@@ -4,9 +4,14 @@ For arbitrary graphs and starting points: every algorithm returns a
 proper partition, never worse than its start, with an honest cost
 value (re-evaluating the returned partition reproduces the reported
 cost), the read-only move scorer agrees bit for bit with applying,
-evaluating and undoing the move, and a greedy descent that ends at the
-cost floor answers and counts exactly as one that runs every pass.
+evaluating and undoing the move, a greedy descent that ends at the
+cost floor answers and counts exactly as one that runs every pass, and
+group migration and annealing, which move on the compiled graph's
+indices, answer exactly as loops that move by name.
 """
+
+import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +19,12 @@ from hypothesis import strategies as st
 from repro.api import build_system
 from repro.core.annotations import WeightMap
 from repro.core.components import Bus
-from repro.errors import EstimationError
+from repro.errors import EstimationError, SlifError
 from repro.estimate.size import object_size
 from repro.partition import ALGORITHMS, run_algorithm
+from repro.partition.annealing import simulated_annealing
 from repro.partition.cost import CostWeights, PartitionCost
+from repro.partition.group_migration import group_migration
 from repro.partition.random_part import random_partition
 from repro.synth.gen import GenConfig, generate_text
 
@@ -31,6 +38,13 @@ def _constrain(g, share=0.6):
     total += sum(v.size.get("proc", default=0.0) for v in g.variables.values())
     g.processors["CPU"].size_constraint = max(total * share, 1.0)
     return g
+
+
+def _candidates(g, partition, obj):
+    """The components ``obj`` may move to but its own, by name: the
+    processors, then for a variable the memories."""
+    pool = list(g.processors) + ([] if obj in g.behaviors else list(g.memories))
+    return [comp for comp in pool if comp != partition.get_bv_comp(obj)]
 
 
 @given(slif_graphs(), st.integers(0, 100), st.sampled_from(sorted(ALGORITHMS)))
@@ -61,8 +75,8 @@ def test_greedy_reaches_local_minimum(g, seed):
     result = run_algorithm("greedy", g, start)
     evaluator = PartitionCost(g, result.partition.copy())
     base = evaluator.cost()
-    for obj in evaluator.movable_objects():
-        for comp in evaluator.candidate_components(obj):
+    for obj in g.bv_names():
+        for comp in _candidates(g, evaluator.partition, obj):
             assert evaluator.try_move(obj, comp) >= base - 1e-9
 
 
@@ -169,7 +183,7 @@ def test_try_move_matches_apply_cost_undo(scenario, rng):
         )
         return
     scored, reference = twin(), twin()
-    for obj in scored.movable_objects():
+    for obj in g.bv_names():
         pool = list(g.processors) + (
             [] if obj in g.behaviors else list(g.memories)
         )
@@ -192,7 +206,7 @@ def _reference_best(evaluator, obj, bound):
     """Greedy's per-object choice made the plain way: apply, cost and
     undo each candidate in pool order."""
     best, best_comp = bound, None
-    for comp in evaluator.candidate_components(obj):
+    for comp in _candidates(evaluator.slif, evaluator.partition, obj):
         cost = _reference_try(evaluator, obj, comp)
         if cost < best - 1e-12:
             best, best_comp = cost, comp
@@ -234,7 +248,7 @@ def test_best_move_matches_the_best_apply_cost_undo(scenario, rng):
     scored, reference = twin(), twin()
     bound = scored.cost()
     assert repr(reference.cost()) == repr(bound)
-    for node, obj in enumerate(scored.movable_objects()):
+    for node, obj in enumerate(g.bv_names()):
         got = _attempt(lambda: _best_move(scored, node, bound))
         want = _attempt(lambda: _reference_best(reference, obj, bound))
         assert repr(got) == repr(want), obj
@@ -243,7 +257,7 @@ def test_best_move_matches_the_best_apply_cost_undo(scenario, rng):
             continue
         commit = got[1][1]
         if commit is None:
-            commit = rng.choice(scored.candidate_components(obj))
+            commit = rng.choice(_candidates(g, scored.partition, obj))
             if _outcome(lambda: object_size(g, obj, commit))[0] == "error":
                 continue
         scored.apply_move(obj, commit)
@@ -366,10 +380,12 @@ def test_try_move_on_the_compiled_graph_matches_apply_cost_undo(scenario, rng):
         assert built == _slif_outcome(lambda: twin(None).cost())
         return
     scored, reference = twin(compiled), twin(None)
-    objects = scored.movable_objects()
+    objects = g.bv_names()
     for _ in range(20):
         obj = rng.choice(objects)
-        comp = rng.choice(scored.candidate_components(obj) or [start.get_bv_comp(obj)])
+        comp = rng.choice(
+            _candidates(g, scored.partition, obj) or [start.get_bv_comp(obj)]
+        )
         got = _slif_outcome(lambda: scored.try_move(obj, comp))
         assert got == _slif_outcome(lambda: _reference_try(reference, obj, comp))
         if got[0] == "error" and got[1] != "RecursionCycleError":
@@ -399,3 +415,127 @@ def test_greedy_on_a_shared_compiled_graph_matches_its_own(scenario):
         compiled=compile_graph(g),
     )
     assert shared == own
+
+
+# ---------------------------------------------------------------------------
+# group migration and annealing on indices vs loops that move by name
+
+
+def _reference_group_migration(g, start, weights, time_constraint, max_passes):
+    """Group migration as a loop over names: every candidate of every
+    unlocked object scored with ``try_move``, the first best taken."""
+    working = start.copy(name="group-migration")
+    evaluator = PartitionCost(g, working, weights, time_constraint)
+    current = evaluator.cost()
+    history = [current]
+    passes = 0
+    while passes < max_passes:
+        passes += 1
+        pass_start_cost = current
+        locked, trail = set(), []
+        while len(locked) < len(g.bv_names()):
+            best = None
+            for obj in g.bv_names():
+                if obj in locked:
+                    continue
+                for comp in _candidates(g, working, obj):
+                    cost = evaluator.try_move(obj, comp)
+                    if best is None or cost < best[0]:
+                        best = (cost, obj, comp)
+            if best is None:
+                break
+            cost, obj, comp = best
+            trail.append((obj, working.get_bv_comp(obj), cost))
+            evaluator.apply_move(obj, comp)
+            locked.add(obj)
+            current = cost
+        best_idx, best_cost = -1, pass_start_cost
+        for idx, (_, _, cost) in enumerate(trail):
+            if cost < best_cost - 1e-12:
+                best_idx, best_cost = idx, cost
+        for obj, src, _ in reversed(trail[best_idx + 1:]):
+            evaluator.apply_move(obj, src)
+        current = best_cost
+        history.append(current)
+        if best_idx == -1:
+            break
+    return working, current, passes, evaluator.evaluations, history
+
+
+def _reference_annealing(g, start, weights, time_constraint, seed, schedule):
+    """One annealing chain as a loop over names: an object and a target
+    drawn from name lists, then apply, ``cost()`` and undo on rejection."""
+    rng = random.Random(seed)
+    working = start.copy(name="annealing")
+    evaluator = PartitionCost(g, working, weights, time_constraint)
+    current = best_cost = evaluator.cost()
+    best, history = working.copy(), [current]
+    temperature = schedule["initial_temperature"]
+    iterations = 0
+    while temperature > schedule["min_temperature"]:
+        for _ in range(schedule["moves_per_temperature"]):
+            iterations += 1
+            obj = rng.choice(g.bv_names())
+            candidates = _candidates(g, working, obj)
+            if not candidates:
+                continue
+            record = evaluator.apply_move(obj, rng.choice(candidates))
+            cost = evaluator.cost()
+            delta = cost - current
+            if delta <= 0 or rng.random() < math.exp(-delta / temperature):
+                current = cost
+                if current < best_cost - 1e-12:
+                    best_cost, best = current, working.copy()
+                    history.append(best_cost)
+            else:
+                evaluator.undo(record)
+        temperature *= schedule["cooling"]
+    return best, best_cost, iterations, evaluator.evaluations, history
+
+
+def _search_outcome(run):
+    """``run()``'s ``(partition, cost, iterations, evaluations, history)``
+    as a comparable tuple, floats by ``repr``; or the error it raised."""
+    try:
+        partition, cost, iterations, evaluations, history = run()
+    except SlifError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return (
+        repr(cost),
+        repr(history),
+        iterations,
+        evaluations,
+        partition.object_mapping(),
+    )
+
+
+def _result(result):
+    return (
+        result.partition,
+        result.cost,
+        result.iterations,
+        result.evaluations,
+        result.history,
+    )
+
+
+SCHEDULE = dict(
+    initial_temperature=1.0, cooling=0.5, moves_per_temperature=12, min_temperature=0.05
+)
+
+
+@given(cost_scenarios(), st.integers(1, 2), st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_index_searches_match_their_name_loops(scenario, max_passes, seed):
+    """Group migration and an annealing chain give, by ``repr``, the cost
+    and history of a loop that moves by name, with the same iterations,
+    evaluations and mapping, or fail with the same error."""
+    g, weights, time_constraint, start_seed, rerouted = scenario
+    start = _start(g, start_seed, rerouted)
+    args = (g, start, weights, time_constraint)
+    assert _search_outcome(
+        lambda: _result(group_migration(*args, max_passes=max_passes))
+    ) == _search_outcome(lambda: _reference_group_migration(*args, max_passes))
+    assert _search_outcome(
+        lambda: _result(simulated_annealing(*args, seed=seed, **SCHEDULE))
+    ) == _search_outcome(lambda: _reference_annealing(*args, seed, SCHEDULE))
