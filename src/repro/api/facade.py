@@ -75,6 +75,18 @@ def _session_for(request, session: Optional[Session]) -> Session:
     return session if session is not None else load(request.spec)
 
 
+def _request_policy(req, policy):
+    """``policy``, or the one a request's non-default ``timeout`` and
+    ``retries`` ask for, seeded with its ``seed``."""
+    if policy is None and (req.timeout is not None or req.retries != 2):
+        from repro.explore.engine import RetryPolicy
+
+        policy = RetryPolicy(
+            timeout=req.timeout, retries=req.retries, seed=req.seed
+        )
+    return policy
+
+
 def _require_finite(values) -> None:
     """Raise :class:`~repro.errors.EstimationError` naming the first
     ``(metric, owner, value)`` whose value is not a finite number.
@@ -236,12 +248,7 @@ def partition(
     req.validate()
     sess = _session_for(req, session)
     jobs = 1 if req.jobs is None else req.jobs
-    if policy is None and (req.timeout is not None or req.retries != 2):
-        from repro.explore.engine import RetryPolicy
-
-        policy = RetryPolicy(
-            timeout=req.timeout, retries=req.retries, seed=req.seed
-        )
+    policy = _request_policy(req, policy)
     with sess.lock:
         start = sess.partition.copy()
     with span(
@@ -368,12 +375,7 @@ def explore(
     req.validate()
     sess = _session_for(req, session)
     jobs = 1 if req.jobs is None else req.jobs
-    if policy is None and (req.timeout is not None or req.retries != 2):
-        from repro.explore.engine import RetryPolicy
-
-        policy = RetryPolicy(
-            timeout=req.timeout, retries=req.retries, seed=req.seed
-        )
+    policy = _request_policy(req, policy)
     if fleet is not None:
         from repro.fleet.protocol import FleetSpec
 

@@ -1301,21 +1301,13 @@ def _emit_obs(args: argparse.Namespace) -> None:
 
 #: Exit-code contract (documented in ``docs/cli.md``): expected
 #: failures — bad input, validation, estimation, partition errors —
-#: exit 2; exhaustion of the fault-tolerant runtime's recovery budget
-#: exits 3; SIGINT exits 130.  Unexpected exceptions stay loud
+#: exit 2; SIGINT exits 130.  Unexpected exceptions stay loud
 #: (traceback, exit 1): those are bugs, not user errors.
 EXIT_ERROR = 2
-EXIT_EXHAUSTED = 3
 EXIT_INTERRUPTED = 130
 
 
 def main(argv: Optional[list] = None) -> int:
-    from repro.errors import (
-        ChunkTimeoutError,
-        FaultInjectedError,
-        PoolCrashError,
-    )
-
     parser = make_parser()
     args = parser.parse_args(argv)
     # One command = one instrumentation session: collection is on for
@@ -1327,9 +1319,6 @@ def main(argv: Optional[list] = None) -> int:
         code = args.func(args)
         _emit_obs(args)
         return code
-    except (ChunkTimeoutError, PoolCrashError, FaultInjectedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
     except SlifError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

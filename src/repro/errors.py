@@ -46,30 +46,6 @@ class WorkerError(PartitionError):
     """
 
 
-class ChunkTimeoutError(PartitionError):
-    """An exploration chunk exceeded its per-chunk timeout budget.
-
-    Raised by :func:`repro.fleet.client.run_fleet_chunks` (the
-    ``--jobs N`` and ``--workers`` paths) when a chunk's last attempt
-    ran past ``RetryPolicy.timeout`` seconds, its retry budget is
-    exhausted and graceful fallback is disabled.  Message-only for the
-    same pickle-safety reasons as :class:`WorkerError`.
-    """
-
-
-class PoolCrashError(PartitionError):
-    """Exploration workers kept dying and fallback is disabled.
-
-    Raised by :func:`repro.fleet.client.run_fleet_chunks` when a chunk's
-    last attempt was lost with its worker (OOM kills, segfaults,
-    explicit ``os._exit``) and its retry budget is exhausted, or when
-    the fleet has had no live workers for its idle timeout.  Individual
-    crashes are recovered transparently — the dead worker's lease is
-    requeued and a local worker is replaced — so seeing this error
-    means the environment, not a single candidate, is unhealthy.
-    """
-
-
 class FleetError(SlifError):
     """A distributed-fleet operation failed.
 

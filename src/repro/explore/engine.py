@@ -55,7 +55,7 @@ import contextlib
 import os
 import random
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import PartitionError
@@ -100,12 +100,8 @@ class RetryPolicy:
     ``max_delay``) before retry ``n``, with a deterministic ±``jitter``
     fraction derived from ``seed`` and the chunk coordinates — two runs
     with the same seed back off identically.  A chunk that exhausts its
-    budget degrades to the in-process runner when ``fallback`` is true
-    (the default), so the sweep still completes with identical results;
-    with ``fallback`` false it raises
-    :class:`~repro.errors.ChunkTimeoutError`,
-    :class:`~repro.errors.PoolCrashError` or
-    :class:`~repro.errors.PartitionError` instead.
+    budget finishes on the in-process runner, so the sweep still
+    completes with identical results.
 
     >>> policy = RetryPolicy(backoff=1.0, jitter=0.0)
     >>> [policy.delay(0, n) for n in (1, 2, 3)]
@@ -121,7 +117,6 @@ class RetryPolicy:
     max_delay: float = 5.0
     jitter: float = 0.25
     seed: int = 0
-    fallback: bool = True
 
     def delay(self, chunk_index: int, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based) of ``chunk_index``."""
@@ -471,6 +466,7 @@ def run_multistart(
     checkpoint: Optional[str] = None,
     resume: bool = False,
     compiled=None,
+    budgets=None,
 ):
     """Run a multi-start candidate list and fold it into one result.
 
@@ -488,11 +484,15 @@ def run_multistart(
     :func:`run_plan`.  ``compiled`` is the graph's
     :class:`~repro.estimate.compile.CompiledGraph`, when the caller
     holds one; without it the graph is compiled once, before any fork.
+    ``budgets`` become every candidate's size ``constraints``.
     """
     from repro.estimate.kernel import BatchKernel
     from repro.explore.plan import restart_plan
     from repro.partition.result import PartitionResult
 
+    if budgets:
+        budgets = tuple(sorted(budgets.items()))
+        specs = [replace(spec, constraints=budgets) for spec in specs]
     payload = PlanPayload(
         task="restart",
         slif=slif,

@@ -9,9 +9,8 @@ and the :class:`~repro.explore.engine.RetryPolicy` as one sweep, polls
 the coordinator for completed results (feeding each into the engine's
 ``on_complete`` hook as it lands, so ``--checkpoint`` journaling works
 unchanged), and finishes any chunk the fleet could not through
-:func:`~repro.explore.engine.run_chunks`, the engine's in-process loop
-— or raises when the policy disables that fallback.  Deterministic
-candidate failures surface as the same lowest-index
+:func:`~repro.explore.engine.run_chunks`, the engine's in-process loop.
+Deterministic candidate failures surface as the same lowest-index
 :class:`~repro.errors.WorkerError` a ``--jobs 1`` run raises.
 
 Transports carry ``(op, dict) -> dict`` calls: :class:`HttpTransport`
@@ -31,13 +30,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import (
-    ChunkTimeoutError,
-    FleetError,
-    PartitionError,
-    PoolCrashError,
-    WorkerError,
-)
+from repro.errors import FleetError, WorkerError
 from repro.explore.engine import RecoveryStats, RetryPolicy, run_chunks
 from repro.explore.plan import Chunk
 from repro.explore.worker import ChunkResult, ObsContext, PlanPayload
@@ -138,27 +131,6 @@ def _transport_for(fleet: FleetSpec):
     return HttpTransport(fleet.url)
 
 
-def _exhausted_error(
-    failure: Dict[str, Any], policy: RetryPolicy
-) -> PartitionError:
-    """What a chunk that ran out of retries raises when fallback is off."""
-    index, attempt = failure["chunk_index"], policy.retries
-    if failure["cause"] == "timeout":
-        return ChunkTimeoutError(
-            f"chunk {index} exceeded its {policy.timeout}s timeout "
-            f"(attempt {attempt})"
-        )
-    if failure["cause"] == "crash":
-        return PoolCrashError(
-            f"chunk {index} was in flight when its worker died "
-            f"(attempt {attempt})"
-        )
-    return PartitionError(
-        f"chunk {index} failed after {attempt + 1} attempts: "
-        f"{failure['message']}"
-    )
-
-
 def run_fleet_chunks(
     payload: PlanPayload,
     todo: List[Chunk],
@@ -174,13 +146,9 @@ def run_fleet_chunks(
     Every todo chunk either completes — fleet-side, or in-process once
     the coordinator reports it exhausted or the fleet has had no live
     workers for ``fleet.idle_timeout`` seconds — or the sweep raises the
-    lowest failing chunk's :class:`WorkerError`.  With
-    ``policy.fallback`` false an exhausted chunk raises
-    :class:`ChunkTimeoutError`, :class:`PoolCrashError` or
-    :class:`PartitionError` after its last timeout, worker death or
-    error, and a fleet without workers raises :class:`PoolCrashError`.
-    The retries, timeouts and lost workers the coordinator handled are
-    added to ``stats`` (and the ``explore.*`` obs counters) once.
+    lowest failing chunk's :class:`WorkerError`.  The retries, timeouts
+    and lost workers the coordinator handled are added to ``stats``
+    (and the ``explore.*`` obs counters) once.
     """
     transport = _transport_for(fleet)
     sweep_id = transport.call(
@@ -201,7 +169,6 @@ def run_fleet_chunks(
     done: Dict[int, ChunkResult] = {}
     leftover: set = set()
     error: Optional[Dict[str, Any]] = None
-    min_err = math.inf
     idle_since: Optional[float] = None
     sweep_stats: Dict[str, Any] = {}
 
@@ -220,14 +187,7 @@ def run_fleet_chunks(
                 finish(result)
             sweep_stats = response.get("stats", sweep_stats)
             error = response.get("error") or error
-            # a sequential run never reaches past the lowest failing chunk
-            min_err = error["chunk_index"] if error is not None else math.inf
-            for failure in sorted(
-                response.get("failures", ()), key=lambda f: f["chunk_index"]
-            ):
-                if failure["chunk_index"] < min_err and not policy.fallback:
-                    raise _exhausted_error(failure, policy)
-                leftover.add(failure["chunk_index"])
+            leftover.update(response.get("exhausted", ()))
             if response.get("complete"):
                 break
             if response.get("workers_alive", 0) > 0:
@@ -236,11 +196,6 @@ def run_fleet_chunks(
                 now = time.monotonic()
                 idle_since = idle_since if idle_since is not None else now
                 if now - idle_since >= fleet.idle_timeout:
-                    if not policy.fallback:
-                        raise PoolCrashError(
-                            f"the fleet has had no live workers for "
-                            f"{fleet.idle_timeout:g}s and fallback is off"
-                        )
                     leftover.update(chunk.index for chunk in todo)
                     break
             time.sleep(fleet.poll_seconds)
@@ -255,6 +210,8 @@ def run_fleet_chunks(
             pool_respawns=int(sweep_stats.get("workers_lost", 0)),
             retry_delays=sweep_stats.get("retry_delays", ()),
         )
+    # a sequential run never reaches past the lowest failing chunk
+    min_err = error["chunk_index"] if error is not None else math.inf
     rest = [
         chunk
         for chunk in todo

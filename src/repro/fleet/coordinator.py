@@ -32,10 +32,9 @@ Scheduling model (pull-based):
 * A deterministic candidate failure (:class:`~repro.errors.
   WorkerError`) is never requeued; chunks past the lowest failing
   index are pruned, matching the sequential engine's surfacing order.
-  A chunk whose transient-failure retry budget is exhausted is
-  reported to the collecting client with the cause of its last
-  failure (``timeout``, ``crash`` or ``error``); the client falls back
-  to evaluating it in-process, or raises when the policy forbids that.
+  A chunk that exhausts its retry budget (errors, lease timeouts and
+  lost workers all spend it) is reported to the collecting client,
+  which evaluates it in-process.
 
 Telemetry: an always-on private registry (independent of the global
 obs switch, like the serve layer's RED metrics) records the
@@ -98,8 +97,7 @@ class _ChunkState:
     worker_id: Optional[str] = None
     leased_at: float = 0.0
     result: Optional[Dict[str, Any]] = None       # wire form, verbatim
-    error: Optional[str] = None                   # last error's message
-    cause: str = "error"            # last failure: timeout | crash | error
+    error: Optional[str] = None                   # the WorkerError's message
 
 
 @dataclass
@@ -209,7 +207,7 @@ class FleetCoordinator:
                     sweep.timeouts += 1
                     self.on_timeout(state.worker_id)
                     self._release_lease(state)
-                    self._requeue(sweep, state, "timeout")
+                    self._requeue(sweep, state)
         self._set_gauges()
 
     def drop_worker(self, worker_id: str) -> bool:
@@ -224,7 +222,7 @@ class FleetCoordinator:
                     if state.status == "leased" and state.worker_id == worker_id:
                         sweep.workers_lost += 1
                         held = True
-                        self._requeue(sweep, state, "crash")
+                        self._requeue(sweep, state)
             return held
 
     def _set_gauges(self) -> None:
@@ -239,10 +237,9 @@ class FleetCoordinator:
             self.workers[state.worker_id].leases -= 1
         state.worker_id = None
 
-    def _requeue(self, sweep: _Sweep, state: _ChunkState, cause: str) -> None:
+    def _requeue(self, sweep: _Sweep, state: _ChunkState) -> None:
         """Put a failed/abandoned lease back in line, or exhaust it."""
         state.worker_id = None
-        state.cause = cause
         next_attempt = state.attempt + 1
         if next_attempt > sweep.policy.retries:
             state.status = "exhausted"
@@ -390,8 +387,7 @@ class FleetCoordinator:
                 self.registry.inc("fleet.chunks.errors")
                 self._prune_past_error(sweep)
             else:
-                state.error = str(error.get("message", "worker failure"))
-                self._requeue(sweep, state, "error")
+                self._requeue(sweep, state)
             self._set_gauges()
             return {"ok": True}
         state.status = "done"
@@ -430,7 +426,7 @@ class FleetCoordinator:
         if sweep is None:
             raise FleetError(f"unknown sweep {data['sweep_id']!r}")
         results: List[Dict[str, Any]] = []
-        failures: List[Dict[str, Any]] = []
+        exhausted: List[int] = []
         for index in sorted(sweep.chunks):
             state = sweep.chunks[index]
             if state.status == "done" and index not in sweep.delivered:
@@ -441,10 +437,7 @@ class FleetCoordinator:
                 and index not in sweep.reported_exhausted
             ):
                 sweep.reported_exhausted.add(index)
-                failures.append(
-                    {"chunk_index": index, "cause": state.cause,
-                     "message": state.error}
-                )
+                exhausted.append(index)
         error = None
         min_err = sweep.min_error()
         if min_err is not math.inf:
@@ -454,8 +447,7 @@ class FleetCoordinator:
             }
         return {
             "results": results,
-            "exhausted": [failure["chunk_index"] for failure in failures],
-            "failures": failures,
+            "exhausted": exhausted,
             "error": error,
             "complete": sweep.complete(),
             "workers_alive": len(self.workers),

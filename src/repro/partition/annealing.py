@@ -59,8 +59,8 @@ def simulated_annealing(
     own improvement trace and ``iterations``/``evaluations`` sum over
     all chains.  One chain is one candidate, which neither a pool nor
     a journal can split, so it runs here at any ``jobs``.  ``compiled``
-    and ``budgets`` are as for :func:`~repro.partition.greedy.greedy_improve`;
-    ``budgets`` applies to a single chain only.
+    and ``budgets`` are as for :func:`~repro.partition.greedy.greedy_improve`
+    and apply to every chain.
     """
     if restarts > 1:
         from repro.explore.engine import run_multistart
@@ -100,6 +100,7 @@ def simulated_annealing(
             checkpoint=checkpoint,
             resume=resume,
             compiled=compiled,
+            budgets=budgets,
         )
 
     rng = random.Random(seed)

@@ -20,7 +20,7 @@ budget.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.graph import Slif
 from repro.core.partition import Partition
@@ -115,13 +115,14 @@ def cluster_partition(
     time_constraint: Optional[float] = None,
     refine: bool = True,
     compiled: Optional[CompiledGraph] = None,
+    budgets: Optional[Mapping[str, Optional[float]]] = None,
     **_ignored,
 ) -> PartitionResult:
     """Constructive clustering followed by optional greedy refinement.
 
     ``partition`` supplies the channel-to-bus mapping (and the result's
-    shape); its object mapping is replaced wholesale.  ``compiled`` is
-    the graph's compiled form, when the caller holds one.
+    shape); its object mapping is replaced wholesale.  ``compiled`` and
+    ``budgets`` are as for :func:`~repro.partition.greedy.greedy_improve`.
     """
     component_count = len(slif.processors) + len(slif.memories)
     if component_count < 1:
@@ -133,12 +134,14 @@ def cluster_partition(
     if refine:
         result = greedy_improve(
             slif, working, weights=weights, time_constraint=time_constraint,
-            compiled=compiled,
+            compiled=compiled, budgets=budgets,
         )
         result.algorithm = "clustering"
         return result
 
-    evaluator = PartitionCost(slif, working, weights, time_constraint, compiled)
+    evaluator = PartitionCost(
+        slif, working, weights, time_constraint, compiled, budgets
+    )
     cost = evaluator.cost()
     evaluator.publish()
     return PartitionResult(

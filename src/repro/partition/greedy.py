@@ -105,6 +105,7 @@ def greedy_multistart(
     checkpoint: Optional[str] = None,
     resume: bool = False,
     compiled: Optional[CompiledGraph] = None,
+    budgets: Optional[Mapping[str, Optional[float]]] = None,
     **_ignored,
 ) -> PartitionResult:
     """Best of ``starts + 1`` greedy descents: the given partition plus
@@ -119,8 +120,8 @@ def greedy_multistart(
     earlier start.
 
     ``iterations``/``evaluations`` sum over every descent; ``history``
-    is the best-so-far cost over starts in order.  ``compiled`` is the
-    graph's compiled form, when the caller holds one.
+    is the best-so-far cost over starts in order.  ``compiled`` and
+    ``budgets`` are as for :func:`greedy_improve`.
     """
     from repro.explore.engine import run_multistart
     from repro.explore.plan import CandidateSpec
@@ -160,4 +161,5 @@ def greedy_multistart(
         checkpoint=checkpoint,
         resume=resume,
         compiled=compiled,
+        budgets=budgets,
     )

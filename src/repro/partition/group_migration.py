@@ -18,7 +18,7 @@ and the rollback are applied by name.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Mapping, Optional, Set, Tuple
 
 from repro.core.graph import Slif
 from repro.core.partition import Partition
@@ -35,14 +35,18 @@ def group_migration(
     time_constraint: Optional[float] = None,
     max_passes: int = 10,
     compiled: Optional[CompiledGraph] = None,
+    budgets: Optional[Mapping[str, Optional[float]]] = None,
     **_ignored,
 ) -> PartitionResult:
     """Run KL-style passes from ``partition`` (copied, not mutated).
 
-    ``compiled`` is the graph's compiled form, when the caller holds one.
+    ``compiled`` and ``budgets`` are as for
+    :func:`~repro.partition.greedy.greedy_improve`.
     """
     working = partition.copy(name="group-migration")
-    evaluator = PartitionCost(slif, working, weights, time_constraint, compiled)
+    evaluator = PartitionCost(
+        slif, working, weights, time_constraint, compiled, budgets
+    )
     cg, comp_of = evaluator.inc.cg, evaluator.inc.comp_of
     current = evaluator.cost()
     history = [current]

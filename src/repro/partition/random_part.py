@@ -7,7 +7,7 @@ starting points.  Everything is seeded for reproducibility.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.core.graph import Slif
 from repro.core.partition import Partition
@@ -87,6 +87,7 @@ def random_restart(
     checkpoint: Optional[str] = None,
     resume: bool = False,
     compiled: Optional[CompiledGraph] = None,
+    budgets: Optional[Mapping[str, Optional[float]]] = None,
     **_ignored,
 ) -> PartitionResult:
     """Best of ``restarts`` random partitions (plus the starting one).
@@ -95,7 +96,8 @@ def random_restart(
     evaluated in process at ``jobs=1`` and across worker processes
     otherwise; the result (best partition, cost, improvement history)
     and any error are the same for every ``jobs`` value.  ``compiled``
-    is the graph's compiled form, when the caller holds one.
+    and ``budgets`` are as for
+    :func:`~repro.partition.greedy.greedy_improve`.
     """
     from repro.explore.engine import run_multistart
     from repro.explore.plan import CandidateSpec
@@ -125,6 +127,7 @@ def random_restart(
         checkpoint=checkpoint,
         resume=resume,
         compiled=compiled,
+        budgets=budgets,
     )
     result.iterations = restarts
     if OBS.enabled:

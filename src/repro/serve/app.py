@@ -502,12 +502,24 @@ class SlifServer:
         except SlifError as exc:
             return 400, {"error": str(exc)}, {}
 
-    def _parse(self, body: bytes, cls):
+    @staticmethod
+    def _decode(body: bytes) -> Any:
         try:
-            payload = json.loads(body.decode("utf-8") or "{}")
+            return json.loads(body.decode("utf-8") or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise RequestError(f"request body is not valid JSON: {exc}")
-        return cls.from_dict(payload)
+
+    def _parse(self, body: bytes, cls):
+        return cls.from_dict(self._decode(body))
+
+    def _heavy_request(self, kind: str, data: Any):
+        """Parse and validate a ``kind`` request as a job would, then give
+        a partition or explore request without ``jobs`` the server's
+        ``--jobs`` default."""
+        request = api.JobRequest(kind=kind, request=data).wrapped()
+        if kind != "simulate" and request.jobs is None:
+            request.jobs = self.config.jobs
+        return request
 
     def _handle_estimate(
         self, body: bytes
@@ -604,18 +616,7 @@ class SlifServer:
             self._heavy_inflight += 1
         started = time.perf_counter()
         try:
-            request_cls = {
-                "partition": api.PartitionRequest,
-                "simulate": api.SimulateRequest,
-                "explore": api.ExploreRequest,
-            }[kind]
-            request = self._parse(body, request_cls)
-            if kind == "simulate":
-                request.validate_fields()
-            else:
-                request.validate()
-                if request.jobs is None:
-                    request.jobs = self.config.jobs
+            request = self._heavy_request(kind, self._decode(body))
             session, _ = self.cache.get(request.spec)
             fn = getattr(api, kind)
             result = fn(request, session=session).to_dict()

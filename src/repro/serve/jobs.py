@@ -528,12 +528,8 @@ class JobManager:
 
     def _run(self, record: JobRecord):
         """Dispatch one job onto the facade, journaled and resumable."""
-        inner = JobRequest(
-            kind=record.kind, request=dict(record.request)
-        ).wrapped()
+        inner = self.server._heavy_request(record.kind, dict(record.request))
         session, _ = self.server.cache.get(inner.spec)
-        if record.kind != "simulate" and inner.jobs is None:
-            inner.jobs = self.server.config.jobs
         journal = self.store.journal_path(record.id)
         if record.kind == "explore":
             return api.explore(

@@ -4,8 +4,9 @@ The optimisations of the partitioning inner loop must not move a single
 answer: costs, iteration and evaluation counts, improvement histories,
 mappings and Pareto fronts all stay byte-identical.  This module
 computes those answers on the four bundled specs and two generated
-ones (clustering's on the bundled specs only), plus the explore front
-of a generated gen-1k spec and every greedy descent its sweep runs;
+ones (clustering's on the bundled specs and one small generated spec
+only), plus the explore front of a generated gen-1k spec and every
+greedy descent its sweep runs;
 ``tests/partition/test_golden_answers.py`` compares them with the
 checked-in ``tests/golden/search_answers.json``.
 
@@ -41,9 +42,15 @@ GENERATED = {
 #: searches on 1,250 objects are slow: ``gen1k`` is the input of
 #: perfbench's ``explore-gen1k-*`` workloads
 EXPLORE_ONLY = {"gen1k": ({"behaviors": 1000, "seed": 1}, 1)}
+#: name -> GenConfig keyword arguments of the generated spec whose
+#: clustering answer alone is pinned (``slif gen --behaviors 150 --seed 1``,
+#: 187 objects): the specs above are too large for the cubic
+#: ``build_clusters``
+CLUSTERED = {"gen150": {"behaviors": 150, "seed": 1}}
 ALGORITHMS = ("greedy", "group_migration", "annealing", "greedy_multistart", "random")
 #: every registered algorithm: clustering is pinned on the bundled specs
-#: only, since its ``build_clusters`` is cubic in the object count
+#: and :data:`CLUSTERED` only, since its ``build_clusters`` is cubic in
+#: the object count
 BUNDLED_ALGORITHMS = ALGORITHMS + ("clustering",)
 #: spec -> the algorithms searched under a time constraint and binding
 #: size and pin budgets (see :func:`constrained`), with :data:`FAST`
@@ -79,10 +86,10 @@ def digest(value: Any) -> str:
 
 def spec_text(name: str) -> str:
     """The spec argument ``api.load`` takes for golden spec ``name``."""
-    if name in GENERATED or name in EXPLORE_ONLY:
+    if name in GENERATED or name in CLUSTERED or name in EXPLORE_ONLY:
         from repro.synth.gen import GenConfig, generate_text
 
-        config = GENERATED.get(name) or EXPLORE_ONLY[name][0]
+        config = GENERATED.get(name) or CLUSTERED.get(name) or EXPLORE_ONLY[name][0]
         return generate_text(GenConfig(**config))
     return name
 
@@ -291,6 +298,11 @@ def collect() -> Dict[str, Any]:
         answers[name] = {
             "explore": explore_answer(session, seed=explore_seed(name)),
             "descents": descent_answers(session, explore_seed(name)),
+        }
+    for name in CLUSTERED:
+        session = api.load(spec_text(name))
+        answers[name] = {
+            "partition": {"clustering": partition_answer(session, "clustering")}
         }
     return answers
 

@@ -4,13 +4,7 @@ import pytest
 
 from repro.core.partition import single_bus_partition
 from repro.core.serialize import partition_to_dict, slif_to_dict
-from repro.errors import (
-    ChunkTimeoutError,
-    PartitionError,
-    PoolCrashError,
-    SlifError,
-    WorkerError,
-)
+from repro.errors import PartitionError, SlifError, WorkerError
 from repro.explore import (
     CandidateSpec,
     PlanPayload,
@@ -59,20 +53,6 @@ class TestRetryPolicy:
 
 
 class TestErrorTaxonomy:
-    def test_new_errors_sit_under_partition_error(self):
-        for cls in (ChunkTimeoutError, PoolCrashError):
-            error = cls("boom")
-            assert isinstance(error, PartitionError)
-            assert isinstance(error, SlifError)
-
-    def test_new_errors_are_pickle_safe(self):
-        import pickle
-
-        for cls in (ChunkTimeoutError, PoolCrashError):
-            clone = pickle.loads(pickle.dumps(cls("chunk 3 died")))
-            assert type(clone) is cls
-            assert str(clone) == "chunk 3 died"
-
     def test_merge_restarts_empty_raises_partition_error(self):
         # regression: this used to be a bare ValueError outside the
         # package taxonomy — callers catching SlifError missed it

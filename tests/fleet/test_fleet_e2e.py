@@ -9,8 +9,6 @@ record into private registries rather than resetting the global one
 out from under the test.
 """
 
-import threading
-
 import pytest
 
 from repro import obs
@@ -277,9 +275,8 @@ def test_dead_fleet_falls_back_to_local_evaluation(ether_system):
     assert fleet_front.render() == sequential.render()
 
 
-def test_fallback_off_raises_for_an_exhausted_chunk(ether_system, monkeypatch):
-    """With fallback off an exhausted chunk raises, never runs in-process."""
-    from repro.errors import PartitionError, WorkerError
+def test_exhausted_chunk_finishes_in_process(ether_system, monkeypatch):
+    """A chunk that fails on every fleet attempt runs in-process instead."""
     from repro.explore.engine import RecoveryStats
     from repro.fleet.client import run_fleet_chunks
 
@@ -288,58 +285,27 @@ def test_fallback_off_raises_for_an_exhausted_chunk(ether_system, monkeypatch):
     payload, chunks = make_manual_sweep(ether_system)
     stats = RecoveryStats()
     with WorkerThreads(coordinator, count=2):
-        with pytest.raises(PartitionError) as excinfo:
-            run_fleet_chunks(
-                payload,
-                chunks,
-                fleet=FleetSpec(
-                    session_key="no-fallback",
-                    transport=LocalTransport(coordinator),
-                    poll_seconds=0.005,
-                ),
-                policy=RetryPolicy(retries=1, fallback=False, backoff=0.01),
-                stats=stats,
-                on_complete=lambda result: None,
-            )
-    assert not isinstance(excinfo.value, WorkerError)
-    assert "chunk 2 failed after 2 attempts" in str(excinfo.value)
-    assert "FaultInjectedError" in str(excinfo.value)
-    assert stats.fallbacks == 0
+        results = run_fleet_chunks(
+            payload,
+            chunks,
+            fleet=FleetSpec(
+                session_key="exhausted",
+                transport=LocalTransport(coordinator),
+                poll_seconds=0.005,
+            ),
+            policy=RetryPolicy(retries=1, backoff=0.01),
+            stats=stats,
+            on_complete=lambda result: None,
+        )
+    assert sorted(results) == [c.index for c in chunks]
+    assert stats.fallbacks == 1
     assert stats.retries == 1
-
-
-def test_dead_fleet_without_fallback_raises(ether_system):
-    """Zero live workers and fallback off: raise, do not poll forever."""
-    from repro.errors import PoolCrashError
-    from repro.explore.engine import RecoveryStats
-    from repro.fleet.client import run_fleet_chunks
-
-    coordinator = FleetCoordinator()
-    payload, chunks = make_manual_sweep(ether_system)
-    completed = []
-    outcome = {}
-
-    def sweep():
-        try:
-            run_fleet_chunks(
-                payload,
-                chunks,
-                fleet=FleetSpec(
-                    session_key="nobody-home",
-                    transport=LocalTransport(coordinator),
-                    poll_seconds=0.005,
-                    idle_timeout=0.05,
-                ),
-                policy=RetryPolicy(fallback=False),
-                stats=RecoveryStats(),
-                on_complete=completed.append,
-            )
-        except Exception as exc:  # noqa: BLE001 - inspected below
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=sweep, daemon=True)
-    thread.start()
-    thread.join(timeout=10)
-    assert not thread.is_alive(), "the client kept polling a dead fleet"
-    assert isinstance(outcome.get("error"), PoolCrashError)
-    assert completed == []
+    runner = ChunkRunner(payload)
+    evaluated = sum(len(c) for c in chunks)
+    sequential = merge_fronts(
+        [runner.run_chunk(c) for c in chunks], evaluated=evaluated
+    )
+    fleet_front = merge_fronts(
+        [results[i] for i in sorted(results)], evaluated=evaluated
+    )
+    assert fleet_front.render() == sequential.render()

@@ -265,6 +265,20 @@ class TestDispatcher:
             assert result.cost <= start + 1e-9, name
             assert result.partition.validate() == [], name
 
+    @pytest.mark.parametrize(
+        "name, extra",
+        [pytest.param(name, {}, id=name) for name in sorted(ALGORITHMS)]
+        + [pytest.param("annealing", {"restarts": 2}, id="annealing-chains")],
+    )
+    def test_reported_cost_honours_budgets(self, fuzzy_system, name, extra):
+        budgets = {"CPU": 500}   # fuzzy's all-software CPU size is 1,333
+        slif = fuzzy_system.slif
+        result = run_algorithm(
+            name, slif, fuzzy_system.partition, budgets=budgets, **extra
+        )
+        recost = PartitionCost(slif, result.partition, budgets=budgets)
+        assert result.cost == pytest.approx(recost.cost())
+
 
 class TestTelemetry:
     """Searches count evaluations locally and publish them once."""

@@ -4,7 +4,8 @@ Jobs-parity tests only show that every configuration agrees with every
 other one; a change that moved all of their answers the same way would
 pass them.  These tests pin the answers themselves: partition results
 (cost, iterations, evaluations, history, mapping and the API payload)
-for five algorithms (six on the bundled specs, with clustering), and
+for five algorithms (six on the bundled specs, with clustering), the
+clustering answer on a 150-behavior generated spec, and
 the default explore front at ``jobs=1``,
 ``jobs=2``, without the batch kernel and on a two-worker fleet (the
 ``--workers`` wire path, in-process), on the four bundled specs and two
@@ -69,6 +70,15 @@ def test_partition_answers_kernel_off(spec, sessions, golden):
         for algorithm in _golden.algorithms(spec):
             got = _golden.partition_answer(session, algorithm)
             assert got == golden[spec]["partition"][algorithm], algorithm
+
+
+@pytest.mark.parametrize("spec", sorted(_golden.CLUSTERED))
+def test_clustering_answers(spec, golden):
+    from repro import api
+
+    session = api.load(_golden.spec_text(spec))
+    got = _golden.partition_answer(session, "clustering")
+    assert got == golden[spec]["partition"]["clustering"]
 
 
 @pytest.mark.parametrize("spec", _golden.BUNDLED)

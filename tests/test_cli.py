@@ -290,29 +290,6 @@ class TestExitCodes:
         assert str(path) in err
         assert "Traceback" not in err
 
-    def test_recovery_exhaustion_exits_3_not_2(self, capsys, monkeypatch):
-        """ChunkTimeoutError subclasses SlifError: the 3-branch must win."""
-        from repro import api
-        from repro.errors import ChunkTimeoutError
-
-        def exhausted(request, session=None, **kwargs):
-            raise ChunkTimeoutError("chunk 0 timed out after 2 retries")
-
-        monkeypatch.setattr(api, "explore", exhausted)
-        assert main(["explore", "vol", "--steps", "1"]) == 3
-        err = capsys.readouterr().err
-        assert "error: chunk 0 timed out" in err
-
-    def test_injected_fault_exits_3(self, capsys, monkeypatch):
-        from repro import api
-        from repro.errors import FaultInjectedError
-
-        def faulted(request, session=None, **kwargs):
-            raise FaultInjectedError("injected transient fault (budget spent)")
-
-        monkeypatch.setattr(api, "partition", faulted)
-        assert main(["partition", "vol", "--algorithm", "greedy"]) == 3
-
     def test_sigint_exits_130(self, capsys, monkeypatch):
         from repro import api
 
