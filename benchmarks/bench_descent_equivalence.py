@@ -22,6 +22,12 @@ reaches 0 part-way through a pass.
   copy of the graph whose every other channel is on a second bus of
   another width, so a cut counted on the wrong bus changes a pin term.
   Each ends in ``verify_consistency`` against the reference estimators.
+- The estimator is built from the start's node-ordered mapping, which
+  it reads on indices, and from a copy listing the mapping shuffled,
+  which it reads name by name, on one bus and on two.  Each then
+  commits 1,000 of the moves greedy would choose, on indices
+  (``IncrementalEstimator.commit``), with its cut counts kept, and
+  must pass ``verify_consistency`` after set-up and after every 100.
 
 Both descent times are printed; no timing is asserted.  Run with::
 
@@ -45,6 +51,8 @@ from repro.synth.gen import GenConfig, generate_text
 
 SEED = 1
 SAMPLE = 500
+#: index commits of the set-up check, verified every COMMITS // 10
+COMMITS = 1_000
 #: the CPU budget, as a share of the CPU weight of every object
 CPU_SHARE = 0.6
 #: below one bus width, so any cut channel violates it
@@ -228,5 +236,62 @@ def test_best_move_matches_the_best_apply_cost_undo(benchmark, graph, pins):
             f"best_move / gen-10k, {len(slif.buses)} bus(es), pin budget "
             f"{pins}: {SAMPLE} objects equal the best apply/cost/undo "
             f"({improved} with an improving move)",
+        ]
+    )
+
+
+def shuffled(partition, rng):
+    """A copy of ``partition`` listing its object mapping in another order."""
+    from repro.core.partition import Partition
+
+    items = list(partition.object_mapping().items())
+    rng.shuffle(items)
+    copy = Partition(partition.slif, partition.name)
+    for obj, comp in items:
+        copy.assign(obj, comp)
+    for channel, bus in partition.channel_mapping().items():
+        copy.assign_channel(channel, bus)
+    return copy
+
+
+@pytest.mark.parametrize("order", ["node order", "shuffled order"])
+def test_index_commits_keep_the_tallies_consistent(benchmark, graph, order):
+    slif, start = graph
+    rng = random.Random(SEED)
+    partition = start.copy() if order == "node order" else shuffled(start, rng)
+    assert (list(partition.object_mapping()) == slif.bv_names()) == (
+        order == "node order"
+    )
+    evaluator = PartitionCost(slif, partition)
+    inc = evaluator.inc
+    inc.component_ios()  # tally the cut counts, so commits keep them
+    inc.verify_consistency()
+
+    def check():
+        current = evaluator.cost()
+        committed = passes = 0
+        while committed < COMMITS and passes < 50:
+            passes += 1
+            for node in range(inc.cg.n_nodes):
+                cost, comp = evaluator.best_move(node, current)
+                if comp < 0:
+                    continue
+                inc.commit(node, comp)
+                current = cost
+                committed += 1
+                if committed % (COMMITS // 10) == 0:
+                    inc.verify_consistency()
+                if committed == COMMITS:
+                    break
+        return committed
+
+    committed = benchmark.pedantic(check, rounds=1, iterations=1)
+    assert committed == COMMITS
+    assert inc.stats.moves_applied == COMMITS
+    report(
+        [
+            f"commit / gen-10k, {len(slif.buses)} bus(es), start in {order}: "
+            f"{committed} greedy moves on indices, consistent every "
+            f"{COMMITS // 10}",
         ]
     )

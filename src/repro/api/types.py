@@ -41,8 +41,15 @@ class RequestError(SlifError):
 
 
 def canonical_json(payload: Dict[str, Any]) -> str:
-    """The one wire encoding: sorted keys, compact separators."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """The one wire encoding: sorted keys, compact separators.
+
+    Every payload is decoded JSON or a ``to_dict()`` tree, neither of
+    which can hold a cycle, so the encoder skips its circular-reference
+    bookkeeping; the bytes are those of the default check.
+    """
+    return json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), check_circular=False
+    )
 
 
 def _from_dict(cls, data: Any):

@@ -33,9 +33,9 @@ touching a single graph object:
   the same slots.
 
 A partition enters the compiled side as two vectors: each node's
-component index (:attr:`CompiledGraph.comp_index` of its component, then
-the port sentinel's ``-1``) and each slot's bus index
-(:meth:`CompiledGraph.bus_vector`).  Eq. 6 is one tally over them,
+component index (:meth:`CompiledGraph.comp_vector`, read from an object
+mapping in node order, then the port sentinel's ``-1``) and each slot's
+bus index (:meth:`CompiledGraph.bus_vector`).  Eq. 6 is one tally over them,
 :meth:`CompiledGraph.cut_counts`, read by :meth:`CompiledGraph.io`; the
 kernel's reports count it afresh and the incremental estimator keeps it
 up to date across moves.
@@ -147,6 +147,27 @@ class CompiledGraph:
     @property
     def n_slots(self) -> int:
         return len(self.slot_dst)
+
+    def comp_vector(self, bv_comp: Mapping[str, str]) -> Optional[List[int]]:
+        """Each node's component index under the object mapping
+        ``bv_comp``, then the port sentinel's ``-1``; ``None`` unless it
+        maps every node, in node order, to a component the graph has.
+
+        One C-level ``map`` over the mapping's values, shared by the
+        batch kernel and the incremental estimator.  The shape it
+        accepts is the one a built system's partition, a seeded random
+        draw and every move keep, and node order is the insertion order
+        Eqs. 4–5 sum sizes in, so the vector also gives the assignment
+        order.
+        """
+        if len(bv_comp) != self.n_nodes or list(bv_comp) != self.node_names:
+            return None
+        try:
+            comp_of = list(map(self.comp_index.__getitem__, bv_comp.values()))
+        except KeyError:
+            return None
+        comp_of.append(-1)
+        return comp_of
 
     def bus_vector(self, chan_bus: Mapping[str, str]) -> Optional[List[int]]:
         """Each slot's bus index under the channel mapping ``chan_bus``

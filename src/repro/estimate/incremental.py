@@ -12,10 +12,15 @@ partition the way the batch kernel reads one: :attr:`comp_of` is each
 node's component index (then the port sentinel's ``-1``), the cut counts
 are :meth:`~repro.estimate.compile.CompiledGraph.cut_counts` over it and
 each slot's bus index, kept up to date from the first I/O query on, and
-:attr:`sizes` has one entry per component index.  The name-keyed methods
+:attr:`sizes` has one entry per component index.  A start that maps
+every node in node order, as every search's does, is read into them
+the way the kernel reads one.  The name-keyed methods
 (:meth:`~IncrementalEstimator.apply_move`,
 :meth:`~IncrementalEstimator.component_sizes`, ...) translate names once
-per call; a search's inner loop reads and previews the lists directly.
+per call; a search's inner loop reads and previews the lists directly,
+and a greedy descent commits its moves on indices with
+:meth:`~IncrementalEstimator.commit`.  Every move, by name or index,
+goes through one move body.
 
 The execution-time metric is inherently global (Eq. 1 recurses through
 the call structure), so a time query runs a fresh reference
@@ -72,9 +77,9 @@ class IncrementalStats:
 class IncrementalEstimator:
     """Size/IO tallies kept consistent across partition moves.
 
-    The estimator *owns* move application: go through :meth:`apply_move`
-    and :meth:`undo` rather than mutating the partition directly, or the
-    tallies will drift (a drift check is available via
+    The estimator *owns* move application: go through :meth:`apply_move`,
+    :meth:`commit` and :meth:`undo` rather than mutating the partition
+    directly, or the tallies will drift (a drift check is available via
     :meth:`verify_consistency`, used by the property tests).
 
     ``compiled`` is the graph's
@@ -96,10 +101,10 @@ class IncrementalEstimator:
         partition: Partition,
         compiled: Optional[CompiledGraph] = None,
     ) -> None:
-        partition.require_complete()
         if compiled is None:
             compiled = compile_graph(slif)
         elif compiled.slif is not slif:
+            partition.require_complete()
             raise PartitionError("compiled graph was built for a different graph")
         self.slif = slif
         self.partition = partition
@@ -120,17 +125,40 @@ class IncrementalEstimator:
     # construction of the tallies
 
     def _rebuild(self) -> None:
-        """Fill :attr:`sizes` and :attr:`comp_of` in one pass over the
-        mapping, adding each component's weights in mapping order."""
-        cg = self.cg
-        node_index, comp_index, size = cg.node_index, cg.comp_index, cg.size
+        """Check the partition is proper, then fill :attr:`comp_of` and
+        :attr:`sizes`, adding each component's weights in mapping order.
+
+        A mapping that lists every node in node order, as every start of
+        a search does, is read the way the batch kernel reads one
+        (:meth:`~repro.estimate.compile.CompiledGraph.comp_vector`);
+        that reading proves every object mapped, so only the channels
+        are left to check, and node order is then the mapping order.
+        Any other mapping is read name by name.
+        """
+        cg, partition = self.cg, self.partition
+        comp_of = cg.comp_vector(partition._bv_comp)
+        if comp_of is None or not (
+            self.slif.channels.keys() <= partition._chan_bus.keys()
+        ):
+            # raises, naming what is unmapped, unless only the shape differs
+            partition.require_complete()
+        slif, comp_names = self.slif, cg.comp_names
         sizes = self.sizes = [0.0] * cg.n_comps
+        if comp_of is not None:
+            self.comp_of = comp_of
+            for obj, row, c in zip(cg.node_names, cg.size, comp_of):
+                w = row[c]
+                if w is None:
+                    w = object_size(slif, obj, comp_names[c])
+                sizes[c] += w
+            return
+        node_index, comp_index, size = cg.node_index, cg.comp_index, cg.size
         comp_of = self.comp_of = [0] * cg.n_nodes + [-1]
-        for obj, comp in self.partition.object_mapping().items():
+        for obj, comp in partition.object_mapping().items():
             node = node_index[obj]
             c = comp_of[node] = comp_index[comp]
             w = size[node][c]
-            sizes[c] += w if w is not None else object_size(self.slif, obj, comp)
+            sizes[c] += w if w is not None else object_size(slif, obj, comp)
 
     def _reference_weights(
         self, node: int, src: int, dst: int
@@ -281,7 +309,7 @@ class IncrementalEstimator:
         <repro.partition.cost.PartitionCost.try_move>` does), and a
         missing size weight what
         :func:`~repro.estimate.size.object_size` raises, all before
-        anything changes.
+        anything changes.  The move itself is :meth:`commit`'s.
 
         >>> from repro.api import build_system
         >>> from repro.estimate.incremental import IncrementalEstimator
@@ -297,14 +325,15 @@ class IncrementalEstimator:
         >>> inc.component_sizes() == before
         True
         """
-        if obj not in self.cg.node_index:
+        partition, cg = self.partition, self.cg
+        if obj not in cg.node_index:
             # a name the graph lacks: SlifNameError, as try_move raises
-            self.partition.require_assignable(obj, component)
-        src = self.partition.get_bv_comp(obj)
+            partition.require_assignable(obj, component)
+        src = partition.get_bv_comp(obj)
         record = MoveRecord(obj, src, component)
         if src != component:
-            self._move(obj, src, component)
-            self.stats.moves_applied += 1
+            partition.require_assignable(obj, component)
+            self.commit(cg.node_index[obj], cg.comp_index[component])
         return record
 
     def undo(self, record: MoveRecord) -> None:
@@ -319,38 +348,52 @@ class IncrementalEstimator:
         'CPU'
         """
         if record.src != record.dst:
-            self._move(record.obj, record.dst, record.src)
+            obj, cg = record.obj, self.cg
+            if self.partition.maybe_bv_comp(obj) is None:
+                raise PartitionError(f"object {obj!r} is not currently mapped")
+            self.partition.require_assignable(obj, record.src)
+            self._move(
+                cg.node_index[obj], cg.comp_index[record.dst], cg.comp_index[record.src]
+            )
             self.stats.moves_undone += 1
 
-    def _move(self, obj: str, src: str, dst: str) -> None:
-        """Move ``obj`` from ``src`` to ``dst`` in the partition and the
-        tallies.
+    def commit(self, node: int, dst: int) -> None:
+        """Move node ``node`` to component ``dst`` (indices), counted as
+        an applied move.
 
-        :meth:`~repro.core.partition.Partition.move` checks the target
-        before any tally changes; a missing size weight then puts the
-        mapping back.  Only the two involved components' tallies
-        change: sizes move the object's weight; cut counts change as
-        :meth:`cut_delta` says.
+        Nothing is checked by name: ``dst`` must be a component of the
+        node's :meth:`PartitionCost.pool
+        <repro.partition.cost.PartitionCost.pool>` other than its own,
+        as a search's best trial is.  A missing size weight raises what
+        :func:`~repro.estimate.size.object_size` raises, before anything
+        changes.
         """
-        self.partition.move(obj, dst)
+        self._move(node, self.comp_of[node], dst)
+        self.stats.moves_applied += 1
+
+    def _move(self, node: int, src: int, dst: int) -> None:
+        """Move node ``node`` from component ``src`` to ``dst`` (indices)
+        in the tallies and the partition: the one move body.
+
+        Only the two involved components' tallies change: sizes move the
+        object's weight (``-=`` on ``src``, then ``+=`` on ``dst``); cut
+        counts, when kept, change as :meth:`cut_delta` says; and the
+        partition's mapping entry for the node is set to ``dst``.
+        """
         cg = self.cg
-        node, s, d = cg.node_index[obj], cg.comp_index[src], cg.comp_index[dst]
         row = cg.size[node]
-        w_src, w_dst = row[s], row[d]
+        w_src, w_dst = row[src], row[dst]
         if w_src is None or w_dst is None:
-            try:
-                w_src, w_dst = self._reference_weights(node, s, d)
-            except BaseException:
-                self.partition.move(obj, src)
-                raise
+            w_src, w_dst = self._reference_weights(node, src, dst)
         sizes = self.sizes
-        sizes[s] -= w_src
-        sizes[d] += w_dst
-        self.comp_of[node] = d
+        sizes[src] -= w_src
+        sizes[dst] += w_dst
+        self.comp_of[node] = dst
         cuts = self._cuts
         if cuts is not None:
-            for (c, b), change in self.cut_delta(node, s, d).items():
+            for (c, b), change in self.cut_delta(node, src, dst).items():
                 cuts[c][b] += change
+        self.partition._bv_comp[cg.node_names[node]] = cg.comp_names[dst]
 
     def publish(self) -> None:
         """Add :attr:`stats` to the ``estimate.incremental.*`` counters;

@@ -20,8 +20,9 @@ The division of labour with :mod:`repro.estimate.exectime` and friends:
   (behaviors, then variables, as :attr:`CompiledGraph.node_names
   <repro.estimate.compile.CompiledGraph.node_names>` lists them), the
   shape a built system's partition, a seeded random draw and every
-  move keep: one C-level ``map`` turns its mapping into the component
-  vector that every equation reads;
+  move keep: :meth:`CompiledGraph.comp_vector
+  <repro.estimate.compile.CompiledGraph.comp_vector>` turns its mapping
+  into the component vector that every equation reads;
 * anything else (another mapping shape, a call cycle, a missing weight,
   an unmapped channel) is *unsupported*: the kernel returns ``None``
   for that candidate and the caller re-evaluates it on the reference
@@ -40,11 +41,14 @@ node whose time is 0.0; ``row`` is the bus's transfer-time matrix (see
 :attr:`~repro.estimate.compile.CompiledGraph.tt`) already multiplied by
 the slot's transfer count, so one index gives the reference's
 ``TransferTime``; 0-bit slots share one zero row; and a slot on an
-unmapped bus gets ``None``.  Rows are shared per (bus, transfer count),
-so a table costs about one tuple per channel: about 0.14 MB and 1.2 ms
-to build at 1,000 behaviors, 2.7 MB and 15 ms at 10,000.  Design points
-and all six report modes, sequential and concurrent, sweep the same
-table.
+unmapped bus gets a row whose every read abstains.  Rows are shared per
+(bus, transfer count), so a table costs about one tuple per channel:
+about 0.14 MB and 1.2 ms to build at 1,000 behaviors, 2.7 MB and 15 ms
+at 10,000.  Design points and all six report modes, sequential and
+concurrent, sweep the same table.  A sweep sets the times of its
+order's variables first, then loops over its behaviors only; no entry
+of the inner loop is checked for a bus, since the table decided that
+when it was built.
 
 Example — compile once, evaluate a batch, cross-check the oracle:
 
@@ -67,7 +71,6 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.annotations import left_sum
 from repro.core.channels import FreqMode
 from repro.core.graph import Slif
 from repro.core.partition import Partition
@@ -94,13 +97,49 @@ class _Unsupported(Exception):
     """Internal: this candidate needs the reference path.  Never escapes."""
 
 
+class _UnmappedRow:
+    """The channel-table row of a slot on no bus.
+
+    Eq. 1 reads a slot's row only when its frequency is not zero, and
+    the reference then needs the slot's bus and raises, so any read
+    abstains.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, index: int) -> float:
+        raise _Unsupported
+
+
+_UNMAPPED = _UnmappedRow()
+
+
+def _split_order(
+    order: Optional[List[int]], n_behaviors: int
+) -> Optional[Tuple[List[int], List[int]]]:
+    """``order``'s variables and its behaviors, each in order.
+
+    A variable's time depends on nothing but its own component, so a
+    sweep may set every variable's first; the behaviors keep their
+    callees-first order.
+    """
+    if order is None:
+        return None
+    return (
+        [ni for ni in order if ni >= n_behaviors],
+        [ni for ni in order if ni < n_behaviors],
+    )
+
+
 class BatchKernel:
     """Evaluate batches of candidate partitions against one compiled graph.
 
     Construct through :meth:`for_graph`; instances are cheap to keep and
     safe to reuse for any number of batches, but hold no partition state
     — every candidate is read fresh from its
-    :class:`~repro.core.partition.Partition` (see :meth:`_components`).
+    :class:`~repro.core.partition.Partition` (see
+    :meth:`CompiledGraph.comp_vector
+    <repro.estimate.compile.CompiledGraph.comp_vector>`).
 
     Thread safety: evaluation only reads the compiled arrays, so one
     kernel may serve concurrent callers (a session's concurrent sweeps
@@ -119,10 +158,8 @@ class BatchKernel:
         # one of very few distinct vectors, and the sorted mapping tuple
         # always uses the same key permutation.  Precompute what is
         # candidate-invariant so the per-candidate work is a handful of
-        # C-level passes (see _components and _design_point).
+        # C-level passes (see _design_point).
         names = compiled.node_names
-        self._n_nodes = compiled.n_nodes
-        self._node_names = names
         perm = sorted(range(len(names)), key=names.__getitem__)
         self._sorted_keys = tuple(names[j] for j in perm)
         if len(perm) > 1:
@@ -135,6 +172,9 @@ class BatchKernel:
             [row[c] for row in compiled.size]
             for c in range(compiled.n_comps)
         ]
+        n_beh = compiled.n_behaviors
+        self._design_order = _split_order(compiled.order_design, n_beh)
+        self._report_order = _split_order(compiled.order_report, n_beh)
         self._bus_cache: Dict[Tuple[tuple, tuple], Any] = {}
         self._bus_memo: Optional[Tuple[Dict[str, str], Any]] = None
         # Eq. 1 rows shared by every table: one zero row for 0-bit slots
@@ -160,30 +200,6 @@ class BatchKernel:
 
     # ------------------------------------------------------------------
     # candidate conversion
-
-    def _components(self, partition: Partition) -> Tuple[List[str], List[int]]:
-        """``(component names, comp_of)`` of a partition that maps every
-        node in node order; raises :class:`_Unsupported` for any other.
-
-        The kernel's one reading of an object mapping: the names are the
-        mapping's values, and ``comp_of`` their component indices from
-        one C-level ``map``, then the port sentinel's ``-1`` (see
-        :meth:`_sweep`).  Node order is the insertion order Eqs. 4–5 sum
-        sizes in, so ``comp_of`` also gives the assignment order.  This
-        reads the partition's internal dict directly (no
-        ``object_mapping()`` copy), a read-only peek under the same
-        no-mutation-mid-call contract the estimators already have.
-        """
-        bv = partition._bv_comp
-        if len(bv) != self._n_nodes or list(bv) != self._node_names:
-            raise _Unsupported
-        names = list(bv.values())
-        try:
-            comp_of = list(map(self.cg.comp_index.__getitem__, names))
-        except KeyError:
-            raise _Unsupported from None
-        comp_of.append(-1)  # the port sentinel
-        return names, comp_of
 
     def _bus_vector(self, chan_bus: Dict[str, str]) -> Tuple[List[int], list]:
         """Channel→bus dict to its per-slot bus vector and channel table.
@@ -221,17 +237,18 @@ class BatchKernel:
         placement: the bus's ``tt`` entry times the slot's transfer
         count, the product the reference computes.  A 0-bit slot reads
         the zero row whatever its bus, since the reference never looks
-        its bus up; any other slot on an unmapped bus has row ``None``.
+        its bus up; any other slot on an unmapped bus has the row
+        :class:`_UnmappedRow`, whose every read abstains.
         """
         cg = self.cg
         slot_bits, transfers, tt = cg.slot_bits, cg.transfers, cg.tt
         zero, rows = self._zero_row, self._rows
-        slot_row: List[Optional[List[float]]] = []
+        slot_row: list = []
         for bits, counts, bi in zip(slot_bits, transfers, bus_of):
             if bits == 0:
                 slot_row.append(zero)
             elif bi < 0:
-                slot_row.append(None)
+                slot_row.append(_UNMAPPED)
             else:
                 count = counts[bi]
                 row = rows.get((bi, count))
@@ -263,47 +280,46 @@ class BatchKernel:
         table: List[List[tuple]],
         mode_key: str,
         concurrent: bool,
-        order: List[int],
+        order: Tuple[List[int], List[int]],
     ) -> List[Any]:
-        """Execution time of every node in ``order``, callees first.
+        """Execution time of every node of ``order``, callees first.
 
         Each step repeats the reference expression for that node —
         ``ict + left_sum(freq * (transfer + dst_time))`` with the
         identical summation order and start value — so the produced
-        floats match the memoized recursion bit for bit.  ``table`` is
+        floats match the memoized recursion bit for bit.  ``order`` is
+        a compiled order split by :func:`_split_order`: its variables'
+        times are set first, then its behaviors' in order.  ``table`` is
         the channel mapping's :meth:`_channel_table`; ``comp_of`` and
         the returned times end with the port sentinel's entries, ``-1``
         and 0.0.
         """
         cg = self.cg
-        n_beh = cg.n_behaviors
         ict = cg.ict
         slot_tag = cg.slot_tag
         freq = cg.freq[mode_key]
         span = cg.n_comps + 1
         times: List[Any] = [None] * cg.n_nodes
         times.append(0.0)  # a port's time
-        for ni in order:
+        variables, behaviors = order
+        for ni in variables:  # a variable's access time on its component
+            w = times[ni] = ict[ni][comp_of[ni]]
+            if w is None:
+                raise _Unsupported
+        for ni in behaviors:
             ci = comp_of[ni]
-            if ci < 0:
-                raise _Unsupported  # reached an unmapped object
             w = ict[ni][ci]
             if w is None:
                 raise _Unsupported  # technology never preprocessed
-            if ni >= n_beh:  # variable: its access time on the component
-                times[ni] = w
-                continue
             base = (ci + 1) * span + 1
             if not concurrent:
                 total: Any = 0  # left_sum starts from int 0
                 for s, di, row in table[ni]:
                     f = freq[s]
-                    if f == 0.0:
+                    if f:
+                        total = total + f * (row[base + comp_of[di]] + times[di])
+                    else:
                         total = total + 0.0
-                        continue
-                    if row is None:
-                        raise _Unsupported  # channel not mapped to a bus
-                    total = total + f * (row[base + comp_of[di]] + times[di])
                 times[ni] = w + total
                 continue
             # concurrent mode: same-tag groups combine by max (first-seen
@@ -312,12 +328,7 @@ class BatchKernel:
             groups: Dict[str, float] = {}
             for s, di, row in table[ni]:
                 f = freq[s]
-                if f == 0.0:
-                    cost = 0.0
-                else:
-                    if row is None:
-                        raise _Unsupported
-                    cost = f * (row[base + comp_of[di]] + times[di])
+                cost = f * (row[base + comp_of[di]] + times[di]) if f else 0.0
                 tag = slot_tag[s]
                 if tag is None:
                     seq += cost
@@ -345,10 +356,9 @@ class BatchKernel:
         Only the hardware components' totals feed a design point, and
         for component ``c`` the reference accumulation is exactly the
         node-order subsequence of size weights assigned to ``c``
-        starting from int 0 — which is what the filtered ``left_sum``
-        below computes, bit for bit.  The reference sums every
-        component, so a weight missing anywhere abstains (none is when
-        ``size_complete``).
+        starting from int 0 — which is what the loop below adds, bit for
+        bit.  The reference sums every component, so a weight missing
+        anywhere abstains (none is when ``size_complete``).
         """
         cg = self.cg
         if not cg.size_complete and any(
@@ -360,10 +370,12 @@ class BatchKernel:
         for ci in hw_cis:
             if ci is None:
                 total = total + 0.0
-            else:
-                total = total + left_sum(
-                    w for c, w in zip(comp_of, cols[ci]) if c == ci
-                )
+                continue
+            part: Any = 0  # and so does each component's
+            for c, w in zip(comp_of, cols[ci]):
+                if c == ci:
+                    part = part + w
+            total = total + part
         return total
 
     # ------------------------------------------------------------------
@@ -411,16 +423,21 @@ class BatchKernel:
     def _design_point(self, partition, label, hw_cis, point_cls):
         """One candidate's design point; raises :class:`_Unsupported`."""
         cg = self.cg
-        names, comp_of = self._components(partition)
+        bv = partition._bv_comp
+        comp_of = cg.comp_vector(bv)
+        if comp_of is None:
+            raise _Unsupported
         _, table = self._bus_vector(partition._chan_bus)
-        times = self._sweep(comp_of, table, "avg", False, cg.order_design)
+        times = self._sweep(comp_of, table, "avg", False, self._design_order)
         pt = [times[p] for p in cg.processes]
         return point_cls(
             system_time=max(pt) if pt else 0.0,
             hardware_size=self._hw_size(comp_of, hw_cis),
             # the same tuple sorted(mapping.items()) builds, via the
             # precomputed key permutation
-            mapping=tuple(zip(self._sorted_keys, self._perm_values(names))),
+            mapping=tuple(
+                zip(self._sorted_keys, self._perm_values(list(bv.values())))
+            ),
             label=label,
         )
 
@@ -468,7 +485,7 @@ class BatchKernel:
                 comp_of, table, by_bus, sizes, ios, violations = half
                 try:
                     times = self._sweep(
-                        comp_of, table, mode.value, concurrent, cg.order_report
+                        comp_of, table, mode.value, concurrent, self._report_order
                     )
                     moved = cg.moved[mode.value]
                     bus_loads = {}
@@ -524,10 +541,10 @@ class BatchKernel:
 
         cg = self.cg
         chan_bus = partition._chan_bus
+        comp_of = cg.comp_vector(partition._bv_comp)
+        if comp_of is None or len(chan_bus) != cg.n_slots:
+            return None  # another shape, or a channel unmapped
         try:
-            _, comp_of = self._components(partition)
-            if len(chan_bus) != cg.n_slots:
-                raise _Unsupported  # a channel unmapped: the reference raises
             bus_of, table = self._bus_vector(chan_bus)
             acc = self._sizes(comp_of)
         except _Unsupported:

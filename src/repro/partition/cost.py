@@ -71,9 +71,10 @@ class PartitionCost:
     ``budgets`` maps component names to the size budgets to use in
     place of their ``size_constraint`` (``None`` for no budget), so a
     search can run under synthetic budgets without touching the graph.
-    Size and pin budgets are read once, here.  A term that would divide
-    by a budget of zero or below raises :class:`~repro.errors.PartitionError`
-    naming the component.
+    Size and pin budgets are read once, here.  A ``budgets`` key that
+    names no component raises :class:`~repro.errors.PartitionError`
+    naming it, before any search; a term that would divide by a budget
+    of zero or below raises one naming the component.
 
     Evaluations are counted in :attr:`evaluations`, one per
     :meth:`cost` and one per trial move; :meth:`publish` adds them to
@@ -119,6 +120,12 @@ class PartitionCost:
         self.evaluations = 0
         cg = self.inc.cg
         budgets = budgets or {}
+        unknown = [name for name in budgets if name not in cg.comp_index]
+        if unknown:
+            raise PartitionError(
+                f"budgets name no component of the graph: "
+                f"{', '.join(map(repr, unknown))}"
+            )
         limits = (
             budgets.get(name, slif.get_component(name).size_constraint)
             for name in cg.comp_names

@@ -3,8 +3,11 @@
 Repeated passes over every functional object; each object is offered
 every legal alternative component and takes the best strictly-improving
 move, found by one :meth:`PartitionCost.best_move` call that scores its
-candidates on the compiled graph's indices.  Terminates when a full
-pass improves nothing — a local minimum under the single-move
+candidates on the compiled graph's indices.  The move is committed on
+the same indices, by :meth:`IncrementalEstimator.commit
+<repro.estimate.incremental.IncrementalEstimator.commit>`, with no
+name checks: its target came from the node's pool.  Terminates when a
+full pass improves nothing — a local minimum under the single-move
 neighbourhood — or after ``max_passes`` passes.
 
 Once the cost reaches :meth:`PartitionCost.floor`, no trial move can
@@ -53,7 +56,7 @@ def greedy_improve(
     current = evaluator.cost()
     history = [current]
     floor = evaluator.floor()
-    names, comps = evaluator.inc.cg.node_names, evaluator.inc.cg.comp_names
+    inc = evaluator.inc
     passes = 0
 
     improved = True
@@ -67,10 +70,10 @@ def greedy_improve(
             evaluator.evaluations += evaluator.pass_trials()
             break
         # every behavior and variable, in node index order
-        for node, obj in enumerate(names):
+        for node in range(inc.cg.n_nodes):
             best_cost, best_comp = evaluator.best_move(node, current)
             if best_comp >= 0:
-                evaluator.apply_move(obj, comps[best_comp])
+                inc.commit(node, best_comp)
                 current = best_cost
                 history.append(current)
                 improved = True

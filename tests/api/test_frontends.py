@@ -111,6 +111,31 @@ class TestBackCompat:
             expected = hashlib.sha256(blob.encode()).hexdigest()[:24]
             assert api.session_key(spec) == expected
 
+    def test_generated_spec_key_and_job_id_are_pinned(self):
+        """A synth document is keyed by hashing its canonical encoding,
+        and every durable job id hashes the key, so both literals were
+        computed before the encoder's flags last changed."""
+        from repro.serve.store import job_id_for
+        from repro.synth.gen import GenConfig, generate_text
+
+        key = api.session_key(generate_text(GenConfig(behaviors=50, seed=1)))
+        assert key == "7f41fc9cb3b7a97c1c2f73aa"
+        request = {"algorithm": "greedy", "seed": 1}
+        assert job_id_for("default", "partition", key, request) == "a14e334b7889730a"
+
+    def test_canonical_json_is_the_default_encoding(self):
+        """Skipping the circular-reference check changes no byte, on a
+        decoded document and on an estimate report's ``to_dict()``."""
+        from repro.api.types import canonical_json
+        from repro.synth.gen import GenConfig, generate_text
+
+        text = generate_text(GenConfig(behaviors=50, seed=1))
+        report = api.estimate(text).to_dict()
+        for payload in (json.loads(text), report):
+            assert canonical_json(payload) == json.dumps(
+                payload, sort_keys=True, separators=(",", ":")
+            )
+
     def test_a_file_named_like_a_benchmark_gets_its_own_key(self, tmp_path):
         """``vol.vhd`` holding ``vol``'s source builds without its branch
         profile, so it must not share ``vol``'s session."""

@@ -365,6 +365,111 @@ class TestChannelTable:
         assert len(built) == 2  # one table per distinct mapping
 
 
+def reach_graph():
+    """``Main`` calls ``Sub``; ``Orphan`` is no process's callee, so
+    design points never sweep it and full reports do.  ``Main`` and
+    ``Orphan`` each have one channel of nonzero and one of zero average
+    frequency (nonzero at ``max``)."""
+    from repro.core import SlifBuilder
+
+    weights = {"proc": 1.5, "asic": 2.25, "mem": 0.5}
+    return (
+        SlifBuilder("reach")
+        .process("Main", ict={"proc": 50.0, "asic": 8.0},
+                 size={"proc": 120, "asic": 900})
+        .procedure("Sub", ict={"proc": 20.0, "asic": 3.0},
+                   size={"proc": 60, "asic": 400})
+        .procedure("Orphan", ict={"proc": 7.0, "asic": 1.0},
+                   size={"proc": 30, "asic": 200})
+        .variable("buf", bits=8, elements=64, ict=weights, size=weights)
+        .variable("flag", bits=1, ict=weights, size=weights)
+        .port("in1", "in", 8)
+        .port("out1", "out", 8)
+        .call("Main", "Sub", freq=2)
+        .read("Main", "in1", freq=1)
+        .write("Main", "out1", freq=0.0, accmax=3.0)
+        .read("Sub", "buf", freq=64)
+        .read("Orphan", "buf", freq=5)
+        .write("Orphan", "flag", freq=0.0, accmax=2.0)
+        .processor("CPU", "proc")
+        .asic("HW", "asic")
+        .memory("RAM", "mem")
+        .bus("wide", bitwidth=16, ts=0.1, td=1.0)
+        .build()
+    )
+
+
+#: (channel left without a bus, whether its design point is scored)
+UNMAPPED = [
+    pytest.param("Main->in1", False, id="reachable-nonzero"),
+    pytest.param("Main->out1", True, id="reachable-zero"),
+    pytest.param("Orphan->buf", True, id="unreachable-nonzero"),
+    pytest.param("Orphan->flag", True, id="unreachable-zero"),
+]
+
+
+class TestUnmappedBus:
+    """A slot on no bus abstains exactly when Eq. 1 reads it: a nonzero
+    frequency from a behavior the sweep reaches."""
+
+    @staticmethod
+    def partition(slif, unmapped):
+        part = Partition(slif, "p")
+        for obj, comp in (("Main", "CPU"), ("Sub", "HW"), ("Orphan", "HW"),
+                          ("buf", "RAM"), ("flag", "HW")):
+            part.assign(obj, comp)
+        for channel in slif.channels:
+            if channel != unmapped:
+                part.assign_channel(channel, "wide")
+        return part
+
+    @pytest.mark.parametrize("channel, scored", UNMAPPED)
+    def test_design_points_and_reports(self, channel, scored):
+        slif = reach_graph()
+        kernel = BatchKernel.for_graph(slif)
+        part = self.partition(slif, channel)
+        [point] = kernel.evaluate([(part, "p")], ["HW"])
+        assert (point is not None) == scored
+        # the partition is not proper, so every report is the reference's
+        items = [(part, mode, c) for mode in FreqMode for c in (False, True)]
+        assert kernel.reports(items) == [None] * len(items)
+        assert_kernel_matches_reference(kernel, slif, part)
+
+    @pytest.mark.parametrize("concurrent", [False, True], ids=["seq", "conc"])
+    @pytest.mark.parametrize("mode", list(FreqMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("channel, scored", UNMAPPED)
+    def test_every_mode_sweeps_as_the_reference(
+        self, channel, scored, mode, concurrent
+    ):
+        """Over the report order, which reaches ``Orphan``, a sweep in
+        each of the six modes abstains exactly where the reference's
+        time of a swept behavior raises, and otherwise gives its times."""
+        from repro.estimate.exectime import ExecTimeEstimator
+        from repro.estimate.kernel import _Unsupported
+
+        slif = reach_graph()
+        kernel = BatchKernel.for_graph(slif)
+        cg = kernel.cg
+        part = self.partition(slif, channel)
+        swept = [cg.node_names[ni] for ni in cg.order_report if ni < cg.n_behaviors]
+        reference = ExecTimeEstimator(slif, part, mode, concurrent)
+        try:
+            want = [repr(reference.exectime(name)) for name in swept]
+        except PartitionError:
+            want = None
+        comp_of = cg.comp_vector(part._bv_comp)
+        _, table = kernel._bus_vector(part._chan_bus)
+        try:
+            times = kernel._sweep(
+                comp_of, table, mode.value, concurrent, kernel._report_order
+            )
+        except _Unsupported:
+            got = None
+        else:
+            got = [repr(times[cg.node_index[name]]) for name in swept]
+        assert got == want
+
+
 class TestObsCounters:
     def test_compile_and_batch_counters(self, systems):
         from repro import obs

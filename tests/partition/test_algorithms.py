@@ -237,6 +237,12 @@ class TestRandom:
             rng.choice([])
 
 
+#: every algorithm once, and annealing again with several chains
+EVERY_ALGORITHM = [pytest.param(name, {}, id=name) for name in sorted(ALGORITHMS)] + [
+    pytest.param("annealing", {"restarts": 2}, id="annealing-chains")
+]
+
+
 class TestDispatcher:
     def test_all_algorithms_registered(self):
         assert set(ALGORITHMS) == {
@@ -265,11 +271,7 @@ class TestDispatcher:
             assert result.cost <= start + 1e-9, name
             assert result.partition.validate() == [], name
 
-    @pytest.mark.parametrize(
-        "name, extra",
-        [pytest.param(name, {}, id=name) for name in sorted(ALGORITHMS)]
-        + [pytest.param("annealing", {"restarts": 2}, id="annealing-chains")],
-    )
+    @pytest.mark.parametrize("name, extra", EVERY_ALGORITHM)
     def test_reported_cost_honours_budgets(self, fuzzy_system, name, extra):
         budgets = {"CPU": 500}   # fuzzy's all-software CPU size is 1,333
         slif = fuzzy_system.slif
@@ -278,6 +280,16 @@ class TestDispatcher:
         )
         recost = PartitionCost(slif, result.partition, budgets=budgets)
         assert result.cost == pytest.approx(recost.cost())
+
+    @pytest.mark.parametrize("name, extra", EVERY_ALGORITHM)
+    def test_budget_naming_no_component_is_rejected(self, fuzzy_system, name, extra):
+        """A misspelt budget key fails before any search instead of
+        leaving the search unconstrained."""
+        with pytest.raises(PartitionError, match="budgets name no component.*'CUP'"):
+            run_algorithm(
+                name, fuzzy_system.slif, fuzzy_system.partition,
+                budgets={"CUP": 500}, **extra,
+            )
 
 
 class TestTelemetry:

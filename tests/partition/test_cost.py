@@ -323,3 +323,42 @@ class TestZeroBudgets:
         start = single_bus_partition(slif, system.partition.object_mapping())
         with pytest.raises(PartitionError, match="component 'HW'"):
             greedy_improve(slif, start)
+
+
+class TestIncompleteStart:
+    """A start with one object or one channel unmapped is refused with
+    the partition's own message, with or without a shared compiled
+    graph, whichever end of the node order the object sits at."""
+
+    CASES = [
+        ("object", "InitRules", "unmapped objects: ['InitRules']"),
+        ("object", "alarmcnt", "unmapped objects: ['alarmcnt']"),
+        ("channel", "InitRules->Min", "unmapped channels: ['InitRules->Min']"),
+        (
+            "channel",
+            "FuzzyMain->lastout",
+            "unmapped channels: ['FuzzyMain->lastout']",
+        ),
+    ]
+
+    @pytest.mark.parametrize("kind, name, unmapped", CASES)
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    def test_greedy_and_the_cost_refuse_it(
+        self, fuzzy_system, kind, name, unmapped, shared
+    ):
+        from repro.estimate.compile import compile_graph
+        from repro.partition.greedy import greedy_improve
+
+        slif = fuzzy_system.slif
+        start = fuzzy_system.partition.copy(name="start")
+        if kind == "object":
+            start.unassign(name)
+        else:
+            start.unassign_channel(name)
+        compiled = compile_graph(slif) if shared else None
+        with pytest.raises(PartitionError) as exc:
+            greedy_improve(slif, start, compiled=compiled)
+        assert str(exc.value) == f"partition 'greedy' is not proper ({unmapped})"
+        with pytest.raises(PartitionError) as exc:
+            PartitionCost(slif, start, compiled=compiled)
+        assert str(exc.value) == f"partition 'start' is not proper ({unmapped})"

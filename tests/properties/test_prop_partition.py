@@ -539,3 +539,155 @@ def test_index_searches_match_their_name_loops(scenario, max_passes, seed):
     assert _search_outcome(
         lambda: _result(simulated_annealing(*args, seed=seed, **SCHEDULE))
     ) == _search_outcome(lambda: _reference_annealing(*args, seed, SCHEDULE))
+
+
+# ---------------------------------------------------------------------------
+# greedy's index commits and the estimator's set-up vs their name loops
+
+
+def _reference_greedy(g, start, weights, time_constraint, max_passes):
+    """Greedy as a loop that commits by name: each node's best trial
+    from ``best_move``, then ``apply_move`` of the winning component's
+    name, with the same floor exit."""
+    working = start.copy(name="greedy")
+    evaluator = PartitionCost(g, working, weights, time_constraint)
+    current = evaluator.cost()
+    history = [current]
+    floor = evaluator.floor()
+    names, comps = evaluator.inc.cg.node_names, evaluator.inc.cg.comp_names
+    passes = 0
+    improved = True
+    while improved and passes < max_passes:
+        improved = False
+        passes += 1
+        if current == floor:
+            evaluator.evaluations += evaluator.pass_trials()
+            break
+        for node, obj in enumerate(names):
+            best_cost, best_comp = evaluator.best_move(node, current)
+            if best_comp >= 0:
+                evaluator.apply_move(obj, comps[best_comp])
+                current = best_cost
+                history.append(current)
+                improved = True
+                if current == floor:
+                    evaluator.evaluations += evaluator.pass_trials(node + 1)
+                    break
+    return working, current, passes, evaluator.evaluations, history
+
+
+@given(descent_scenarios())
+@settings(max_examples=40, deadline=None)
+def test_greedy_index_commits_match_its_name_loop(scenario):
+    """Greedy, which commits its moves on indices, gives by ``repr`` the
+    cost and history of a loop that commits them by name, with the same
+    iterations, evaluations and mapping, or fails with the same error."""
+    from repro.partition.greedy import greedy_improve
+
+    g, start, kwargs = scenario
+    assert _search_outcome(
+        lambda: _result(greedy_improve(g, start, **kwargs))
+    ) == _search_outcome(lambda: _reference_greedy(g, start, **kwargs))
+
+
+def _name_loop_tallies(g, partition, cg):
+    """``(sizes, comp_of)`` read from ``partition`` name by name, each
+    component's size weights added in mapping order: how the estimator
+    read every mapping before it read node-ordered ones on indices."""
+    sizes = [0.0] * cg.n_comps
+    comp_of = [0] * cg.n_nodes + [-1]
+    for obj, comp in partition.object_mapping().items():
+        node = cg.node_index[obj]
+        c = comp_of[node] = cg.comp_index[comp]
+        w = cg.size[node][c]
+        sizes[c] += w if w is not None else object_size(g, obj, comp)
+    return sizes, comp_of
+
+
+@st.composite
+def setup_scenarios(draw):
+    """A small ``slif gen`` spec with non-integral size weights, a
+    random start on its one bus or with a drawn subset of its channels
+    on a second of another width, pin budgets on or off, and sometimes
+    one object lacking its ASIC weight."""
+    config = GenConfig(
+        behaviors=draw(st.integers(2, 30)),
+        seed=draw(st.integers(0, 2**16)),
+        variables=draw(st.integers(0, 8)),
+        ports=draw(st.integers(0, 3)),
+    )
+    g = build_system(generate_text(config)).slif
+    weight = st.floats(0.0, 400.0).map(lambda x: round(x, 3))
+    for node in list(g.behaviors.values()) + list(g.variables.values()):
+        for tech in ("proc", "asic"):
+            node.size.set(tech, draw(weight))
+    start = random_partition(g, seed=draw(st.integers(0, 1000)))
+    if draw(st.booleans()):
+        [first] = g.buses.values()
+        width = draw(st.sampled_from([w for w in (8, 32, 64) if w != first.bitwidth]))
+        g.add_bus(Bus("side", bitwidth=width))
+        for channel in g.channels:
+            if draw(st.booleans()):
+                start.assign_channel(channel, "side")
+    pins = draw(st.booleans())
+    for proc in g.processors.values():
+        proc.io_constraint = draw(st.integers(1, 40)) if pins else None
+    _drop_asic_weight(g, draw(st.none() | st.sampled_from(g.bv_names())))
+    return g, start
+
+
+def _shuffled(partition, rng):
+    """A copy of ``partition`` listing its object mapping in another
+    order."""
+    from repro.core.partition import Partition
+
+    items = list(partition.object_mapping().items())
+    rng.shuffle(items)
+    copy = Partition(partition.slif, partition.name)
+    for obj, comp in items:
+        copy.assign(obj, comp)
+    for channel, bus in partition.channel_mapping().items():
+        copy.assign_channel(channel, bus)
+    return copy
+
+
+@given(setup_scenarios(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_estimator_setup_matches_the_name_loop(scenario, rng):
+    """An estimator built from a node-ordered start, and one built from
+    a copy whose mapping is shuffled, hold by ``repr`` the sizes,
+    component indices and cut counts of the name loop over their own
+    mapping, or fail with its error; index commits then keep the
+    tallies consistent, and one that fails changes nothing."""
+    from repro.estimate.compile import compile_graph
+
+    g, start = scenario
+    cg = compile_graph(g)
+    for partition in (start, _shuffled(start, rng)):
+        try:
+            sizes, comp_of = _name_loop_tallies(g, partition, cg)
+        except EstimationError as exc:
+            want = ("error", str(exc))
+        else:
+            bus_of = cg.bus_vector(partition.channel_mapping())
+            want = ("value", repr(sizes), comp_of, cg.cut_counts(comp_of, bus_of))
+        try:
+            evaluator = PartitionCost(g, partition.copy(), compiled=cg)
+        except EstimationError as exc:
+            assert ("error", str(exc)) == want
+            continue
+        evaluator.cost()  # tallies the cut counts when a pin budget is set
+        inc = evaluator.inc
+        got = ("value", repr(inc.sizes), inc.comp_of, inc._cut_counts())
+        assert got == want
+        for _ in range(25):
+            node = rng.randrange(cg.n_nodes)
+            targets = [c for c in evaluator.pool(node) if c != inc.comp_of[node]]
+            if not targets:
+                continue
+            before = _tallies(evaluator)
+            try:
+                inc.commit(node, rng.choice(targets))
+            except EstimationError:
+                assert _tallies(evaluator) == before
+        inc.verify_consistency()
