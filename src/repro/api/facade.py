@@ -50,6 +50,7 @@ from repro.api.types import (
     RequestError,
     SimulateRequest,
     SimulateResult,
+    base_url,
     canonical_json,
 )
 from repro.core.channels import FreqMode
@@ -75,16 +76,13 @@ def _session_for(request, session: Optional[Session]) -> Session:
     return session if session is not None else load(request.spec)
 
 
-def _request_policy(req, policy):
-    """``policy``, or the one a request's non-default ``timeout`` and
-    ``retries`` ask for, seeded with its ``seed``."""
-    if policy is None and (req.timeout is not None or req.retries != 2):
-        from repro.explore.engine import RetryPolicy
+def _request_policy(req):
+    """The retry policy of a partition or explore request, at every
+    door: its ``timeout`` and ``retries``, its backoff jitter seeded
+    with its ``seed``."""
+    from repro.explore.engine import RetryPolicy
 
-        policy = RetryPolicy(
-            timeout=req.timeout, retries=req.retries, seed=req.seed
-        )
-    return policy
+    return RetryPolicy(timeout=req.timeout, retries=req.retries, seed=req.seed)
 
 
 def _require_finite(values) -> None:
@@ -226,7 +224,6 @@ def partition(
     request: Union[PartitionRequest, dict, str],
     *,
     session: Optional[Session] = None,
-    policy=None,
     checkpoint: Optional[str] = None,
     resume: bool = False,
 ) -> PartitionResult:
@@ -236,8 +233,8 @@ def partition(
     itself is never mutated, so cached sessions can serve concurrent
     partitioning requests.  Every algorithm scores its moves on the
     session kernel's compiled graph, and the outcome's report is
-    scored on the kernel like any estimate.  ``jobs`` and
-    ``policy``/``checkpoint``/``resume`` pass through to the
+    scored on the kernel like any estimate.  ``jobs``, the request's
+    retry policy and ``checkpoint``/``resume`` pass through to the
     fault-tolerant exploration engine, which runs the starts of
     ``random`` and ``greedy_multistart``; the other algorithms search
     once, in process.
@@ -248,7 +245,6 @@ def partition(
     req.validate()
     sess = _session_for(req, session)
     jobs = 1 if req.jobs is None else req.jobs
-    policy = _request_policy(req, policy)
     with sess.lock:
         start = sess.partition.copy()
     with span(
@@ -261,7 +257,7 @@ def partition(
             seed=req.seed,
             jobs=jobs,
             compiled=sess.kernel().cg,
-            policy=policy,
+            policy=_request_policy(req),
             checkpoint=checkpoint,
             resume=resume,
         )
@@ -348,7 +344,6 @@ def explore(
     request: Union[ExploreRequest, dict, str],
     *,
     session: Optional[Session] = None,
-    policy=None,
     checkpoint: Optional[str] = None,
     resume: bool = False,
     fleet=None,
@@ -375,7 +370,6 @@ def explore(
     req.validate()
     sess = _session_for(req, session)
     jobs = 1 if req.jobs is None else req.jobs
-    policy = _request_policy(req, policy)
     if fleet is not None:
         from repro.fleet.protocol import FleetSpec
 
@@ -389,7 +383,7 @@ def explore(
             random_starts=req.random_starts,
             seed=req.seed,
             jobs=jobs,
-            policy=policy,
+            policy=_request_policy(req),
             checkpoint=checkpoint,
             resume=resume,
             fleet=fleet,
@@ -427,13 +421,11 @@ def explore(
 
 
 def _server_url(server: str) -> str:
-    """Normalize a ``host:port`` or URL into a base URL, no trailing slash."""
-    server = server.strip().rstrip("/")
-    if not server:
+    """A server's ``host:port`` or URL as a base URL."""
+    url = base_url(server)
+    if url is None:
         raise RequestError("server address must be a host:port or URL")
-    if not server.startswith(("http://", "https://")):
-        server = f"http://{server}"
-    return server
+    return url
 
 
 def _job_call(
@@ -490,7 +482,7 @@ def submit(
         raise RequestError(
             f"expected JobRequest or dict, got {type(request).__name__}"
         )
-    req.validate()
+    req.validate().wrapped()
     headers = {"Content-Type": "application/json"}
     if tenant:
         headers["X-Slif-Tenant"] = tenant

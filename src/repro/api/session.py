@@ -80,9 +80,10 @@ class DesignSystem:
         ``jobs`` fans candidate evaluation across worker processes (0 =
         all cores); the front is identical for any value given the same
         seed.  ``policy`` tunes the fault-tolerant dispatch loop
-        (per-chunk timeout, retries, backoff); ``checkpoint`` journals
-        completed chunks and ``resume`` replays such a journal so an
-        interrupted sweep only re-evaluates what is missing.
+        (per-chunk timeout, retries and the seed of the backoff
+        jitter); ``checkpoint`` journals completed chunks and
+        ``resume`` replays such a journal so an interrupted sweep only
+        re-evaluates what is missing.
         """
         from repro.partition.pareto import explore_pareto
 
@@ -194,7 +195,6 @@ def build_system(
     processor_name: str = "CPU",
     asic_name: str = "HW",
     bus_bitwidth: int = 16,
-    seed: int = 0,
 ) -> DesignSystem:
     """Build a :class:`DesignSystem` for any registered spec form.
 

@@ -4,13 +4,17 @@ Every entry point of the facade (and hence every endpoint of the
 serving layer) speaks in the dataclasses defined here: a ``*Request``
 carries what the caller wants evaluated, a ``*Result`` carries plain
 data — no live graph objects — so it can cross a process or network
-boundary unchanged.  Each class has
+boundary unchanged.  Each class has a ``schema_version`` field (bumped
+when the wire shape changes, so old clients fail loudly instead of
+silently misreading responses) and inherits the one codec of
+:class:`Wire`:
 
-* a ``schema_version`` field (bumped when the wire shape changes, so
-  old clients fail loudly instead of silently misreading responses),
-* ``to_dict()`` returning JSON-ready plain data, and
+* ``to_dict()`` returning JSON-ready plain data,
 * ``from_dict()`` rejecting unknown keys and unsupported versions with
-  :class:`RequestError`.
+  :class:`RequestError`, and
+* ``check_types()``, the field-type rule every request's validation
+  runs, at every door: a field holds a JSON value of its declared type
+  or the request is a :class:`RequestError`.
 
 :func:`canonical_json` is the one JSON encoding used on the wire:
 sorted keys and compact separators, so a response is byte-identical
@@ -21,7 +25,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional
+from functools import lru_cache
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, Optional, Tuple, Type, TypeVar,
+    get_args, get_origin, get_type_hints,
+)
 
 from repro.errors import SlifError
 
@@ -52,27 +60,117 @@ def canonical_json(payload: Dict[str, Any]) -> str:
     )
 
 
-def _from_dict(cls, data: Any):
-    """Build ``cls`` from plain data, rejecting junk loudly."""
-    if not isinstance(data, dict):
-        raise RequestError(
-            f"{cls.__name__} payload must be a JSON object, "
-            f"got {type(data).__name__}"
-        )
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise RequestError(
-            f"{cls.__name__} does not accept field(s) {unknown}; "
-            f"known fields: {sorted(known)}"
-        )
-    version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise RequestError(
-            f"{cls.__name__} schema_version {version!r} is not supported "
-            f"(this build speaks version {SCHEMA_VERSION})"
-        )
-    return cls(**data)
+def base_url(address: Any) -> Optional[str]:
+    """A ``host:port`` or URL as a base URL with no trailing slash, or
+    ``None`` when ``address`` is no such string.
+
+    The one address rule of the durable-job client and the fleet
+    client (:class:`~repro.fleet.protocol.FleetSpec`); each raises its
+    own error on ``None``.
+
+    >>> base_url(" 127.0.0.1:8123/ "), base_url("https://h"), base_url("")
+    ('http://127.0.0.1:8123', 'https://h', None)
+    """
+    url = address.strip().rstrip("/") if isinstance(address, str) else ""
+    if not url:
+        return None
+    return url if url.startswith(("http://", "https://")) else f"http://{url}"
+
+
+#: The field-type rule's name for the JSON types of other fields.
+_JSON_NAMES = {
+    bool: "true or false",
+    str: "a string",
+    dict: "a JSON object",
+    list: "a JSON array",
+}
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_type(hint) -> Tuple[Callable[[Any], bool], str]:
+    """The values a field declared as ``hint`` takes, and their name.
+
+    An ``int`` takes integers and a ``float`` any number, but neither
+    takes a boolean; a ``bool`` takes only ``True`` and ``False``;
+    ``Optional`` adds ``None``; any other type takes its instances.
+    """
+    args = get_args(hint)
+    if type(None) in args:
+        allows, name = _json_type(next(a for a in args if a is not type(None)))
+        return (lambda v: v is None or allows(v)), f"{name} or null"
+    base = get_origin(hint) or hint
+    if base is int:
+        return (lambda v: _is_number(v) and isinstance(v, int)), "an integer"
+    if base is float:
+        return _is_number, "a number"
+    return (lambda v: isinstance(v, base)), _JSON_NAMES.get(base, base.__name__)
+
+
+@lru_cache(maxsize=None)
+def _schema(cls) -> Tuple[FrozenSet[str], Tuple[Tuple[str, Any, str], ...]]:
+    """``cls``'s field names and each field's type rule, resolved once."""
+    hints = get_type_hints(cls)
+    names = [f.name for f in fields(cls)]
+    return frozenset(names), tuple((n, *_json_type(hints[n])) for n in names)
+
+
+_W = TypeVar("_W", bound="Wire")
+
+
+class Wire:
+    """Base of the wire dataclasses: the one codec and field-type rule."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls: Type[_W], data: Any) -> _W:
+        """Build the class from plain data, rejecting junk loudly."""
+        if not isinstance(data, dict):
+            raise RequestError(
+                f"{cls.__name__} payload must be a JSON object, "
+                f"got {type(data).__name__}"
+            )
+        known = _schema(cls)[0]
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise RequestError(
+                f"{cls.__name__} does not accept field(s) {unknown}; "
+                f"known fields: {sorted(known)}"
+            )
+        version = data.get("schema_version", SCHEMA_VERSION)
+        if version != SCHEMA_VERSION:
+            raise RequestError(
+                f"{cls.__name__} schema_version {version!r} is not supported "
+                f"(this build speaks version {SCHEMA_VERSION})"
+            )
+        return cls(**data)
+
+    def check_types(self) -> None:
+        """Raise :class:`RequestError` naming the first field whose value
+        is not of the JSON type its declaration allows."""
+        for name, allows, expected in _schema(type(self))[1]:
+            value = getattr(self, name)
+            if not allows(value):
+                raise RequestError(
+                    f"{type(self).__name__}.{name} must be {expected}, "
+                    f"got {value!r}"
+                )
+
+
+class SpecRequest(Wire):
+    """Base of the four requests about one spec."""
+
+    def check_fields(self) -> None:
+        """Require a non-empty ``spec``, then apply the field-type rule."""
+        if not isinstance(self.spec, str) or not self.spec:
+            raise RequestError(
+                f"{type(self).__name__}.spec must be a non-empty string"
+            )
+        self.check_types()
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +179,7 @@ def _from_dict(cls, data: Any):
 
 
 @dataclass
-class EstimateRequest:
+class EstimateRequest(SpecRequest):
     """Ask for the full Section 3 metric report of a spec's partition.
 
     ``spec`` is a bundled benchmark name (``ans``/``ether``/``fuzzy``/
@@ -94,24 +192,16 @@ class EstimateRequest:
     schema_version: int = SCHEMA_VERSION
 
     def validate(self) -> None:
-        if not isinstance(self.spec, str) or not self.spec:
-            raise RequestError("EstimateRequest.spec must be a non-empty string")
+        self.check_fields()
         if self.mode not in FREQ_MODES:
             raise RequestError(
                 f"EstimateRequest.mode must be one of {FREQ_MODES}, "
                 f"got {self.mode!r}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "EstimateRequest":
-        return _from_dict(cls, data)
-
 
 @dataclass
-class PartitionRequest:
+class PartitionRequest(SpecRequest):
     """Ask for one partitioning-algorithm run plus its estimate.
 
     ``jobs=None`` means "the caller's default" (1 for direct library
@@ -129,24 +219,16 @@ class PartitionRequest:
     def validate(self) -> None:
         from repro.partition import ALGORITHMS
 
-        if not isinstance(self.spec, str) or not self.spec:
-            raise RequestError("PartitionRequest.spec must be a non-empty string")
+        self.check_fields()
         if self.algorithm not in ALGORITHMS:
             raise RequestError(
                 f"PartitionRequest.algorithm must be one of "
                 f"{sorted(ALGORITHMS)}, got {self.algorithm!r}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "PartitionRequest":
-        return _from_dict(cls, data)
-
 
 @dataclass
-class SimulateRequest:
+class SimulateRequest(SpecRequest):
     """Ask for a discrete-event simulation (optionally with validation).
 
     With ``validate=True`` the estimators run too and the result carries
@@ -163,8 +245,7 @@ class SimulateRequest:
     schema_version: int = SCHEMA_VERSION
 
     def validate_fields(self) -> None:
-        if not isinstance(self.spec, str) or not self.spec:
-            raise RequestError("SimulateRequest.spec must be a non-empty string")
+        self.check_fields()
         if self.mode not in FREQ_MODES:
             raise RequestError(
                 f"SimulateRequest.mode must be one of {FREQ_MODES}, "
@@ -173,16 +254,9 @@ class SimulateRequest:
         if self.iterations < 1:
             raise RequestError("SimulateRequest.iterations must be >= 1")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "SimulateRequest":
-        return _from_dict(cls, data)
-
 
 @dataclass
-class ExploreRequest:
+class ExploreRequest(SpecRequest):
     """Ask for the time/area Pareto sweep of a spec."""
 
     spec: str = ""
@@ -195,20 +269,20 @@ class ExploreRequest:
     schema_version: int = SCHEMA_VERSION
 
     def validate(self) -> None:
-        if not isinstance(self.spec, str) or not self.spec:
-            raise RequestError("ExploreRequest.spec must be a non-empty string")
+        self.check_fields()
         if self.constraint_steps < 0 or self.random_starts < 0:
             raise RequestError(
                 "ExploreRequest.constraint_steps and random_starts must be >= 0"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Any) -> "ExploreRequest":
-        return _from_dict(cls, data)
-
+#: The request dataclass of each request kind.
+REQUESTS = {
+    "estimate": EstimateRequest,
+    "partition": PartitionRequest,
+    "simulate": SimulateRequest,
+    "explore": ExploreRequest,
+}
 
 #: Heavy request kinds a durable job can wrap.
 JOB_KINDS = ("partition", "simulate", "explore")
@@ -218,7 +292,7 @@ JOB_STATES = ("pending", "running", "done", "failed")
 
 
 @dataclass
-class JobRequest:
+class JobRequest(Wire):
     """Ask the serving layer to run a heavy request as a durable job.
 
     ``kind`` picks the wrapped request type (one of :data:`JOB_KINDS`);
@@ -244,32 +318,21 @@ class JobRequest:
                 "JobRequest.request must be a JSON object (the wrapped "
                 f"{self.kind} request), got {type(self.request).__name__}"
             )
+        self.check_types()
         return self
 
     def wrapped(self):
         """Parse and validate the wrapped request dataclass."""
-        cls = {
-            "partition": PartitionRequest,
-            "simulate": SimulateRequest,
-            "explore": ExploreRequest,
-        }[self.kind]
-        inner = cls.from_dict(self.request)
+        inner = REQUESTS[self.kind].from_dict(self.request)
         if self.kind == "simulate":
             inner.validate_fields()
         else:
             inner.validate()
         return inner
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "JobRequest":
-        return _from_dict(cls, data)
-
 
 @dataclass
-class JobStatus:
+class JobStatus(Wire):
     """Plain-data snapshot of one durable job, as polled over the wire.
 
     ``state`` walks ``pending → running → done|failed``; ``result`` is
@@ -291,13 +354,6 @@ class JobStatus:
     result: Optional[Dict[str, Any]] = None
     schema_version: int = SCHEMA_VERSION
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "JobStatus":
-        return _from_dict(cls, data)
-
 
 # ---------------------------------------------------------------------------
 # Results
@@ -305,7 +361,7 @@ class JobStatus:
 
 
 @dataclass
-class EstimateResult:
+class EstimateResult(Wire):
     """Plain-data form of one :class:`~repro.estimate.engine.EstimateReport`.
 
     ``graph_key`` is the content hash of the session the estimate came
@@ -377,16 +433,9 @@ class EstimateResult:
         """The human-readable report, identical to the CLI's output."""
         return self.to_report().render()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "EstimateResult":
-        return _from_dict(cls, data)
-
 
 @dataclass
-class PartitionResult:
+class PartitionResult(Wire):
     """Plain-data outcome of one partitioning run.
 
     Not to be confused with the in-memory
@@ -413,19 +462,16 @@ class PartitionResult:
             f"{self.iterations} iterations / {self.evaluations} evaluations"
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: Any) -> "PartitionResult":
         if isinstance(data, dict) and isinstance(data.get("estimate"), dict):
             data = dict(data)
             data["estimate"] = EstimateResult.from_dict(data["estimate"])
-        return _from_dict(cls, data)
+        return super().from_dict(data)
 
 
 @dataclass
-class SimulateResult:
+class SimulateResult(Wire):
     """Plain-data outcome of one simulation (or validation) run.
 
     ``text`` is the rendered human report — the simulation summary, or
@@ -448,16 +494,9 @@ class SimulateResult:
     validation: Optional[Dict[str, Any]] = None
     schema_version: int = SCHEMA_VERSION
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "SimulateResult":
-        return _from_dict(cls, data)
-
 
 @dataclass
-class ExploreResult:
+class ExploreResult(Wire):
     """Plain-data Pareto front from one exploration sweep."""
 
     spec: str = ""
@@ -467,10 +506,3 @@ class ExploreResult:
     points: List[Dict[str, Any]] = field(default_factory=list)
     text: str = ""
     schema_version: int = SCHEMA_VERSION
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "ExploreResult":
-        return _from_dict(cls, data)

@@ -189,14 +189,29 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _request(kind: str, args: argparse.Namespace):
+    """The ``kind`` request (see :data:`repro.api.types.REQUESTS`) that
+    a subcommand's flags ask for.
+
+    The one flag-to-request mapping of ``slif estimate``, ``partition``,
+    ``explore``, ``simulate`` and ``jobs submit``: each request field
+    takes the flag stored under its name, and a field whose flag the
+    subcommand lacks keeps the request's default.
+    """
+    from repro.api.types import REQUESTS
+
+    cls = REQUESTS[kind]
+    flags = vars(args)
+    return cls(**{name: flags[name] for name in cls.__dataclass_fields__
+                  if name in flags})
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
     from repro import api
 
     session = api.load(args.spec)
     with obs.span("cli.estimate", spec=args.spec) as sp:
-        result = api.estimate(
-            api.EstimateRequest(spec=args.spec), session=session
-        )
+        result = api.estimate(_request("estimate", args), session=session)
     print(result.render())
     print(f"-- estimated in {sp.duration * 1000:.2f} ms", file=sys.stderr)
     return 0
@@ -236,12 +251,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
     _reject_engine_flags(args)
     session = api.load(args.spec)
-    request = api.PartitionRequest(
-        spec=args.spec,
-        algorithm=args.algorithm,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
+    request = _request("partition", args)
     with obs.span(
         "cli.partition", spec=args.spec, algorithm=args.algorithm, seed=args.seed
     ) as sp:
@@ -261,16 +271,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
     from repro import api
 
     session = api.load(args.spec)
-    request = api.ExploreRequest(
-        spec=args.spec,
-        constraint_steps=args.steps,
-        random_starts=args.random_starts,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
     with obs.span("cli.explore", spec=args.spec, seed=args.seed) as sp:
         result = api.explore(
-            request,
+            _request("explore", args),
             session=session,
             fleet=args.workers,
             **_exec_options(args),
@@ -290,17 +293,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro import api
 
     session = api.load(args.spec)
-    request = api.SimulateRequest(
-        spec=args.spec,
-        seed=args.seed,
-        iterations=args.iterations,
-        mode=args.mode,
-        concurrent=not args.sequential,
-        time_limit=args.time_limit,
-        validate=args.validate,
-    )
     with obs.span("cli.simulate", spec=args.spec, seed=args.seed) as sp:
-        result = api.simulate(request, session=session)
+        result = api.simulate(_request("simulate", args), session=session)
     print(result.text)
     if args.validate:
         fidelity = result.validation
@@ -437,38 +431,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return run_server(config)
 
 
-def _job_request_dict(args: argparse.Namespace) -> dict:
-    """The wrapped heavy-request dict for one ``slif jobs submit``."""
-    if args.kind == "explore":
-        return dict(
-            spec=args.spec,
-            constraint_steps=args.steps,
-            random_starts=args.random_starts,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
-    if args.kind == "partition":
-        return dict(
-            spec=args.spec,
-            algorithm=args.algorithm,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
-    return dict(
-        spec=args.spec,
-        seed=args.seed,
-        iterations=args.iterations,
-        mode=args.mode,
-    )
-
-
 def cmd_jobs_submit(args: argparse.Namespace) -> int:
     from repro import api
 
+    request = _request(args.kind, args).to_dict()
     status = api.submit(
-        args.server,
-        {"kind": args.kind, "request": _job_request_dict(args)},
-        tenant=args.tenant,
+        args.server, {"kind": args.kind, "request": request}, tenant=args.tenant
     )
     # the id alone on stdout so scripts can capture it; detail on stderr
     print(status.id)
@@ -707,20 +675,16 @@ def _add_fault_tolerance_args(p: argparse.ArgumentParser) -> None:
 
 
 def _exec_options(args: argparse.Namespace) -> dict:
-    """Fold the fault-tolerance flags into run_plan keyword arguments."""
-    from repro.explore.engine import RetryPolicy
-
+    """The ``checkpoint``/``resume`` keywords ``--checkpoint`` and
+    ``--resume`` ask for; ``--timeout`` and ``--retries`` are request
+    fields."""
     if args.resume and args.checkpoint and args.resume != args.checkpoint:
         raise SlifError(
             "--resume and --checkpoint name different files; --resume "
             "already appends to the journal it reads"
         )
     return dict(
-        policy=RetryPolicy(
-            timeout=args.timeout, retries=args.retries, seed=args.seed
-        ),
-        checkpoint=args.resume or args.checkpoint,
-        resume=bool(args.resume),
+        checkpoint=args.resume or args.checkpoint, resume=bool(args.resume)
     )
 
 
@@ -808,7 +772,12 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("spec")
     p.add_argument(
-        "--steps", type=int, default=8, help="CPU-constraint sweep steps"
+        "--steps",
+        dest="constraint_steps",
+        metavar="STEPS",
+        type=int,
+        default=8,
+        help="CPU-constraint sweep steps",
     )
     p.add_argument(
         "--random-starts", type=int, default=5, help="random starts per step"
@@ -846,7 +815,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["avg", "min", "max"], default="avg")
     p.add_argument(
         "--sequential",
-        action="store_true",
+        dest="concurrent",
+        action="store_false",
         help="ignore concurrency tags (the paper's sequential Eq. 1 model)",
     )
     p.add_argument(
@@ -1107,7 +1077,12 @@ def make_parser() -> argparse.ArgumentParser:
         "server-side default tenant)",
     )
     q.add_argument(
-        "--steps", type=int, default=8, help="explore: constraint steps"
+        "--steps",
+        dest="constraint_steps",
+        metavar="STEPS",
+        type=int,
+        default=8,
+        help="explore: constraint steps",
     )
     q.add_argument(
         "--random-starts",

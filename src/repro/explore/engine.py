@@ -89,45 +89,45 @@ def resolve_jobs(jobs: Optional[int], chunks: int) -> int:
 # fault-tolerant dispatch
 
 
+#: The retry schedule every :class:`RetryPolicy` follows: retry ``n``
+#: of a chunk waits ``BACKOFF * BACKOFF_FACTOR**(n-1)`` seconds, capped
+#: at ``MAX_DELAY``, scaled by a seeded factor within ±``JITTER``.
+BACKOFF = 0.05
+BACKOFF_FACTOR = 2.0
+MAX_DELAY = 5.0
+JITTER = 0.25
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How a multi-worker sweep survives slow, failing and dying workers.
 
     ``timeout`` is the per-chunk wall-clock budget in seconds (``None``
     disables timeouts).  A failed, timed-out or orphaned chunk (its
-    worker died) is retried up to ``retries`` more times, waiting
-    ``backoff * backoff_factor**(n-1)`` seconds (capped at
-    ``max_delay``) before retry ``n``, with a deterministic ±``jitter``
-    fraction derived from ``seed`` and the chunk coordinates — two runs
-    with the same seed back off identically.  A chunk that exhausts its
-    budget finishes on the in-process runner, so the sweep still
-    completes with identical results.
+    worker died) is retried up to ``retries`` more times, after the
+    module's backoff schedule: 50 ms doubling up to 5 s, with a
+    deterministic jitter of at most ±25 % derived from ``seed`` and the
+    chunk coordinates — two runs with the same seed back off
+    identically.  A chunk that exhausts its budget finishes on the
+    in-process runner, so the sweep still completes with identical
+    results.  These are the fields a request carries: the facade
+    builds every policy from one.
 
-    >>> policy = RetryPolicy(backoff=1.0, jitter=0.0)
-    >>> [policy.delay(0, n) for n in (1, 2, 3)]
-    [1.0, 2.0, 4.0]
+    >>> [round(RetryPolicy(seed=7).delay(0, n), 3) for n in (1, 2, 3, 10)]
+    [0.039, 0.093, 0.19, 5.094]
     >>> RetryPolicy(seed=7).delay(3, 1) == RetryPolicy(seed=7).delay(3, 1)
     True
     """
 
     timeout: Optional[float] = None
     retries: int = 2
-    backoff: float = 0.05
-    backoff_factor: float = 2.0
-    max_delay: float = 5.0
-    jitter: float = 0.25
     seed: int = 0
 
     def delay(self, chunk_index: int, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based) of ``chunk_index``."""
-        base = min(
-            self.backoff * self.backoff_factor ** max(0, attempt - 1),
-            self.max_delay,
-        )
-        if not self.jitter:
-            return base
+        base = min(BACKOFF * BACKOFF_FACTOR ** max(0, attempt - 1), MAX_DELAY)
         rng = random.Random(f"{self.seed}:{chunk_index}:{attempt}")
-        return base * (1.0 + self.jitter * rng.uniform(-1.0, 1.0))
+        return base * (1.0 + JITTER * rng.uniform(-1.0, 1.0))
 
 
 @dataclass

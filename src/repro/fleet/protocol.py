@@ -23,6 +23,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
+from repro.api.types import base_url
 from repro.errors import FleetError
 from repro.explore.engine import RetryPolicy
 from repro.explore.plan import CandidateSpec, Chunk
@@ -153,6 +154,7 @@ def policy_to_wire(policy: RetryPolicy) -> Dict[str, Any]:
 
 
 def policy_from_wire(data: Optional[Dict[str, Any]]) -> RetryPolicy:
+    """Decode ``{timeout, retries, seed}``; any other key is malformed."""
     if not data:
         return RetryPolicy()
     try:
@@ -202,10 +204,8 @@ class FleetSpec:
             if session_key and not value.session_key:
                 value.session_key = session_key
             return value
-        if isinstance(value, str) and value.strip():
-            url = value.strip().rstrip("/")
-            if not url.startswith(("http://", "https://")):
-                url = f"http://{url}"
+        url = base_url(value)
+        if url is not None:
             return cls(url=url, session_key=session_key)
         raise FleetError(
             f"cannot interpret {value!r} as a fleet coordinator; expected "

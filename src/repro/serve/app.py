@@ -527,14 +527,14 @@ class SlifServer:
         """Answer an estimate from its session's memo, computing once.
 
         The answer depends on the session and ``(mode, concurrent)``
-        only (truthiness decides ``concurrent`` everywhere), so that
+        only (validation has made ``concurrent`` a boolean), so that
         pair keys the memo, whose entries are immutable text.
         """
         try:
             request = self._parse(body, api.EstimateRequest)
             request.validate()
             session, _ = self.cache.get(request.spec)
-            pair = (request.mode, bool(request.concurrent))
+            pair = (request.mode, request.concurrent)
             answer = session.answers.get(pair)
             with obs.span("serve.answer", memo_hit=answer is not None):
                 if answer is None:

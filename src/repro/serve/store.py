@@ -35,7 +35,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.api.types import JOB_KINDS, JOB_STATES, canonical_json
+from repro.api.types import JOB_KINDS, JOB_STATES, JobStatus, canonical_json
 
 #: File names inside one job directory.
 RECORD_FILE = "job.json"
@@ -77,19 +77,9 @@ class JobRecord:
 
     def status_dict(self) -> Dict[str, Any]:
         """The wire-facing :class:`~repro.api.types.JobStatus` dict."""
-        from repro.api.types import JobStatus
-
-        return JobStatus(
-            id=self.id,
-            kind=self.kind,
-            tenant=self.tenant,
-            state=self.state,
-            created=self.created,
-            updated=self.updated,
-            chunks_done=self.chunks_done,
-            error=self.error,
-            result=self.result,
-        ).to_dict()
+        shared = JobStatus.__dataclass_fields__.keys() & vars(self).keys()
+        status = JobStatus(**{name: getattr(self, name) for name in shared})
+        return status.to_dict()
 
 
 class JobStore:

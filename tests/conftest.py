@@ -30,6 +30,16 @@ def library():
     return default_library()
 
 
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """A short retry schedule (10 ms doubling up to 50 ms), so tests
+    whose chunks retry stay fast."""
+    from repro.explore import engine
+
+    monkeypatch.setattr(engine, "BACKOFF", 0.01)
+    monkeypatch.setattr(engine, "MAX_DELAY", 0.05)
+
+
 @pytest.fixture(scope="session")
 def fuzzy_system():
     from repro.api import build_system

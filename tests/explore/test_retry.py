@@ -13,26 +13,40 @@ from repro.explore import (
     merge_restarts,
     run_plan,
 )
+from repro.explore import engine
 from repro.explore.engine import RecoveryStats
 
 from _helpers import build_demo_graph
 
 
 class TestRetryPolicy:
-    def test_exponential_growth_without_jitter(self):
-        policy = RetryPolicy(backoff=0.5, backoff_factor=2.0, jitter=0.0)
+    def test_default_schedule(self):
+        """50 ms doubling up to 5 s, with jitter within ±25 %."""
+        policy = RetryPolicy()
+        for chunk in range(8):
+            for attempt, base in ((1, 0.05), (2, 0.1), (3, 0.2), (10, 5.0)):
+                assert 0.75 * base <= policy.delay(chunk, attempt) <= 1.25 * base
+
+    def test_exponential_growth_without_jitter(self, monkeypatch):
+        monkeypatch.setattr(engine, "BACKOFF", 0.5)
+        monkeypatch.setattr(engine, "BACKOFF_FACTOR", 2.0)
+        monkeypatch.setattr(engine, "JITTER", 0.0)
+        policy = RetryPolicy()
         assert [policy.delay(0, n) for n in (1, 2, 3, 4)] == [
             0.5, 1.0, 2.0, 4.0,
         ]
 
-    def test_delay_capped_at_max(self):
-        policy = RetryPolicy(backoff=1.0, max_delay=3.0, jitter=0.0)
+    def test_delay_capped_at_max(self, monkeypatch):
+        monkeypatch.setattr(engine, "BACKOFF", 1.0)
+        monkeypatch.setattr(engine, "MAX_DELAY", 3.0)
+        monkeypatch.setattr(engine, "JITTER", 0.0)
+        policy = RetryPolicy()
         assert policy.delay(0, 10) == 3.0
 
     def test_jitter_is_deterministic_per_seed(self):
-        a = RetryPolicy(seed=7, jitter=0.25)
-        b = RetryPolicy(seed=7, jitter=0.25)
-        c = RetryPolicy(seed=8, jitter=0.25)
+        a = RetryPolicy(seed=7)
+        b = RetryPolicy(seed=7)
+        c = RetryPolicy(seed=8)
         for chunk in range(4):
             for attempt in (1, 2):
                 assert a.delay(chunk, attempt) == b.delay(chunk, attempt)
@@ -40,14 +54,18 @@ class TestRetryPolicy:
             a.delay(chunk, 1) != c.delay(chunk, 1) for chunk in range(4)
         )
 
-    def test_jitter_stays_within_fraction(self):
-        policy = RetryPolicy(backoff=1.0, backoff_factor=1.0, jitter=0.25)
+    def test_jitter_stays_within_fraction(self, monkeypatch):
+        monkeypatch.setattr(engine, "BACKOFF", 1.0)
+        monkeypatch.setattr(engine, "BACKOFF_FACTOR", 1.0)
+        policy = RetryPolicy()
         for chunk in range(20):
             delay = policy.delay(chunk, 1)
             assert 0.75 <= delay <= 1.25
 
-    def test_jitter_varies_by_chunk(self):
-        policy = RetryPolicy(backoff=1.0, backoff_factor=1.0, jitter=0.25)
+    def test_jitter_varies_by_chunk(self, monkeypatch):
+        monkeypatch.setattr(engine, "BACKOFF", 1.0)
+        monkeypatch.setattr(engine, "BACKOFF_FACTOR", 1.0)
+        policy = RetryPolicy()
         delays = {policy.delay(chunk, 1) for chunk in range(8)}
         assert len(delays) > 1
 
@@ -100,7 +118,7 @@ def greedy_specs(count: int):
 
 
 class TestErrorParity:
-    def test_same_worker_error_message_for_any_jobs(self):
+    def test_same_worker_error_message_for_any_jobs(self, fast_backoff):
         """The failing candidate surfaces with identical label, candidate
         index and chunk index whether it ran in-process or in a pool."""
         plan = WorkPlan(greedy_specs(4), chunk_size=1)
@@ -111,13 +129,13 @@ class TestErrorParity:
                     broken_payload(),
                     plan,
                     jobs=jobs,
-                    policy=RetryPolicy(backoff=0.01),
+                    policy=RetryPolicy(),
                 )
             messages[jobs] = str(excinfo.value)
         assert messages[1] == messages[2] == messages[4]
         assert "candidate 'greedy.0' (index 0, chunk 0)" in messages[1]
 
-    def test_candidate_errors_are_not_retried(self, monkeypatch):
+    def test_candidate_errors_are_not_retried(self, monkeypatch, fast_backoff):
         """Deterministic candidate failures must not burn the retry
         budget — the pool surfaces them directly."""
         from repro import obs
@@ -130,7 +148,7 @@ class TestErrorParity:
                     broken_payload(),
                     WorkPlan(greedy_specs(2), chunk_size=1),
                     jobs=2,
-                    policy=RetryPolicy(retries=5, backoff=0.01),
+                    policy=RetryPolicy(retries=5),
                 )
             snap = obs.snapshot()["counters"]
         finally:

@@ -49,7 +49,8 @@ def restart_plan_of(chunks: int) -> WorkPlan:
     return WorkPlan(specs, chunk_size=1)
 
 
-FAST = dict(backoff=0.01, max_delay=0.05, seed=0)
+FAST = dict(seed=0)
+pytestmark = pytest.mark.usefixtures("fast_backoff")
 
 
 def merged(results):

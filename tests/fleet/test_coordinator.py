@@ -358,6 +358,14 @@ class TestErrors:
         with pytest.raises(FleetError):
             coord.handle("sweep", sweep_request(0))
 
+    def test_old_policy_wire_form_is_rejected(self, coord):
+        """Only ``{timeout, retries, seed}`` crosses the wire now."""
+        old = {"timeout": None, "retries": 2, "backoff": 0.05,
+               "backoff_factor": 2.0, "max_delay": 5.0, "jitter": 0.25,
+               "seed": 0}
+        with pytest.raises(FleetError, match="malformed retry policy"):
+            coord.handle("sweep", sweep_request(1, policy=old))
+
 
 class TestStatus:
     def test_status_reports_workers_and_sweeps(self, coord):

@@ -275,7 +275,7 @@ def test_dead_fleet_falls_back_to_local_evaluation(ether_system):
     assert fleet_front.render() == sequential.render()
 
 
-def test_exhausted_chunk_finishes_in_process(ether_system, monkeypatch):
+def test_exhausted_chunk_finishes_in_process(ether_system, monkeypatch, fast_backoff):
     """A chunk that fails on every fleet attempt runs in-process instead."""
     from repro.explore.engine import RecoveryStats
     from repro.fleet.client import run_fleet_chunks
@@ -293,7 +293,7 @@ def test_exhausted_chunk_finishes_in_process(ether_system, monkeypatch):
                 transport=LocalTransport(coordinator),
                 poll_seconds=0.005,
             ),
-            policy=RetryPolicy(retries=1, backoff=0.01),
+            policy=RetryPolicy(retries=1),
             stats=stats,
             on_complete=lambda result: None,
         )

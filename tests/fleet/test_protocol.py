@@ -165,6 +165,17 @@ class TestPolicy:
         with pytest.raises(FleetError):
             policy_from_wire({"no_such_field": 1})
 
+    def test_wire_form_is_the_request_fields(self):
+        policy = RetryPolicy(timeout=1.5, retries=3, seed=4)
+        assert policy_to_wire(policy) == {"timeout": 1.5, "retries": 3, "seed": 4}
+
+    def test_old_seven_field_form_is_malformed(self):
+        old = {"timeout": None, "retries": 2, "backoff": 0.05,
+               "backoff_factor": 2.0, "max_delay": 5.0, "jitter": 0.25,
+               "seed": 0}
+        with pytest.raises(FleetError, match="malformed retry policy"):
+            policy_from_wire(old)
+
 
 class TestFleetSpec:
     def test_coerce_host_port(self):
@@ -185,7 +196,18 @@ class TestFleetSpec:
         FleetSpec.coerce(spec, session_key="other")
         assert spec.session_key == "original"
 
-    @pytest.mark.parametrize("bad", [None, "", "   ", 8123])
+    @pytest.mark.parametrize("bad", [None, "", "   ", "/", 8123])
     def test_coerce_rejects_garbage(self, bad):
         with pytest.raises(FleetError):
             FleetSpec.coerce(bad)
+
+    def test_job_client_shares_the_address_rule(self):
+        from repro.api import facade
+        from repro.api.types import RequestError
+
+        address = " 127.0.0.1:8123/ "
+        assert facade._server_url(address) == FleetSpec.coerce(address).url
+        assert facade._server_url(address) == "http://127.0.0.1:8123"
+        for bad in ("", " / ", None):
+            with pytest.raises(RequestError, match="host:port or URL"):
+                facade._server_url(bad)
