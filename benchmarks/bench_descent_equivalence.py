@@ -26,7 +26,7 @@ reaches 0 part-way through a pass.
   it reads on indices, and from a copy listing the mapping shuffled,
   which it reads name by name, on one bus and on two.  Each then
   commits 1,000 of the moves greedy would choose, on indices
-  (``IncrementalEstimator.commit``), with its cut counts kept, and
+  (``IncrementalEstimator.apply_move``), with its cut counts kept, and
   must pass ``verify_consistency`` after set-up and after every 100.
 
 Both descent times are printed; no timing is asserted.  Run with::
@@ -41,7 +41,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from _helpers import floor_exit_disabled, greedy_outcome
+from _helpers import floor_exit_disabled, greedy_outcome, move_by_name
 from conftest import report
 from repro.api import build_system
 from repro.core.components import Bus
@@ -166,14 +166,14 @@ def test_try_move_matches_apply_cost_undo(benchmark, graph, pins):
                 )
                 for comp in pool:
                     got = scored.try_move(obj, comp)
-                    record = reference.apply_move(obj, comp)
+                    undo = move_by_name(reference.inc, obj, comp)
                     want = reference.cost()
-                    reference.undo(record)
+                    reference.inc.undo(*undo)
                     assert repr(got) == repr(want), (obj, comp)
                     trials += 1
                 commit = rng.choice(pool)
-                scored.apply_move(obj, commit)
-                reference.apply_move(obj, commit)
+                move_by_name(scored.inc, obj, commit)
+                move_by_name(reference.inc, obj, commit)
             return trials
 
         trials = benchmark.pedantic(check, rounds=1, iterations=1)
@@ -212,9 +212,9 @@ def test_best_move_matches_the_best_apply_cost_undo(benchmark, graph, pins):
                 cost, comp = scored.best_move(node, bound)
                 want, want_comp = bound, None
                 for candidate in candidates(reference, node):
-                    record = reference.apply_move(obj, candidate)
+                    undo = move_by_name(reference.inc, obj, candidate)
                     value = reference.cost()
-                    reference.undo(record)
+                    reference.inc.undo(*undo)
                     if value < want - 1e-12:
                         want, want_comp = value, candidate
                 got_comp = names[comp] if comp >= 0 else None
@@ -222,8 +222,8 @@ def test_best_move_matches_the_best_apply_cost_undo(benchmark, graph, pins):
                 assert _tallies(scored) == _tallies(reference), obj
                 commit = got_comp or rng.choice(candidates(scored, node))
                 improved += got_comp is not None
-                scored.apply_move(obj, commit)
-                reference.apply_move(obj, commit)
+                move_by_name(scored.inc, obj, commit)
+                move_by_name(reference.inc, obj, commit)
                 bound = scored.cost()
                 assert repr(reference.cost()) == repr(bound)
             return improved
@@ -276,7 +276,7 @@ def test_index_commits_keep_the_tallies_consistent(benchmark, graph, order):
                 cost, comp = evaluator.best_move(node, current)
                 if comp < 0:
                     continue
-                inc.commit(node, comp)
+                inc.apply_move(node, comp)
                 current = cost
                 committed += 1
                 if committed % (COMMITS // 10) == 0:
@@ -290,7 +290,7 @@ def test_index_commits_keep_the_tallies_consistent(benchmark, graph, order):
     assert inc.stats.moves_applied == COMMITS
     report(
         [
-            f"commit / gen-10k, {len(slif.buses)} bus(es), start in {order}: "
+            f"apply_move / gen-10k, {len(slif.buses)} bus(es), start in {order}: "
             f"{committed} greedy moves on indices, consistent every "
             f"{COMMITS // 10}",
         ]

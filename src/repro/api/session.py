@@ -106,18 +106,12 @@ class DesignSystem:
         return to_dot(self.slif, self.partition, annotate=annotate)
 
 
-def session_key(
-    spec: str,
-    *,
-    processor_name: str = "CPU",
-    asic_name: str = "HW",
-    bus_bitwidth: int = 16,
-) -> str:
+def session_key(spec: str) -> str:
     """Content hash identifying the session :func:`load` would build.
 
     Stable across processes: two specs that resolve to the same
-    canonical source and architecture parameters share a key, so a
-    graph cache can serve both from one parsed+annotated session.  A
+    canonical source share a key, so a graph cache can serve both from
+    one parsed+annotated session.  A
     spec named like a bundled benchmark but resolved by another front
     end (a file ``vol.vhd``) also hashes that front end's name: it
     lacks the benchmark's branch profile, so it builds another graph.  For
@@ -126,12 +120,7 @@ def session_key(
     content-addressed regardless of whitespace or key order.  Like
     :func:`load`, it takes an already resolved spec as well.
     """
-    return _key_from_resolved(
-        _resolve(spec),
-        processor_name=processor_name,
-        asic_name=asic_name,
-        bus_bitwidth=bus_bitwidth,
-    )
+    return _key_from_resolved(_resolve(spec))
 
 
 def _resolve(spec):
@@ -141,17 +130,13 @@ def _resolve(spec):
     return spec if isinstance(spec, ResolvedSpec) else FRONTENDS.resolve(spec)
 
 
-def _key_from_resolved(
-    resolved,
-    *,
-    processor_name: str = "CPU",
-    asic_name: str = "HW",
-    bus_bitwidth: int = 16,
-) -> str:
+def _key_from_resolved(resolved) -> str:
     from repro.specs import SPEC_NAMES
 
-    parts = [resolved.source, resolved.name, processor_name, asic_name,
-             str(bus_bitwidth)]
+    # every session is built on build_system's default architecture,
+    # whose processor, ASIC and bus width stay hashed so that session
+    # keys and durable job ids do not change
+    parts = [resolved.source, resolved.name, "CPU", "HW", "16"]
     if resolved.frontend != "benchmark" and resolved.name in SPEC_NAMES:
         # a file named like a bundled benchmark can hold its source, yet
         # builds another graph: it has no branch profile
@@ -269,18 +254,13 @@ class Session:
         return self._kernel
 
 
-def load(
-    spec: str,
-    *,
-    processor_name: str = "CPU",
-    asic_name: str = "HW",
-    bus_bitwidth: int = 16,
-) -> Session:
+def load(spec: str) -> Session:
     """Parse, annotate and wrap one spec as a reusable :class:`Session`.
 
     The facade's entry point for everything: resolve the spec through
     the front-end registry (bundled name, VHDL text, ``slif-synth``
-    JSON, or a path), build the annotated system once, and hand back a
+    JSON, or a path), build the annotated system once, on
+    :func:`build_system`'s default architecture, and hand back a
     session whose kernel is compiled once, on first use.  ``spec`` may
     also be a :class:`~repro.api.frontends.ResolvedSpec` the registry
     already returned, which is not resolved again: the server's graph
@@ -299,20 +279,10 @@ def load(
     # is attributed to it
     with span("api.load") as sp:
         resolved = _resolve(spec)
-        key = _key_from_resolved(
-            resolved,
-            processor_name=processor_name,
-            asic_name=asic_name,
-            bus_bitwidth=bus_bitwidth,
-        )
+        key = _key_from_resolved(resolved)
         sp.set_attribute("spec", resolved.name)
         sp.set_attribute("session_key", key)
-        system = _build_from_resolved(
-            resolved,
-            processor_name=processor_name,
-            asic_name=asic_name,
-            bus_bitwidth=bus_bitwidth,
-        )
+        system = _build_from_resolved(resolved)
     if OBS.enabled:
         OBS.inc("api.session.builds")
         OBS.observe("api.session.build_seconds", sp.duration)

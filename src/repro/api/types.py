@@ -14,7 +14,7 @@ silently misreading responses) and inherits the one codec of
   :class:`RequestError`, and
 * ``check_types()``, the field-type rule every request's validation
   runs, at every door: a field holds a JSON value of its declared type
-  or the request is a :class:`RequestError`.
+  (a finite one, for a number) or the request is a :class:`RequestError`.
 
 :func:`canonical_json` is the one JSON encoding used on the wire:
 sorted keys and compact separators, so a response is byte-identical
@@ -24,6 +24,7 @@ however it was produced (direct library call, CLI, or HTTP server).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import (
@@ -93,8 +94,9 @@ def _is_number(value: Any) -> bool:
 def _json_type(hint) -> Tuple[Callable[[Any], bool], str]:
     """The values a field declared as ``hint`` takes, and their name.
 
-    An ``int`` takes integers and a ``float`` any number, but neither
-    takes a boolean; a ``bool`` takes only ``True`` and ``False``;
+    An ``int`` takes integers and a ``float`` any finite number (a JSON
+    decoder may read a bare ``NaN`` or ``Infinity``), but neither takes
+    a boolean; a ``bool`` takes only ``True`` and ``False``;
     ``Optional`` adds ``None``; any other type takes its instances.
     """
     args = get_args(hint)
@@ -105,7 +107,7 @@ def _json_type(hint) -> Tuple[Callable[[Any], bool], str]:
     if base is int:
         return (lambda v: _is_number(v) and isinstance(v, int)), "an integer"
     if base is float:
-        return _is_number, "a number"
+        return (lambda v: _is_number(v) and math.isfinite(v)), "a finite number"
     return (lambda v: isinstance(v, base)), _JSON_NAMES.get(base, base.__name__)
 
 
@@ -200,12 +202,28 @@ class EstimateRequest(SpecRequest):
             )
 
 
+def _check_retry_fields(request) -> None:
+    """The range rule of an engine request's retry fields: ``retries``
+    at least 0, and ``timeout`` null or positive."""
+    name = type(request).__name__
+    if request.retries < 0:
+        raise RequestError(f"{name}.retries must be >= 0, got {request.retries!r}")
+    if request.timeout is not None and request.timeout <= 0:
+        raise RequestError(
+            f"{name}.timeout must be positive or null, got {request.timeout!r}"
+        )
+
+
 @dataclass
 class PartitionRequest(SpecRequest):
     """Ask for one partitioning-algorithm run plus its estimate.
 
     ``jobs=None`` means "the caller's default" (1 for direct library
-    use; the server substitutes its ``--jobs`` setting).
+    use; the server substitutes its ``--jobs`` setting when the
+    algorithm runs on the engine).  ``jobs``, ``timeout`` and
+    ``retries`` act only on the algorithms of
+    :data:`~repro.partition.ENGINE_ALGORITHMS`; any other algorithm
+    refuses them unless they keep their defaults (``jobs`` null or 1).
     """
 
     spec: str = ""
@@ -216,14 +234,38 @@ class PartitionRequest(SpecRequest):
     retries: int = 2
     schema_version: int = SCHEMA_VERSION
 
+    def ignored_fields(self) -> List[str]:
+        """The engine fields this request gives that its algorithm would
+        ignore, in field order: unless the algorithm is one of
+        :data:`~repro.partition.ENGINE_ALGORITHMS`, ``jobs`` other than
+        null or 1, a ``timeout``, and ``retries`` other than its default."""
+        from repro.partition import ENGINE_ALGORITHMS
+
+        if self.algorithm in ENGINE_ALGORITHMS:
+            return []
+        given = {
+            "jobs": self.jobs not in (None, 1),
+            "timeout": self.timeout is not None,
+            "retries": self.retries != PartitionRequest.retries,
+        }
+        return [name for name, value in given.items() if value]
+
     def validate(self) -> None:
-        from repro.partition import ALGORITHMS
+        from repro.partition import ALGORITHMS, ENGINE_ALGORITHMS
 
         self.check_fields()
         if self.algorithm not in ALGORITHMS:
             raise RequestError(
                 f"PartitionRequest.algorithm must be one of "
                 f"{sorted(ALGORITHMS)}, got {self.algorithm!r}"
+            )
+        _check_retry_fields(self)
+        ignored = self.ignored_fields()
+        if ignored:
+            raise RequestError(
+                f"PartitionRequest.algorithm {self.algorithm!r} runs one search "
+                f"in process and would ignore {', '.join(ignored)}: they apply "
+                f"only to {' and '.join(ENGINE_ALGORITHMS)}"
             )
 
 
@@ -274,6 +316,7 @@ class ExploreRequest(SpecRequest):
             raise RequestError(
                 "ExploreRequest.constraint_steps and random_starts must be >= 0"
             )
+        _check_retry_fields(self)
 
 
 #: The request dataclass of each request kind.

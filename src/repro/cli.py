@@ -217,25 +217,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: the partition algorithms whose starts run on the exploration engine,
-#: the only ones ``--jobs`` and the fault-tolerance flags act on
-ENGINE_ALGORITHMS = ("random", "greedy_multistart")
+def _reject_engine_flags(args: argparse.Namespace, request) -> None:
+    """Refuse engine flags an in-process search would silently ignore,
+    naming each flag given: the fields the partition ``request`` would
+    ignore, then ``--checkpoint`` and ``--resume``."""
+    from repro.partition import ENGINE_ALGORITHMS
 
-
-def _reject_engine_flags(args: argparse.Namespace) -> None:
-    """Refuse engine flags an in-process search would silently ignore."""
     if args.algorithm in ENGINE_ALGORITHMS:
         return
-    given = [
+    given = [f"--{name}" for name in request.ignored_fields()] + [
         flag
-        for flag, value in (
-            ("--jobs", args.jobs != 1),
-            ("--timeout", args.timeout is not None),
-            ("--retries", args.retries != 2),
-            ("--checkpoint", args.checkpoint is not None),
-            ("--resume", args.resume is not None),
-        )
-        if value
+        for flag, path in (("--checkpoint", args.checkpoint), ("--resume", args.resume))
+        if path is not None
     ]
     if given:
         raise SlifError(
@@ -249,9 +242,9 @@ def _reject_engine_flags(args: argparse.Namespace) -> None:
 def cmd_partition(args: argparse.Namespace) -> int:
     from repro import api
 
-    _reject_engine_flags(args)
-    session = api.load(args.spec)
     request = _request("partition", args)
+    _reject_engine_flags(args, request)
+    session = api.load(args.spec)
     with obs.span(
         "cli.partition", spec=args.spec, algorithm=args.algorithm, seed=args.seed
     ) as sp:

@@ -29,11 +29,7 @@ from repro.estimate.exectime import (
     execution_time,
     transfer_time,
 )
-from repro.estimate.incremental import (
-    IncrementalEstimator,
-    IncrementalStats,
-    MoveRecord,
-)
+from repro.estimate.incremental import IncrementalEstimator, IncrementalStats
 from repro.estimate.kernel import BatchKernel, kernel_backend
 from repro.estimate.compile import CompiledGraph, compile_graph
 from repro.estimate.io import (
@@ -63,7 +59,6 @@ __all__ = [
     "ExecTimeStats",
     "IncrementalEstimator",
     "IncrementalStats",
-    "MoveRecord",
     "Violation",
     "all_bus_loads",
     "all_component_ios",

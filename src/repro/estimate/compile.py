@@ -30,7 +30,10 @@ touching a single graph object:
   Eq. 1 ceiling-division transfer count per (slot, bus);
 * each node's incident channels, for scoring single-object partition
   moves (:mod:`repro.estimate.incremental`): another CSR layout over
-  the same slots.
+  the same slots;
+* each node's pool, the component indices it may move to
+  (:attr:`CompiledGraph.pools`): the one legal-target rule, which move
+  scoring reads and the incremental estimator's moves check.
 
 A partition enters the compiled side as two vectors: each node's
 component index (:meth:`CompiledGraph.comp_vector`, read from an object
@@ -126,8 +129,13 @@ class CompiledGraph:
     #: every (node, component) size weight is annotated, so the kernel
     #: never abstains on a size lookup
     size_complete: bool = False
-    #: every behavior has a size weight on every processor and every
-    #: variable on every component, so no legal move can miss one
+    #: the legal targets of a move, by node index: the component indices
+    #: the node may be mapped to, processors first, so each starts at 0
+    #: (the processors for a behavior, every component for a variable);
+    #: each kind shares one ``range``
+    pools: List[range] = field(default_factory=list)
+    #: every node has a size weight on every component of its pool, so
+    #: no legal move can miss one
     covers_pools: bool = False
 
     # evaluation orders (callees before callers); None on a call cycle
@@ -315,10 +323,10 @@ def compile_graph(slif: Slif) -> CompiledGraph:
     cg.size = [node.size.row(technologies) for node in nodes]
     cg.size_complete = all(w is not None for row in cg.size for w in row)
     # behaviors may go to any processor, variables to any component
-    n_procs = len(slif.processors)
-    cg.covers_pools = cg.size_complete or (
-        all(None not in row[:n_procs] for row in cg.size[: cg.n_behaviors])
-        and all(None not in row for row in cg.size[cg.n_behaviors:])
+    n_procs, n_vars = len(slif.processors), len(slif.variables)
+    cg.pools = [range(n_procs)] * cg.n_behaviors + [range(cg.n_comps)] * n_vars
+    cg.covers_pools = cg.size_complete or all(
+        None not in row[: len(pool)] for row, pool in zip(cg.size, cg.pools)
     )
 
     # CSR adjacency over out-channels, insertion order per behavior

@@ -161,11 +161,6 @@ class Estimator:
         """Drop caches after the partition or annotations changed."""
         self._exec.invalidate()
 
-    @property
-    def exec_stats(self):
-        """Memo telemetry of the shared execution-time evaluator."""
-        return self._exec.stats
-
     # -- individual metrics -------------------------------------------
 
     def execution_time(self, behavior: str) -> float:

@@ -14,13 +14,16 @@ are :meth:`~repro.estimate.compile.CompiledGraph.cut_counts` over it and
 each slot's bus index, kept up to date from the first I/O query on, and
 :attr:`sizes` has one entry per component index.  A start that maps
 every node in node order, as every search's does, is read into them
-the way the kernel reads one.  The name-keyed methods
-(:meth:`~IncrementalEstimator.apply_move`,
-:meth:`~IncrementalEstimator.component_sizes`, ...) translate names once
-per call; a search's inner loop reads and previews the lists directly,
-and a greedy descent commits its moves on indices with
-:meth:`~IncrementalEstimator.commit`.  Every move, by name or index,
-goes through one move body.
+the way the kernel reads one.
+
+Every search moves through one pair on the same indices:
+:meth:`~IncrementalEstimator.apply_move` returns the node's previous
+component, which :meth:`~IncrementalEstimator.undo` moves it back to.
+Both check the target against the one legal-target rule,
+:attr:`CompiledGraph.pools <repro.estimate.compile.CompiledGraph.pools>`,
+before anything changes, and run one move body.  The name-keyed
+queries (:meth:`~IncrementalEstimator.component_sizes`, ...) translate
+names once per call.
 
 The execution-time metric is inherently global (Eq. 1 recurses through
 the call structure), so a time query runs a fresh reference
@@ -37,15 +40,16 @@ the compiled graph, leaving the partition alone.
 Usage::
 
     inc = IncrementalEstimator(slif, partition)
-    record = inc.apply_move("Convolve", "HW")   # mutates the partition
+    node, hw = inc.cg.node_index["Convolve"], inc.cg.comp_index["HW"]
+    src = inc.apply_move(node, hw)   # mutates the partition
     ...evaluate...
-    inc.undo(record)                            # exact rollback
+    inc.undo(node, src)              # exact rollback
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.graph import Slif
 from repro.core.partition import Partition
@@ -54,14 +58,6 @@ from repro.estimate.compile import CompiledGraph, compile_graph
 from repro.estimate.exectime import ExecTimeEstimator
 from repro.estimate.size import object_size
 from repro.obs import OBS
-
-
-class MoveRecord(NamedTuple):
-    """Undo token for one applied move."""
-
-    obj: str
-    src: str
-    dst: str
 
 
 @dataclass
@@ -77,9 +73,9 @@ class IncrementalStats:
 class IncrementalEstimator:
     """Size/IO tallies kept consistent across partition moves.
 
-    The estimator *owns* move application: go through :meth:`apply_move`,
-    :meth:`commit` and :meth:`undo` rather than mutating the partition
-    directly, or the tallies will drift (a drift check is available via
+    The estimator *owns* move application: go through :meth:`apply_move`
+    and :meth:`undo` rather than mutating the partition directly, or the
+    tallies will drift (a drift check is available via
     :meth:`verify_consistency`, used by the property tests).
 
     ``compiled`` is the graph's
@@ -297,83 +293,86 @@ class IncrementalEstimator:
     # ------------------------------------------------------------------
     # moves
 
-    def apply_move(self, obj: str, component: str) -> MoveRecord:
-        """Move ``obj`` to ``component``, updating all tallies.
+    def apply_move(self, node: int, dst: int) -> int:
+        """Move node ``node`` to component ``dst`` (compiled-graph
+        indices), updating every tally, and count it as an applied move;
+        returns the node's previous component index, for :meth:`undo`.
 
-        Returns an undo token.  Moving an object to its current
-        component is a no-op move (still returns a valid token).  An
-        object the graph lacks, or a target it may not be mapped to,
-        raises what
-        :meth:`~repro.core.partition.Partition.require_assignable`
-        raises (as :meth:`PartitionCost.try_move
-        <repro.partition.cost.PartitionCost.try_move>` does), and a
-        missing size weight what
+        Moving a node to its own component changes nothing and is not
+        counted.  A target outside the node's
+        :attr:`~repro.estimate.compile.CompiledGraph.pools` entry, or an
+        index outside the graph, raises
+        :class:`~repro.errors.PartitionError` naming the object and the
+        component, and a missing size weight what
         :func:`~repro.estimate.size.object_size` raises, all before
-        anything changes.  The move itself is :meth:`commit`'s.
+        anything changes.
 
         >>> from repro.api import build_system
         >>> from repro.estimate.incremental import IncrementalEstimator
         >>> system = build_system("vol")
         >>> inc = IncrementalEstimator(system.slif, system.partition)
-        >>> before = inc.component_sizes()
-        >>> record = inc.apply_move("Calibrate", "HW")
-        >>> record
-        MoveRecord(obj='Calibrate', src='CPU', dst='HW')
+        >>> cg, before = inc.cg, inc.component_sizes()
+        >>> node = cg.node_index["Calibrate"]
+        >>> src = inc.apply_move(node, cg.comp_index["HW"])
+        >>> cg.comp_names[src]
+        'CPU'
         >>> inc.component_size("CPU") < before["CPU"]
         True
-        >>> inc.undo(record)
+        >>> inc.undo(node, src)
         >>> inc.component_sizes() == before
         True
+        >>> inc.apply_move(node, -1)
+        Traceback (most recent call last):
+        ...
+        repro.errors.PartitionError: object 'Calibrate' may not be mapped to component -1
         """
-        partition, cg = self.partition, self.cg
-        if obj not in cg.node_index:
-            # a name the graph lacks: SlifNameError, as try_move raises
-            partition.require_assignable(obj, component)
-        src = partition.get_bv_comp(obj)
-        record = MoveRecord(obj, src, component)
-        if src != component:
-            partition.require_assignable(obj, component)
-            self.commit(cg.node_index[obj], cg.comp_index[component])
-        return record
+        # the legal-target check, inline on the hot path
+        pools = self.cg.pools
+        if not (0 <= node < len(pools) and dst in pools[node]):
+            raise self._illegal_move(node, dst)
+        src = self.comp_of[node]
+        if src != dst:
+            self._move(node, src, dst)
+            self.stats.moves_applied += 1
+        return src
 
-    def undo(self, record: MoveRecord) -> None:
-        """Exactly reverse a move made by :meth:`apply_move`.
+    def undo(self, node: int, src: int) -> None:
+        """Move node ``node`` back to component ``src``, the index
+        :meth:`apply_move` returned, and count it as an undone move.
+
+        It is checked as :meth:`apply_move` checks, and changes nothing
+        when the node is already there.
 
         >>> from repro.api import build_system
         >>> from repro.estimate.incremental import IncrementalEstimator
         >>> system = build_system("vol")
         >>> inc = IncrementalEstimator(system.slif, system.partition)
-        >>> inc.undo(inc.apply_move("Median3", "HW"))
+        >>> node = inc.cg.node_index["Median3"]
+        >>> inc.undo(node, inc.apply_move(node, inc.cg.comp_index["HW"]))
         >>> system.partition.get_bv_comp("Median3")
         'CPU'
         """
-        if record.src != record.dst:
-            obj, cg = record.obj, self.cg
-            if self.partition.maybe_bv_comp(obj) is None:
-                raise PartitionError(f"object {obj!r} is not currently mapped")
-            self.partition.require_assignable(obj, record.src)
-            self._move(
-                cg.node_index[obj], cg.comp_index[record.dst], cg.comp_index[record.src]
-            )
+        pools = self.cg.pools
+        if not (0 <= node < len(pools) and src in pools[node]):
+            raise self._illegal_move(node, src)
+        dst = self.comp_of[node]
+        if dst != src:
+            self._move(node, dst, src)
             self.stats.moves_undone += 1
 
-    def commit(self, node: int, dst: int) -> None:
-        """Move node ``node`` to component ``dst`` (indices), counted as
-        an applied move.
-
-        Nothing is checked by name: ``dst`` must be a component of the
-        node's :meth:`PartitionCost.pool
-        <repro.partition.cost.PartitionCost.pool>` other than its own,
-        as a search's best trial is.  A missing size weight raises what
-        :func:`~repro.estimate.size.object_size` raises, before anything
-        changes.
-        """
-        self._move(node, self.comp_of[node], dst)
-        self.stats.moves_applied += 1
+    def _illegal_move(self, node: int, dst: int) -> PartitionError:
+        """The error of moving node ``node`` to component ``dst`` when
+        :attr:`~repro.estimate.compile.CompiledGraph.pools` rules it out;
+        each is named, or given by index when the graph lacks it."""
+        cg = self.cg
+        obj = cg.node_names[node] if node in range(cg.n_nodes) else node
+        comp = cg.comp_names[dst] if dst in range(cg.n_comps) else dst
+        return PartitionError(f"object {obj!r} may not be mapped to component {comp!r}")
 
     def _move(self, node: int, src: int, dst: int) -> None:
         """Move node ``node`` from component ``src`` to ``dst`` (indices)
-        in the tallies and the partition: the one move body.
+        in the tallies and the partition: the one move body, run only by
+        :meth:`apply_move` and :meth:`undo`.
 
         Only the two involved components' tallies change: sizes move the
         object's weight (``-=`` on ``src``, then ``+=`` on ``dst``); cut

@@ -39,10 +39,9 @@ recovery counters ``explore.retries``, ``explore.timeouts``,
 ``explore.checkpoint.chunks_skipped``, and an
 ``explore.retry_delay_seconds`` histogram of backoff delays.
 
-When collection is on, every sweep carries an
-:class:`~repro.explore.worker.ObsContext` (the trace id plus the
-collect flag); workers record their own counters, histograms and an
-``explore.chunk`` span under that trace id and return a telemetry
+When collection is on, every sweep carries the caller's trace id, and
+its workers collect too: they record their own counters, histograms and
+an ``explore.chunk`` span under that trace id and return a telemetry
 snapshot on the result, which :func:`run_plan` merges back (counters
 sum, histogram buckets add, spans graft under the current span with a
 ``worker_pid`` attribute) — so ``--stats`` after ``--jobs 8`` reflects
@@ -62,12 +61,7 @@ from repro.errors import PartitionError
 from repro import obs
 from repro.obs import OBS, add_event
 from repro.explore.plan import CandidateSpec, Chunk, WorkPlan
-from repro.explore.worker import (
-    ChunkResult,
-    ObsContext,
-    PlanPayload,
-    RestartOutcome,
-)
+from repro.explore.worker import ChunkResult, PlanPayload, RestartOutcome
 
 
 def resolve_jobs(jobs: Optional[int], chunks: int) -> int:
@@ -289,11 +283,8 @@ def run_plan(
             on_result(done[index])
 
     todo = [chunk for chunk in chunks if chunk.index not in done]
-    obs_ctx = (
-        ObsContext(trace_id=obs.trace_id(), collect=True)
-        if OBS.enabled
-        else None
-    )
+    # workers collect telemetry only when this process does
+    trace_id = obs.trace_id() if OBS.enabled else None
     try:
         if todo and (fleet is not None or workers > 1):
             from repro.fleet.client import run_fleet_chunks
@@ -311,7 +302,7 @@ def run_plan(
                     policy=policy,
                     stats=stats,
                     on_complete=on_complete,
-                    obs_ctx=obs_ctx,
+                    trace_id=trace_id,
                 )
         else:
             run_chunks(payload, todo, on_complete)

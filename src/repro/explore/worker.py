@@ -37,20 +37,6 @@ from repro.errors import SlifError, WorkerError
 from repro.explore.plan import CandidateSpec, Chunk
 
 
-@dataclass(frozen=True)
-class ObsContext:
-    """Trace context shipped with every chunk dispatch.
-
-    Carries the coordinator's trace id across the process boundary so
-    worker-side spans group under the originating CLI command or HTTP
-    request, and the ``collect`` flag so workers only pay for telemetry
-    when the coordinator asked for it (``--stats`` / ``--trace-out``).
-    """
-
-    trace_id: Optional[str] = None
-    collect: bool = False
-
-
 @dataclass
 class PlanPayload:
     """Everything a chunk runner needs to evaluate a plan.

@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.errors import FleetError, WorkerError
 from repro.explore.engine import RecoveryStats, RetryPolicy, run_chunks
 from repro.explore.plan import Chunk
-from repro.explore.worker import ChunkResult, ObsContext, PlanPayload
+from repro.explore.worker import ChunkResult, PlanPayload
 from repro.fleet.protocol import (
     FleetSpec,
     chunk_to_wire,
@@ -139,7 +139,7 @@ def run_fleet_chunks(
     policy: RetryPolicy,
     stats: RecoveryStats,
     on_complete: Callable[[ChunkResult], None],
-    obs_ctx: Optional[ObsContext] = None,
+    trace_id: Optional[str] = None,
 ) -> Dict[int, ChunkResult]:
     """Evaluate ``todo`` through a fleet; returns results by chunk index.
 
@@ -148,7 +148,9 @@ def run_fleet_chunks(
     workers for ``fleet.idle_timeout`` seconds — or the sweep raises the
     lowest failing chunk's :class:`WorkerError`.  The retries, timeouts
     and lost workers the coordinator handled are added to ``stats``
-    (and the ``explore.*`` obs counters) once.
+    (and the ``explore.*`` obs counters) once.  With a ``trace_id`` the
+    workers collect telemetry and group their spans under it; without
+    one they collect nothing.
     """
     transport = _transport_for(fleet)
     sweep_id = transport.call(
@@ -162,8 +164,8 @@ def run_fleet_chunks(
             "chunks": [chunk_to_wire(chunk) for chunk in todo],
             "policy": policy_to_wire(policy),
             "session_key": fleet.session_key,
-            "collect": bool(obs_ctx is not None and obs_ctx.collect),
-            "trace_id": obs_ctx.trace_id if obs_ctx is not None else None,
+            "collect": trace_id is not None,
+            "trace_id": trace_id,
         },
     )["sweep_id"]
     done: Dict[int, ChunkResult] = {}

@@ -46,6 +46,10 @@ ALGORITHMS = {
     "random": random_restart,
 }
 
+#: the algorithms whose starts run on the exploration engine, the only
+#: ones a request's ``jobs``, ``timeout`` and ``retries`` act on
+ENGINE_ALGORITHMS = ("random", "greedy_multistart")
+
 
 def run_algorithm(
     name: str,
@@ -75,6 +79,7 @@ def run_algorithm(
 
 __all__ = [
     "ALGORITHMS",
+    "ENGINE_ALGORITHMS",
     "AllocationResult",
     "BusTemplate",
     "ComponentTemplate",

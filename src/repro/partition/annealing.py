@@ -10,9 +10,11 @@ is about.
 A move is drawn on the compiled graph's indices: a node, in graph
 order, then one of the other components of its
 :meth:`~repro.partition.cost.PartitionCost.pool`, in pool order.  A
-trial applies the move, evaluates it and undoes it on rejection, so an
-accepted move keeps the applied tallies: a preview followed by a commit
-does not always leave the same floats.
+trial applies the move with :meth:`IncrementalEstimator.apply_move
+<repro.estimate.incremental.IncrementalEstimator.apply_move>`,
+evaluates it and, on rejection, moves the node back with ``undo``, so
+an accepted move keeps the applied tallies: a preview followed by a
+commit does not always leave the same floats.
 """
 
 from __future__ import annotations
@@ -113,8 +115,9 @@ def simulated_annealing(
     best_cost = current
     history = [current]
 
-    cg, comp_of = evaluator.inc.cg, evaluator.inc.comp_of
-    nodes = range(cg.n_nodes)
+    inc = evaluator.inc
+    comp_of, pools = inc.comp_of, inc.cg.pools
+    nodes = range(len(pools))
     temperature = initial_temperature
     iterations = accepted = rejected = improvements = 0
 
@@ -122,11 +125,10 @@ def simulated_annealing(
         for _ in range(moves_per_temperature):
             iterations += 1
             node = rng.choice(nodes)
-            candidates = [c for c in evaluator.pool(node) if c != comp_of[node]]
+            candidates = [c for c in pools[node] if c != comp_of[node]]
             if not candidates:
                 continue
-            dst = rng.choice(candidates)
-            record = evaluator.apply_move(cg.node_names[node], cg.comp_names[dst])
+            src = inc.apply_move(node, rng.choice(candidates))
             cost = evaluator.cost()
             delta = cost - current
             if delta <= 0 or rng.random() < math.exp(-delta / temperature):
@@ -138,7 +140,7 @@ def simulated_annealing(
                     history.append(best_cost)
                     improvements += 1
             else:
-                evaluator.undo(record)
+                inc.undo(node, src)
                 rejected += 1
         if OBS.enabled:
             # temperature + best-cost trajectory, one event per cooling step

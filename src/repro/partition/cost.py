@@ -9,17 +9,20 @@ The function is evaluated through an
 :class:`~repro.estimate.incremental.IncrementalEstimator`, on the
 compiled graph's integer node and component indices, which are the
 move vocabulary of every search: :meth:`PartitionCost.pool` gives the
-components a node may move to.  One function,
+components a node may move to, read from the one legal-target rule,
+:attr:`CompiledGraph.pools <repro.estimate.compile.CompiledGraph.pools>`,
+and every search commits and rolls back through the estimator's
+``apply_move``/``undo`` pair.  One function,
 :meth:`PartitionCost.score_move`, scores every trial move:
-:meth:`PartitionCost.try_move` calls it by name, and
-:meth:`PartitionCost.best_move` over one object's candidates, as a
-greedy descent asks.  A trial does not make its move: the size terms
-come from the tallies previewed with the moved object's weights, and
-the I/O terms from its cut-count delta, which is only computed when
-some processor has a pin budget.  Execution time is a global metric; it
-is only folded in when ``weights.time > 0`` and a time constraint is
-set, and then a trial applies the move, evaluates and undoes it,
-because Eq. 1 needs the moved partition.
+:meth:`PartitionCost.try_move` calls it by name, the search layer's one
+name-keyed trial, and :meth:`PartitionCost.best_move` over one object's
+candidates, as a greedy descent asks.  A trial does not make its move:
+the size terms come from the tallies previewed with the moved object's
+weights, and the I/O terms from its cut-count delta, which is only
+computed when some processor has a pin budget.  Execution time is a
+global metric; it is only folded in when ``weights.time > 0`` and a
+time constraint is set, and then a trial applies the move with the
+pair, evaluates and undoes it, because Eq. 1 needs the moved partition.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from repro.core.graph import Slif
 from repro.core.partition import Partition
 from repro.errors import PartitionError
 from repro.estimate.compile import CompiledGraph
-from repro.estimate.incremental import IncrementalEstimator, MoveRecord
+from repro.estimate.incremental import IncrementalEstimator
 from repro.obs import OBS
 
 
@@ -63,10 +66,11 @@ def _require_positive(budget: float, what: str) -> None:
 class PartitionCost:
     """Evaluates (and incrementally re-evaluates) a partition's cost.
 
-    The instance owns the partition's mutation during search: use
-    :meth:`apply_move`, :meth:`undo` and :meth:`try_move`.  ``compiled``
-    is the graph's :class:`~repro.estimate.compile.CompiledGraph`; pass
-    one to share it across many evaluators of the same graph.
+    The instance's estimator, :attr:`inc`, owns the partition's mutation
+    during search: moves go through its ``apply_move`` and ``undo``.
+    ``compiled`` is the graph's
+    :class:`~repro.estimate.compile.CompiledGraph`; pass one to share it
+    across many evaluators of the same graph.
 
     ``budgets`` maps component names to the size budgets to use in
     place of their ``size_constraint`` (``None`` for no budget), so a
@@ -142,8 +146,6 @@ class PartitionCost:
             if proc.io_constraint is not None
         ]
         self._timed = bool(self.weights.time) and time_constraint is not None
-        # a behavior's pool and a variable's: processors come first
-        self._pools = (range(len(slif.processors)), range(cg.n_comps))
 
     # ------------------------------------------------------------------
 
@@ -240,13 +242,7 @@ class PartitionCost:
         self.inc.publish()
 
     # ------------------------------------------------------------------
-    # move plumbing
-
-    def apply_move(self, obj: str, component: str) -> MoveRecord:
-        return self.inc.apply_move(obj, component)
-
-    def undo(self, record: MoveRecord) -> None:
-        self.inc.undo(record)
+    # trial moves
 
     def score_move(self, node: int, src: int, dst: int) -> float:
         """Cost the partition would have after moving node ``node`` from
@@ -261,12 +257,11 @@ class PartitionCost:
         """
         inc = self.inc
         if self._timed:
-            cg = inc.cg
-            record = inc.apply_move(cg.node_names[node], cg.comp_names[dst])
+            inc.apply_move(node, dst)
             try:
                 return self.cost()
             finally:
-                inc.undo(record)
+                inc.undo(node, src)
         after = inc.preview(node, src, dst)
         self.evaluations += 1
         return self._terms(after, (node, src, dst))
@@ -295,10 +290,11 @@ class PartitionCost:
         :meth:`score_move`, in pool order, and a candidate wins when it
         scores more than 1e-12 below the best so far.
         """
-        src = self.inc.comp_of[node]
+        inc = self.inc
+        src = inc.comp_of[node]
         best, best_comp = bound, -1
         # pool(node), looked up inline on the hot path
-        for dst in self._pools[node >= self.inc.cg.n_behaviors]:
+        for dst in inc.cg.pools[node]:
             if dst != src:
                 cost = self.score_move(node, src, dst)
                 if cost < best - 1e-12:
@@ -309,17 +305,18 @@ class PartitionCost:
     # the legal targets of a move, shared by the algorithms
 
     def pool(self, node: int) -> range:
-        """The component indices node ``node`` may be mapped to,
-        processors first: the processors for a behavior, every component
-        for a variable.  Its own component is among them."""
-        return self._pools[node >= self.inc.cg.n_behaviors]
+        """The component indices node ``node`` may be mapped to, its
+        :attr:`~repro.estimate.compile.CompiledGraph.pools` entry:
+        processors first, the processors for a behavior and every
+        component for a variable.  Its own component is among them."""
+        return self.inc.cg.pools[node]
 
     def pass_trials(self, start: int = 0) -> int:
         """How many trial moves a pass over the nodes from ``start`` on
-        scores, in O(1): the behaviors come first, and each node has one
-        candidate per component of its :meth:`pool` but its own."""
-        cg = self.inc.cg
-        behaviors = cg.n_behaviors
-        return max(behaviors - start, 0) * (len(self.pool(0)) - 1) + (
-            cg.n_nodes - max(behaviors, start)
-        ) * (len(self.pool(behaviors)) - 1)
+        scores, in O(1): the behaviors come first and share one pool, the
+        variables another, and each node has one candidate per component
+        of its :meth:`pool` but its own."""
+        pools = self.inc.cg.pools
+        mid = max(start, self.inc.cg.n_behaviors)
+        spans = ((start, mid), (mid, len(pools)))
+        return sum((hi - lo) * (len(pools[lo]) - 1) for lo, hi in spans if lo < hi)

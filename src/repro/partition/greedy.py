@@ -4,11 +4,11 @@ Repeated passes over every functional object; each object is offered
 every legal alternative component and takes the best strictly-improving
 move, found by one :meth:`PartitionCost.best_move` call that scores its
 candidates on the compiled graph's indices.  The move is committed on
-the same indices, by :meth:`IncrementalEstimator.commit
-<repro.estimate.incremental.IncrementalEstimator.commit>`, with no
-name checks: its target came from the node's pool.  Terminates when a
-full pass improves nothing — a local minimum under the single-move
-neighbourhood — or after ``max_passes`` passes.
+the same indices, by :meth:`IncrementalEstimator.apply_move
+<repro.estimate.incremental.IncrementalEstimator.apply_move>`, the move
+every search makes.  Terminates when a full pass improves nothing — a
+local minimum under the single-move neighbourhood — or after
+``max_passes`` passes.
 
 Once the cost reaches :meth:`PartitionCost.floor`, no trial move can
 improve it, so the descent ends there: the trials left in the pass and
@@ -73,7 +73,7 @@ def greedy_improve(
         for node in range(inc.cg.n_nodes):
             best_cost, best_comp = evaluator.best_move(node, current)
             if best_comp >= 0:
-                inc.commit(node, best_comp)
+                inc.apply_move(node, best_comp)
                 current = best_cost
                 history.append(current)
                 improved = True

@@ -13,7 +13,9 @@ Moves are named by the compiled graph's node and component indices:
 each trial is scored with :meth:`PartitionCost.score_move
 <repro.partition.cost.PartitionCost.score_move>` over the node's
 :meth:`~repro.partition.cost.PartitionCost.pool`, and the chosen move
-and the rollback are applied by name.
+and each move of the rollback are made on the same indices by
+:meth:`IncrementalEstimator.apply_move
+<repro.estimate.incremental.IncrementalEstimator.apply_move>`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ def group_migration(
     evaluator = PartitionCost(
         slif, working, weights, time_constraint, compiled, budgets
     )
-    cg, comp_of = evaluator.inc.cg, evaluator.inc.comp_of
+    inc = evaluator.inc
+    comp_of, n_nodes = inc.comp_of, inc.cg.n_nodes
     current = evaluator.cost()
     history = [current]
     passes = 0
@@ -61,9 +64,9 @@ def group_migration(
         # the sequence of applied moves: (node, from, to, cost after move)
         trail: List[Tuple[int, int, int, float]] = []
 
-        while len(locked) < cg.n_nodes:
+        while len(locked) < n_nodes:
             best: Optional[Tuple[float, int, int]] = None
-            for node in range(cg.n_nodes):
+            for node in range(n_nodes):
                 if node in locked:
                     continue
                 src = comp_of[node]
@@ -75,8 +78,7 @@ def group_migration(
             if best is None:
                 break
             cost, node, dst = best
-            trail.append((node, comp_of[node], dst, cost))
-            evaluator.apply_move(cg.node_names[node], cg.comp_names[dst])
+            trail.append((node, inc.apply_move(node, dst), dst, cost))
             locked.add(node)
             current = cost
             if OBS.enabled:
@@ -90,7 +92,7 @@ def group_migration(
                 best_cost = cost
                 best_idx = idx
         for node, src, _dst, _cost in reversed(trail[best_idx + 1:]):
-            evaluator.apply_move(cg.node_names[node], cg.comp_names[src])
+            inc.apply_move(node, src)
             if OBS.enabled:
                 OBS.inc("partition.group_migration.rollback_moves")
         current = best_cost

@@ -127,7 +127,6 @@ def evaluate_design_point(
 def explore_pareto(
     slif: Slif,
     start: Partition,
-    hardware_components: Optional[List[str]] = None,
     constraint_steps: int = 8,
     random_starts: int = 5,
     seed: int = 0,
@@ -141,8 +140,7 @@ def explore_pareto(
 ) -> ParetoFront:
     """Sweep the time/area trade-off and return the Pareto front.
 
-    ``hardware_components`` names the custom processors whose summed
-    size is the area axis; by default every custom processor counts.
+    The area axis is the summed size of every custom processor.
     The sweep gives its descents synthetic CPU size budgets to force
     different offload levels; the caller's graph and partition are
     only read, never mutated.  ``kernel`` is the graph's
@@ -184,17 +182,10 @@ def explore_pareto(
     from repro.explore.plan import pareto_plan
     from repro.explore.worker import PlanPayload
 
-    if hardware_components is None:
-        hardware_components = [
-            name for name, proc in slif.processors.items() if proc.is_custom
-        ]
-    if not hardware_components:
+    hardware = [name for name, proc in slif.processors.items() if proc.is_custom]
+    if not hardware:
         raise PartitionError("no custom processors to trade hardware against")
-    software = [
-        name
-        for name, proc in slif.processors.items()
-        if name not in hardware_components
-    ]
+    software = [name for name in slif.processors if name not in hardware]
     if not software:
         raise PartitionError("no software processor to trade against")
 
@@ -208,7 +199,7 @@ def explore_pareto(
         )
         payload = PlanPayload(
             task="pareto",
-            hardware=tuple(hardware_components),
+            hardware=tuple(hardware),
             slif=slif,
             partition=start,
             kernel=kernel,

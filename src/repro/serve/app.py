@@ -514,10 +514,16 @@ class SlifServer:
 
     def _heavy_request(self, kind: str, data: Any):
         """Parse and validate a ``kind`` request as a job would, then give
-        a partition or explore request without ``jobs`` the server's
-        ``--jobs`` default."""
+        a request that runs on the engine without ``jobs`` the server's
+        ``--jobs`` default: an explore, or a partition whose algorithm is
+        one of :data:`~repro.partition.ENGINE_ALGORITHMS`."""
+        from repro.partition import ENGINE_ALGORITHMS
+
         request = api.JobRequest(kind=kind, request=data).wrapped()
-        if kind != "simulate" and request.jobs is None:
+        engine = kind == "explore" or (
+            kind == "partition" and request.algorithm in ENGINE_ALGORITHMS
+        )
+        if engine and request.jobs is None:
             request.jobs = self.config.jobs
         return request
 

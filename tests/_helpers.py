@@ -61,6 +61,14 @@ def build_demo_partition(slif: Slif, sub_on: str = "CPU") -> Partition:
     )
 
 
+def move_by_name(inc, obj: str, component: str):
+    """Move ``obj`` to ``component`` with the estimator's index pair,
+    ``IncrementalEstimator.apply_move``; returns ``(node, src)``, the
+    arguments of the ``undo`` that reverses it."""
+    node = inc.cg.node_index[obj]
+    return node, inc.apply_move(node, inc.cg.comp_index[component])
+
+
 def same_length_variant(text: str) -> str:
     """A ``slif gen`` document of the same length with other estimates.
 

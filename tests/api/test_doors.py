@@ -114,3 +114,91 @@ def test_the_request_is_the_only_retry_knob():
     for fn in (api.partition, api.explore):
         assert "policy" not in inspect.signature(fn).parameters
     assert "seed" not in inspect.signature(api.build_system).parameters
+
+
+# ---------------------------------------------------------------------------
+# fields no door lets through: engine fields on a search that runs in
+# process, and retry fields out of range or not finite
+
+#: a greedy partition, which searches once in process, with an engine
+#: field it would ignore
+IGNORED_ENGINE_FIELDS = [
+    '{"spec": "vol", "jobs": 4}',
+    '{"spec": "vol", "timeout": 5}',
+    '{"spec": "vol", "retries": 3}',
+    '{"spec": "vol", "jobs": 3, "timeout": NaN}',
+]
+
+#: ``(kind, body)`` with a retry or time field out of range or not
+#: finite; the server's JSON decoder reads a bare NaN or Infinity
+OUT_OF_RANGE = [
+    ("explore", '{"spec": "vol", "constraint_steps": 1, "random_starts": 1, '
+                '"retries": -1}'),
+    ("explore", '{"spec": "vol", "timeout": NaN}'),
+    ("explore", '{"spec": "vol", "timeout": 0}'),
+    ("explore", '{"spec": "vol", "timeout": Infinity}'),
+    ("explore", '{"spec": "vol", "timeout": -Infinity}'),
+    ("partition", '{"spec": "vol", "algorithm": "random", "retries": -1}'),
+    ("partition", '{"spec": "vol", "algorithm": "random", "timeout": 0}'),
+    ("partition", '{"spec": "vol", "algorithm": "random", "timeout": Infinity}'),
+    ("simulate", '{"spec": "vol", "iterations": 1, "time_limit": NaN}'),
+]
+
+REFUSED = [("partition", body) for body in IGNORED_ENGINE_FIELDS] + OUT_OF_RANGE
+
+
+@pytest.mark.parametrize("kind, body", REFUSED)
+def test_every_door_refuses_the_request(kind, body, server):
+    status, payload, _, _ = server.handle_timed(
+        "POST", f"/v1/{kind}", body.encode()
+    )
+    assert status == 400, payload
+    with pytest.raises(api.RequestError) as refused:
+        getattr(api, kind)(json.loads(body))
+    assert str(refused.value) == payload["error"]
+    # a job wrapping it is refused before it is stored
+    job = '{"kind": "%s", "request": %s}' % (kind, body)
+    status, payload, _, _ = server.handle_timed("POST", "/v1/jobs", job.encode())
+    assert status == 400, payload
+    assert str(refused.value) == payload["error"]
+    assert server.jobs.list_jobs() == []
+
+
+@pytest.mark.parametrize("algorithm", ["greedy", "annealing"])
+def test_jobs_submit_refuses_engine_fields_of_an_in_process_search(
+    algorithm, capsys
+):
+    # refused before any connection is attempted
+    argv = ["jobs", "submit", "127.0.0.1:9", SPEC, "--kind", "partition",
+            "--algorithm", algorithm, "--jobs", "4"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: PartitionRequest.algorithm {algorithm!r} runs one search in "
+        "process and would ignore jobs"
+    )
+
+
+def test_engine_algorithms_take_engine_fields(server):
+    body = {"spec": SPEC, "algorithm": "random", "seed": 2, "jobs": 1,
+            "timeout": 30, "retries": 0}
+    status, payload, _, _ = server.handle_timed(
+        "POST", "/v1/partition", json.dumps(body).encode()
+    )
+    assert status == 200, payload
+    assert payload == api.partition(dict(body)).to_dict()
+
+
+def test_a_server_jobs_default_leaves_an_in_process_search_alone(tmp_path):
+    """``slif serve --jobs 2`` gives its default only to requests that
+    run on the engine, so a greedy partition is answered as the library
+    answers it."""
+    srv = SlifServer(ServerConfig(port=0, jobs=2, job_workers=0))
+    try:
+        status, payload, _, _ = srv.handle_timed(
+            "POST", "/v1/partition", b'{"spec": "vol"}'
+        )
+    finally:
+        srv.close()
+    assert status == 200, payload
+    assert payload == api.partition({"spec": SPEC}).to_dict()

@@ -117,7 +117,9 @@ def test_existing_messages_are_kept():
 
 def test_well_typed_values_pass():
     """Integers are numbers, ``None`` fills an ``Optional`` field."""
-    api.PartitionRequest(spec="vol", timeout=2, jobs=None).validate()
+    api.PartitionRequest(
+        spec="vol", algorithm="random", timeout=2, jobs=None
+    ).validate()
     api.SimulateRequest(spec="vol", time_limit=3, concurrent=False).validate_fields()
     api.ExploreRequest(spec="vol", timeout=0.5, jobs=2).validate()
     api.JobRequest(kind="explore", request={"spec": "vol"}).validate()

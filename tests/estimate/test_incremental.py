@@ -8,7 +8,7 @@ from repro.estimate.incremental import IncrementalEstimator
 from repro.estimate.io import all_component_ios
 from repro.estimate.size import all_component_sizes
 
-from _helpers import build_demo_graph, build_demo_partition
+from _helpers import build_demo_graph, build_demo_partition, move_by_name
 
 
 @pytest.fixture
@@ -30,7 +30,7 @@ def test_initial_tallies_match_fresh(g, p):
 def test_move_updates_sizes(g, p):
     inc = IncrementalEstimator(g, p)
     inc.component_ios()  # build the cut counts now, so every move updates them
-    inc.apply_move("Sub", "HW")
+    move_by_name(inc, "Sub", "HW")
     assert inc.component_size("CPU") == pytest.approx(121)
     assert inc.component_size("HW") == pytest.approx(400)
     inc.verify_consistency()
@@ -39,7 +39,7 @@ def test_move_updates_sizes(g, p):
 def test_move_updates_io(g, p):
     inc = IncrementalEstimator(g, p)
     assert inc.component_io("HW") == 0  # empty component
-    inc.apply_move("Sub", "HW")
+    move_by_name(inc, "Sub", "HW")
     assert inc.component_io("HW") == 16
     inc.verify_consistency()
 
@@ -48,8 +48,7 @@ def test_undo_restores_exactly(g, p):
     inc = IncrementalEstimator(g, p)
     before_sizes = inc.component_sizes()
     before_ios = inc.component_ios()
-    record = inc.apply_move("Sub", "HW")
-    inc.undo(record)
+    inc.undo(*move_by_name(inc, "Sub", "HW"))
     assert inc.component_sizes() == before_sizes
     assert inc.component_ios() == before_ios
     inc.verify_consistency()
@@ -57,8 +56,9 @@ def test_undo_restores_exactly(g, p):
 
 def test_noop_move_and_undo(g, p):
     inc = IncrementalEstimator(g, p)
-    record = inc.apply_move("Sub", "CPU")  # already there
-    inc.undo(record)
+    node, src = move_by_name(inc, "Sub", "CPU")  # already there
+    assert src == inc.cg.comp_index["CPU"]
+    inc.undo(node, src)
     inc.verify_consistency()
 
 
@@ -66,17 +66,17 @@ def test_many_moves_stay_consistent(g, p):
     inc = IncrementalEstimator(g, p)
     inc.component_ios()  # build the cut counts now, so every move updates them
     for comp in ["HW", "CPU", "HW", "CPU"]:
-        inc.apply_move("Sub", comp)
+        move_by_name(inc, "Sub", comp)
         inc.verify_consistency()
     for comp in ["CPU", "HW", "RAM", "CPU"]:
-        inc.apply_move("buf", comp)
+        move_by_name(inc, "buf", comp)
         inc.verify_consistency()
 
 
 def test_exec_time_recomputed_lazily(g, p):
     inc = IncrementalEstimator(g, p)
     before = inc.execution_time("Main")
-    inc.apply_move("Sub", "HW")
+    move_by_name(inc, "Sub", "HW")
     after = inc.execution_time("Main")
     assert after != before
     from repro.estimate.exectime import execution_time
@@ -121,7 +121,7 @@ def test_failed_move_changes_nothing(g, p, failure):
 
     if failure == "illegal target":
         obj, comp, error = "Main", "RAM", PartitionError
-        match = "behavior 'Main' may only be mapped to a processor; 'RAM' is not one"
+        match = "object 'Main' may not be mapped to component 'RAM'"
     else:
         g.behaviors["Sub"].size = WeightMap({"proc": 60})
         obj, comp, error, match = "Sub", "HW", EstimationError, "'asic'"
@@ -129,7 +129,7 @@ def test_failed_move_changes_nothing(g, p, failure):
     inc.component_ios()  # build the cut counts now, so a move would update them
     before = (inc.component_sizes(), inc.component_ios(), p.object_mapping())
     with pytest.raises(error, match=match):
-        inc.apply_move(obj, comp)
+        move_by_name(inc, obj, comp)
     assert (inc.component_sizes(), inc.component_ios(), p.object_mapping()) == before
     assert inc.stats.moves_applied == 0
     inc.verify_consistency()
@@ -141,16 +141,14 @@ class TestMoveStats:
     def test_moves_and_undos_counted(self, g, p):
         inc = IncrementalEstimator(g, p)
         inc.component_ios()  # build the cut counts now, so every move updates them
-        record = inc.apply_move("Sub", "HW")
-        inc.undo(record)
+        inc.undo(*move_by_name(inc, "Sub", "HW"))
         assert inc.stats.moves_applied == 1
         assert inc.stats.moves_undone == 1
         inc.verify_consistency()
 
     def test_noop_move_not_counted(self, g, p):
         inc = IncrementalEstimator(g, p)
-        record = inc.apply_move("Sub", "CPU")   # already there
-        inc.undo(record)
+        inc.undo(*move_by_name(inc, "Sub", "CPU"))   # already there
         assert inc.stats.moves_applied == 0
         assert inc.stats.moves_undone == 0
 
@@ -161,9 +159,9 @@ class TestMoveStats:
         obs.enable()
         try:
             inc = IncrementalEstimator(g, p)
-            record = inc.apply_move("Sub", "HW")
-            inc.apply_move("buf", "CPU")
-            inc.undo(record)
+            undo = move_by_name(inc, "Sub", "HW")
+            move_by_name(inc, "buf", "CPU")
+            inc.undo(*undo)
             inc.system_time()
             inc.publish()
             counters = obs.snapshot()["counters"]
@@ -228,9 +226,9 @@ def test_self_loop_channels_never_drift(g, p):
     p.assign_channel("Sub->Sub", "sysbus")
     inc = IncrementalEstimator(g, p)
     inc.component_ios()  # build the cut counts now, so every move updates them
-    record = inc.apply_move("Sub", "HW")
+    undo = move_by_name(inc, "Sub", "HW")
     inc.verify_consistency()
-    inc.undo(record)
+    inc.undo(*undo)
     inc.verify_consistency()
 
 
@@ -271,7 +269,7 @@ class TestMoveIndex:
         sub, cpu, hw = cg.node_index["Sub"], cg.comp_index["CPU"], cg.comp_index["HW"]
         for attempt in (
             lambda: inc.preview(sub, cpu, hw),
-            lambda: inc.apply_move("Sub", "HW"),
+            lambda: inc.apply_move(sub, hw),
         ):
             with pytest.raises(EstimationError) as got:
                 attempt()
@@ -302,7 +300,7 @@ class TestMoveIndex:
         cpu, hw = cg.comp_index["CPU"], cg.comp_index["HW"]
         delta = inc.cut_delta(cg.node_index["Sub"], cpu, hw)
         predicted = {c: inc.io(cg.comp_index[c], delta) for c in before}
-        inc.apply_move("Sub", "HW")
+        inc.apply_move(cg.node_index["Sub"], hw)
         assert inc.component_ios() == predicted
         inc.verify_consistency()
 

@@ -321,6 +321,45 @@ class TestTelemetry:
         assert counters["estimate.incremental.moves_applied"] == committed
         assert "estimate.incremental.moves_undone" not in counters
 
+    @pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
+    @pytest.mark.parametrize("name, extra", EVERY_ALGORITHM)
+    def test_every_search_moves_through_the_pair(
+        self, fuzzy_system, monkeypatch, name, extra, timed
+    ):
+        """Every move a search makes or rolls back goes through
+        ``IncrementalEstimator.apply_move`` or ``undo``: their calls are
+        the published move counts, with a time term on or off."""
+        from repro.estimate.exectime import ExecTimeEstimator
+        from repro.estimate.incremental import IncrementalEstimator
+
+        calls = dict.fromkeys(["apply_move", "undo"], 0)
+        for method in calls:
+            def counted(inc, node, comp, _method=method,
+                        _move=getattr(IncrementalEstimator, method)):
+                calls[_method] += 1
+                return _move(inc, node, comp)
+
+            monkeypatch.setattr(IncrementalEstimator, method, counted)
+        slif, start = fuzzy_system.slif, fuzzy_system.partition
+        time_constraint = None
+        if timed:
+            # each timed trial runs Eq. 1 afresh: a short annealing
+            # schedule keeps the run quick (the others ignore it)
+            time_constraint = ExecTimeEstimator(slif, start).system_time() / 2
+            extra = dict(extra, cooling=0.5)
+        _, counters = self._counters(
+            lambda: run_algorithm(
+                name, slif, start, budgets={"CPU": 500},
+                time_constraint=time_constraint, **extra,
+            )
+        )
+        assert calls == {
+            "apply_move": counters.get("estimate.incremental.moves_applied", 0),
+            "undo": counters.get("estimate.incremental.moves_undone", 0),
+        }
+        if name == "greedy":
+            assert calls["apply_move"] > 0
+
     def test_annealing_counters_add_up(self, g, p):
         result, counters = self._counters(
             lambda: simulated_annealing(g, p, seed=3)

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import PartitionError
 from repro.partition.cost import CostWeights, PartitionCost
 
-from _helpers import build_demo_graph, build_demo_partition
+from _helpers import build_demo_graph, build_demo_partition, move_by_name
 
 
 @pytest.fixture
@@ -51,10 +51,11 @@ def test_balance_term_prefers_spread(g):
     lumped = build_demo_partition(g)  # nearly everything on CPU
     pc = PartitionCost(g, lumped, weights)
     lumped_cost = pc.cost()
-    record = pc.apply_move("Sub", "HW")
+    undo = move_by_name(pc.inc, "Sub", "HW")
     spread_cost = pc.cost()
     assert spread_cost < lumped_cost
-    pc.undo(record)
+    pc.inc.undo(*undo)
+    assert pc.cost() == lumped_cost
 
 
 def test_weights_scale_terms(g):
@@ -79,7 +80,7 @@ def test_try_move_predicts_applied_cost(g):
     p = build_demo_partition(g)
     pc = PartitionCost(g, p)
     predicted = pc.try_move("Sub", "HW")
-    pc.apply_move("Sub", "HW")
+    move_by_name(pc.inc, "Sub", "HW")
     assert pc.cost() == pytest.approx(predicted)
 
 
@@ -143,7 +144,7 @@ def test_try_move_with_time_term_applies_and_undoes(g):
     pc = PartitionCost(g, p, time_constraint=100.0)
     predicted = pc.try_move("Sub", "HW")
     assert (pc.inc.stats.moves_applied, pc.inc.stats.moves_undone) == (1, 1)
-    pc.apply_move("Sub", "HW")
+    move_by_name(pc.inc, "Sub", "HW")
     assert pc.cost() == predicted
 
 
@@ -178,24 +179,18 @@ def test_try_move_rejects_an_illegal_target(g, time_constraint):
     pc.inc.verify_consistency()
 
 
-@pytest.mark.parametrize("owner", ["cost", "estimator"])
-def test_apply_move_of_an_unknown_object_raises_as_try_move(g, owner):
-    """An object the graph lacks fails a move as it fails a trial, and
-    the move changes nothing."""
+@pytest.mark.parametrize("time_constraint", [None, 100.0])
+def test_try_move_of_an_unknown_object_raises(g, time_constraint):
+    """An object the graph lacks fails a trial at the name door, scored
+    read-only or applied, and the trial changes nothing."""
     from repro.errors import SlifNameError
 
     p = build_demo_partition(g)
-    pc = PartitionCost(g, p)
+    pc = PartitionCost(g, p, time_constraint=time_constraint)
     pc.inc.component_ios()  # build the cut counts now, so a move would update them
     before = (p.object_mapping(), pc.inc.component_sizes(), pc.inc.component_ios())
-    with pytest.raises(SlifNameError) as trial:
+    with pytest.raises(SlifNameError, match="no behavior or variable named 'ghost'"):
         pc.try_move("ghost", "HW")
-    mover = pc if owner == "cost" else pc.inc
-    with pytest.raises(SlifNameError) as move:
-        mover.apply_move("ghost", "HW")
-    assert str(move.value) == str(trial.value) == (
-        "no behavior or variable named 'ghost'"
-    )
     assert (
         p.object_mapping(), pc.inc.component_sizes(), pc.inc.component_ios()
     ) == before

@@ -16,6 +16,7 @@ from repro.estimate.io import all_component_ios
 from repro.estimate.size import all_component_sizes, object_size
 from repro.partition.random_part import random_partition
 
+from _helpers import move_by_name
 from test_prop_graph import slif_graphs
 
 
@@ -78,12 +79,12 @@ def test_incremental_never_drifts(g, seed, data):
     undo_stack = []
     for _ in range(data.draw(st.integers(1, 12))):
         if undo_stack and data.draw(st.booleans()):
-            inc.undo(undo_stack.pop())
+            inc.undo(*undo_stack.pop())
         else:
             obj = data.draw(st.sampled_from(objects))
             pool = comps if obj in g.behaviors else var_comps
             comp = data.draw(st.sampled_from(pool))
-            undo_stack.append(inc.apply_move(obj, comp))
+            undo_stack.append(move_by_name(inc, obj, comp))
     inc.verify_consistency()
     assert inc.component_sizes() == all_component_sizes(g, p)
     assert inc.component_ios() == all_component_ios(g, p)

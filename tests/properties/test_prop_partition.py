@@ -6,12 +6,16 @@ value (re-evaluating the returned partition reproduces the reported
 cost), the read-only move scorer agrees bit for bit with applying,
 evaluating and undoing the move, a greedy descent that ends at the
 cost floor answers and counts exactly as one that runs every pass, and
-group migration and annealing, which move on the compiled graph's
-indices, answer exactly as loops that move by name.
+greedy, group migration and annealing, which move on the compiled
+graph's indices through the estimator's ``apply_move``/``undo`` pair,
+answer exactly as loops that move by name with ``Partition.move`` and
+cost each partition afresh.
 """
 
 import math
 import random
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +32,7 @@ from repro.partition.group_migration import group_migration
 from repro.partition.random_part import random_partition
 from repro.synth.gen import GenConfig, generate_text
 
-from _helpers import floor_exit_disabled, greedy_outcome
+from _helpers import floor_exit_disabled, greedy_outcome, move_by_name
 from test_prop_graph import slif_graphs
 
 
@@ -146,9 +150,11 @@ def _outcome(fn):
 
 
 def _reference_try(evaluator, obj, comp):
-    record = evaluator.apply_move(obj, comp)
+    """A trial made the plain way: apply the move with the estimator's
+    pair, cost the partition and undo the move."""
+    undo = move_by_name(evaluator.inc, obj, comp)
     value = evaluator.cost()
-    evaluator.undo(record)
+    evaluator.inc.undo(*undo)
     return value
 
 
@@ -196,8 +202,8 @@ def test_try_move_matches_apply_cost_undo(scenario, rng):
             assert _tallies(scored) == _tallies(reference)
         commit = rng.choice(pool)
         if _outcome(lambda: object_size(g, obj, commit))[0] == "value":
-            scored.apply_move(obj, commit)
-            reference.apply_move(obj, commit)
+            move_by_name(scored.inc, obj, commit)
+            move_by_name(reference.inc, obj, commit)
     assert _tallies(scored) == _tallies(reference)
     scored.inc.verify_consistency()
 
@@ -260,8 +266,8 @@ def test_best_move_matches_the_best_apply_cost_undo(scenario, rng):
             commit = rng.choice(_candidates(g, scored.partition, obj))
             if _outcome(lambda: object_size(g, obj, commit))[0] == "error":
                 continue
-        scored.apply_move(obj, commit)
-        reference.apply_move(obj, commit)
+        move_by_name(scored.inc, obj, commit)
+        move_by_name(reference.inc, obj, commit)
         bound = scored.cost()
         assert repr(reference.cost()) == repr(bound)
     assert _tallies(scored) == _tallies(reference)
@@ -395,8 +401,8 @@ def test_try_move_on_the_compiled_graph_matches_apply_cost_undo(scenario, rng):
             assert got in sizes
         assert _tallies(scored) == _tallies(reference)
         if got[0] == "value" and rng.random() < 0.5:
-            scored.apply_move(obj, comp)
-            reference.apply_move(obj, comp)
+            move_by_name(scored.inc, obj, comp)
+            move_by_name(reference.inc, obj, comp)
             scored.inc.verify_consistency()
     assert _tallies(scored) == _tallies(reference)
 
@@ -418,17 +424,42 @@ def test_greedy_on_a_shared_compiled_graph_matches_its_own(scenario):
 
 
 # ---------------------------------------------------------------------------
-# group migration and annealing on indices vs loops that move by name
+# greedy, group migration and annealing on indices vs loops that move by name
+
+
+def _fresh_cost(g, partition, weights, time_constraint):
+    """The cost of ``partition`` from a new evaluator, which tallies it
+    afresh: no estimator move is made."""
+    return PartitionCost(g, partition, weights, time_constraint).cost()
+
+
+def _fresh_trial(g, working, obj, comp, weights, time_constraint):
+    """The cost of ``working`` with ``obj`` moved to ``comp``, from a new
+    evaluator; ``working`` is moved back afterwards."""
+    src = working.move(obj, comp)
+    try:
+        return _fresh_cost(g, working, weights, time_constraint)
+    finally:
+        working.move(obj, src)
+
+
+def _exact_sums(g):
+    """Round every size weight to a multiple of 1/8, so that every sum of
+    them is exact: a fresh evaluator's sizes, summed in mapping order,
+    then equal the running tallies of a search that moved its way there,
+    and the name loops below can be compared with it by ``repr``."""
+    for node in list(g.behaviors.values()) + list(g.variables.values()):
+        for tech, weight in list(node.size.items()):
+            node.size.set(tech, round(weight * 8) / 8)
 
 
 def _reference_group_migration(g, start, weights, time_constraint, max_passes):
     """Group migration as a loop over names: every candidate of every
-    unlocked object scored with ``try_move``, the first best taken."""
+    unlocked object costed afresh, the first best taken with
+    ``Partition.move``, each evaluation counted."""
     working = start.copy(name="group-migration")
-    evaluator = PartitionCost(g, working, weights, time_constraint)
-    current = evaluator.cost()
-    history = [current]
-    passes = 0
+    current = _fresh_cost(g, working, weights, time_constraint)
+    evaluations, history, passes = 1, [current], 0
     while passes < max_passes:
         passes += 1
         pass_start_cost = current
@@ -439,14 +470,14 @@ def _reference_group_migration(g, start, weights, time_constraint, max_passes):
                 if obj in locked:
                     continue
                 for comp in _candidates(g, working, obj):
-                    cost = evaluator.try_move(obj, comp)
+                    cost = _fresh_trial(g, working, obj, comp, weights, time_constraint)
+                    evaluations += 1
                     if best is None or cost < best[0]:
                         best = (cost, obj, comp)
             if best is None:
                 break
             cost, obj, comp = best
-            trail.append((obj, working.get_bv_comp(obj), cost))
-            evaluator.apply_move(obj, comp)
+            trail.append((obj, working.move(obj, comp), cost))
             locked.add(obj)
             current = cost
         best_idx, best_cost = -1, pass_start_cost
@@ -454,22 +485,22 @@ def _reference_group_migration(g, start, weights, time_constraint, max_passes):
             if cost < best_cost - 1e-12:
                 best_idx, best_cost = idx, cost
         for obj, src, _ in reversed(trail[best_idx + 1:]):
-            evaluator.apply_move(obj, src)
+            working.move(obj, src)
         current = best_cost
         history.append(current)
         if best_idx == -1:
             break
-    return working, current, passes, evaluator.evaluations, history
+    return working, current, passes, evaluations, history
 
 
 def _reference_annealing(g, start, weights, time_constraint, seed, schedule):
     """One annealing chain as a loop over names: an object and a target
-    drawn from name lists, then apply, ``cost()`` and undo on rejection."""
+    drawn from name lists, moved with ``Partition.move``, costed afresh
+    and moved back on rejection."""
     rng = random.Random(seed)
     working = start.copy(name="annealing")
-    evaluator = PartitionCost(g, working, weights, time_constraint)
-    current = best_cost = evaluator.cost()
-    best, history = working.copy(), [current]
+    current = best_cost = _fresh_cost(g, working, weights, time_constraint)
+    best, history, evaluations = working.copy(), [current], 1
     temperature = schedule["initial_temperature"]
     iterations = 0
     while temperature > schedule["min_temperature"]:
@@ -479,8 +510,9 @@ def _reference_annealing(g, start, weights, time_constraint, seed, schedule):
             candidates = _candidates(g, working, obj)
             if not candidates:
                 continue
-            record = evaluator.apply_move(obj, rng.choice(candidates))
-            cost = evaluator.cost()
+            src = working.move(obj, rng.choice(candidates))
+            cost = _fresh_cost(g, working, weights, time_constraint)
+            evaluations += 1
             delta = cost - current
             if delta <= 0 or rng.random() < math.exp(-delta / temperature):
                 current = cost
@@ -488,9 +520,9 @@ def _reference_annealing(g, start, weights, time_constraint, seed, schedule):
                     best_cost, best = current, working.copy()
                     history.append(best_cost)
             else:
-                evaluator.undo(record)
+                working.move(obj, src)
         temperature *= schedule["cooling"]
-    return best, best_cost, iterations, evaluator.evaluations, history
+    return best, best_cost, iterations, evaluations, history
 
 
 def _search_outcome(run):
@@ -531,6 +563,7 @@ def test_index_searches_match_their_name_loops(scenario, max_passes, seed):
     and history of a loop that moves by name, with the same iterations,
     evaluations and mapping, or fail with the same error."""
     g, weights, time_constraint, start_seed, rerouted = scenario
+    _exact_sums(g)
     start = _start(g, start_seed, rerouted)
     args = (g, start, weights, time_constraint)
     assert _search_outcome(
@@ -541,50 +574,55 @@ def test_index_searches_match_their_name_loops(scenario, max_passes, seed):
     ) == _search_outcome(lambda: _reference_annealing(*args, seed, SCHEDULE))
 
 
-# ---------------------------------------------------------------------------
-# greedy's index commits and the estimator's set-up vs their name loops
-
-
 def _reference_greedy(g, start, weights, time_constraint, max_passes):
-    """Greedy as a loop that commits by name: each node's best trial
-    from ``best_move``, then ``apply_move`` of the winning component's
-    name, with the same floor exit."""
+    """Greedy as a loop over names: each object's candidates costed
+    afresh in pool order, the first best taken with ``Partition.move``,
+    and the same floor exit, which counts the trials it skips."""
     working = start.copy(name="greedy")
     evaluator = PartitionCost(g, working, weights, time_constraint)
-    current = evaluator.cost()
-    history = [current]
-    floor = evaluator.floor()
-    names, comps = evaluator.inc.cg.node_names, evaluator.inc.cg.comp_names
-    passes = 0
+    current, floor = evaluator.cost(), evaluator.floor()
+    evaluations, history, passes = 1, [current], 0
+    objects = g.bv_names()
+
+    def trials(rest):
+        return sum(len(_candidates(g, working, obj)) for obj in rest)
+
     improved = True
     while improved and passes < max_passes:
         improved = False
         passes += 1
         if current == floor:
-            evaluator.evaluations += evaluator.pass_trials()
+            evaluations += trials(objects)
             break
-        for node, obj in enumerate(names):
-            best_cost, best_comp = evaluator.best_move(node, current)
-            if best_comp >= 0:
-                evaluator.apply_move(obj, comps[best_comp])
+        for i, obj in enumerate(objects):
+            best_cost, best_comp = current, None
+            for comp in _candidates(g, working, obj):
+                cost = _fresh_trial(g, working, obj, comp, weights, time_constraint)
+                evaluations += 1
+                if cost < best_cost - 1e-12:
+                    best_cost, best_comp = cost, comp
+            if best_comp is not None:
+                working.move(obj, best_comp)
                 current = best_cost
                 history.append(current)
                 improved = True
                 if current == floor:
-                    evaluator.evaluations += evaluator.pass_trials(node + 1)
+                    evaluations += trials(objects[i + 1:])
                     break
-    return working, current, passes, evaluator.evaluations, history
+    return working, current, passes, evaluations, history
 
 
 @given(descent_scenarios())
 @settings(max_examples=40, deadline=None)
 def test_greedy_index_commits_match_its_name_loop(scenario):
-    """Greedy, which commits its moves on indices, gives by ``repr`` the
-    cost and history of a loop that commits them by name, with the same
-    iterations, evaluations and mapping, or fails with the same error."""
+    """Greedy, which scores and commits its moves on indices, gives by
+    ``repr`` the cost and history of a loop that moves by name, with the
+    same iterations, evaluations and mapping, or fails with the same
+    error."""
     from repro.partition.greedy import greedy_improve
 
     g, start, kwargs = scenario
+    _exact_sums(g)
     assert _search_outcome(
         lambda: _result(greedy_improve(g, start, **kwargs))
     ) == _search_outcome(lambda: _reference_greedy(g, start, **kwargs))
@@ -687,7 +725,81 @@ def test_estimator_setup_matches_the_name_loop(scenario, rng):
                 continue
             before = _tallies(evaluator)
             try:
-                inc.commit(node, rng.choice(targets))
+                inc.apply_move(node, rng.choice(targets))
             except EstimationError:
                 assert _tallies(evaluator) == before
         inc.verify_consistency()
+
+
+# ---------------------------------------------------------------------------
+# the one move pair refuses what the legal-target rule rules out
+
+
+@st.composite
+def pair_scenarios(draw):
+    """A small ``slif gen`` spec, sometimes with a memory that only its
+    variables may move to, and a random start on it."""
+    from repro.core.components import Memory, memory_technology
+
+    config = GenConfig(
+        behaviors=draw(st.integers(2, 30)),
+        seed=draw(st.integers(0, 2**16)),
+        variables=draw(st.integers(0, 8)),
+        ports=draw(st.integers(0, 3)),
+    )
+    g = build_system(generate_text(config)).slif
+    start = random_partition(g, seed=draw(st.integers(0, 1000)))
+    if draw(st.booleans()):
+        g.add_memory(Memory("RAM", memory_technology()))
+        for variable in g.variables.values():
+            variable.size.set("mem", draw(st.integers(0, 100)))
+    return g, start
+
+
+@given(pair_scenarios(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_pair_refuses_an_illegal_move(scenario, data):
+    """``apply_move`` or ``undo`` given a target outside the node's pool,
+    or a node or component index outside the graph (negative ones
+    included), raises PartitionError and changes no size tally,
+    component index, cut count, mapping or move count."""
+    from repro.errors import PartitionError
+    from repro.estimate.incremental import IncrementalEstimator
+
+    g, start = scenario
+    inc = IncrementalEstimator(g, start.copy())
+    if data.draw(st.booleans()):
+        inc.component_ios()  # tally the cut counts, so a move would change them
+    cg = inc.cg
+    for _ in range(data.draw(st.integers(0, 5))):
+        node = data.draw(st.integers(0, cg.n_nodes - 1))
+        inc.apply_move(node, data.draw(st.sampled_from(cg.pools[node])))
+    processors = len(g.processors)
+    outside_nodes = st.integers(max_value=-1) | st.integers(min_value=cg.n_nodes)
+    outside_comps = st.integers(max_value=-1) | st.integers(min_value=cg.n_comps)
+    moves = [
+        st.tuples(outside_nodes, st.integers(0, cg.n_comps - 1)),
+        st.tuples(st.integers(0, cg.n_nodes - 1), outside_comps),
+    ]
+    if cg.n_behaviors and cg.n_comps > processors:
+        # a behavior onto a memory
+        moves.append(
+            st.tuples(
+                st.integers(0, cg.n_behaviors - 1),
+                st.integers(processors, cg.n_comps - 1),
+            )
+        )
+    node, comp = data.draw(st.one_of(moves))
+    method = data.draw(st.sampled_from(["apply_move", "undo"]))
+
+    def state():
+        cuts = None if inc._cuts is None else [row[:] for row in inc._cuts]
+        stats = (inc.stats.moves_applied, inc.stats.moves_undone)
+        return (repr(inc.sizes), list(inc.comp_of), cuts,
+                inc.partition.object_mapping(), stats)
+
+    before = state()
+    with pytest.raises(PartitionError, match="may not be mapped to component"):
+        getattr(inc, method)(node, comp)
+    assert state() == before
+    inc.verify_consistency()

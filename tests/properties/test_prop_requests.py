@@ -3,9 +3,11 @@
 One field of a valid small request on ``fuzzy`` is replaced with a value
 of another JSON type: a string, a list, an object, ``null`` for a field
 that is not ``Optional``, a boolean for a number, a non-integral float
-for an integer, a number for a boolean or a string.  Every door must
-refuse it before anything runs: ``slif serve`` with HTTP 400 (never a
-500) and ``repro.api`` with :class:`~repro.api.types.RequestError`.
+for an integer, ``NaN`` or an infinity for a number (the server's JSON
+decoder reads the bare tokens), a number for a boolean or a string.
+Every door must refuse it before anything runs: ``slif serve`` with
+HTTP 400 (never a 500) and ``repro.api`` with
+:class:`~repro.api.types.RequestError`.
 
 A value of the right type is never drawn: a drawn ``jobs`` or
 ``constraint_steps`` could start thousands of processes or a sweep
@@ -47,6 +49,7 @@ integers = st.integers(-10**6, 10**6)
 fractions = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False
 ).filter(lambda x: not x.is_integer())
+non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 
 
 def wrong_values(hint):
@@ -66,6 +69,8 @@ def wrong_values(hint):
         choices += [integers, fractions]
     if base is int:
         choices.append(fractions)
+    if base in (int, float):
+        choices.append(non_finite)
     return st.one_of(choices)
 
 
